@@ -14,7 +14,9 @@
 #      single-pass streaming attention backend,
 #      SOFTREC_SERVE_KV_DTYPE=int8 to serve on the quantized KV
 #      cache, then SOFTREC_SERVE_PREFILL_CHUNK=3 to serve through
-#      the chunked-prefill path
+#      the chunked-prefill path; then the repository benchmark runner
+#      (perfbench/, configured into build/perfbench) must still build
+#      against the model API and pass its --self-test
 #   5. checked build + tests  (-DSOFTREC_CHECKED_BUILD=ON, WERROR)
 #   6. asan-ubsan build + tests (sanitizers + checked mode, WERROR),
 #      plus a serve smoke: the serve_throughput bench runs end to end
@@ -109,6 +111,13 @@ SOFTREC_SERVE_KV_DTYPE=int8 \
 step "release tests with SOFTREC_SERVE_PREFILL_CHUNK=3 (chunked prefill)"
 SOFTREC_SERVE_PREFILL_CHUNK=3 \
     ctest --test-dir build/release --output-on-failure -j "${JOBS}"
+
+step "perfbench runner build + self-test (benchmark tracks the model API)"
+cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=Release \
+    >/dev/null
+cmake --build build/perfbench -j "${JOBS}" --target perfbench_runner
+./build/perfbench/perfbench_runner --self-test >/dev/null
+echo "perfbench_runner --self-test: OK"
 
 step "checked build (WERROR) + tests"
 cmake --preset checked -DSOFTREC_WERROR=ON >/dev/null

@@ -10,6 +10,7 @@
 
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "core/attention_exec.hpp"
 #include "kernels/decode_attention.hpp"
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
@@ -132,7 +133,173 @@ runGeneration(const GpuSpec &spec, const ModelConfig &model,
 
 namespace {
 
-/** The functional KV path supports exactly this attention shape. */
+/** Copy head columns [h*dh, (h+1)*dh) into an [L, dh] tensor. */
+Tensor<Half>
+sliceHead(const Tensor<Half> &x, int64_t head, int64_t d_head)
+{
+    const int64_t rows = x.shape().dim(0);
+    Tensor<Half> out(Shape({rows, d_head}));
+    for (int64_t i = 0; i < rows; ++i)
+        std::copy(x.rowPtr(i) + head * d_head,
+                  x.rowPtr(i) + (head + 1) * d_head, out.rowPtr(i));
+    return out;
+}
+
+/**
+ * Attention for rows that start at position 0: the rows are the whole
+ * sequence so far, so each head runs the batch kernel of the
+ * configured strategy and backend over the rows' own Q/K/V, causal or
+ * not as configured. Heads are independent problems writing disjoint
+ * column bands of ws.attention, so they parallelize at grain 1; the
+ * kernels inside each head then run inline (nested regions degrade
+ * to serial), keeping the math order head-local and the result
+ * bit-identical for any thread count. Allocates per head; decode
+ * steps never come here.
+ */
+void
+attendOwnRows(const ExecContext &ctx,
+              const FunctionalLayerConfig &config,
+              DecodeStepWorkspace &ws)
+{
+    const int64_t rows = ws.q.shape().dim(0);
+    const int64_t dh = config.dHead();
+    SdaConfig sda;
+    sda.seqLen = rows;
+    sda.dHead = dh;
+    sda.causalMask = config.causalMask;
+    sda.layout = config.layout;
+    sda.subVector = config.subVector;
+    sda.attnTiling = config.attnTiling;
+    sda.backend = config.attention;
+
+    parallelFor(ctx, 0, config.numHeads, 1,
+                [&](int64_t head0, int64_t head1) {
+        for (int64_t head = head0; head < head1; ++head) {
+            AttentionInputs head_inputs{sliceHead(ws.q, head, dh),
+                                        sliceHead(ws.k, head, dh),
+                                        sliceHead(ws.v, head, dh)};
+            const Tensor<Half> head_out =
+                runAttention(ctx, sda, head_inputs, config.strategy);
+            for (int64_t i = 0; i < rows; ++i)
+                std::copy(head_out.rowPtr(i), head_out.rowPtr(i) + dh,
+                          ws.attention.rowPtr(i) + head * dh);
+        }
+    });
+}
+
+/**
+ * The layer body, the only place a transformer layer is computed:
+ * LayerNorm(x + MHA(x)), then LayerNorm(h + FF(h)), over the R rows
+ * in ws.x, leaving the result in ws.x.
+ *
+ * `start` is the sequence position of row 0 and picks the attention
+ * path. At 0 the rows are the whole sequence so far and attend over
+ * themselves (attendOwnRows). Past 0 each (row, head) runs the decode
+ * kernel of the configured backend over `prefix_kv(r, k, v)`, the K/V
+ * rows row r attends to, which must already hold row r itself.
+ * `store_kv(k, v)` sees the layer's fresh K/V projections before
+ * attention runs, so callers stage or append them there.
+ *
+ * Bit-identity across callers rests on three facts: the packed GEMMs
+ * compute each output row independently, the decode kernels replicate
+ * the batch row at the same position exactly, and residual, LayerNorm
+ * and GELU are row-local.
+ */
+template <typename StoreKv, typename PrefixKv>
+void
+runLayer(const ExecContext &ctx, const FunctionalLayerConfig &config,
+         const EncoderLayerWeights &w, int64_t start,
+         DecodeStepWorkspace &ws, const StoreKv &store_kv,
+         const PrefixKv &prefix_kv)
+{
+    projectRowsInto(ctx, "fc.q", ws.x, w.wq, w.bq, false, ws.q);
+    projectRowsInto(ctx, "fc.k", ws.x, w.wk, w.bk, false, ws.k);
+    projectRowsInto(ctx, "fc.v", ws.x, w.wv, w.bv, false, ws.v);
+    store_kv(ws.k, ws.v);
+
+    if (start == 0) {
+        attendOwnRows(ctx, config, ws);
+    } else {
+        const int64_t heads = config.numHeads;
+        const int64_t dh = config.dHead();
+        const bool streaming =
+            config.attention == AttentionBackend::Streaming;
+        DecodeAttendDesc attend;
+        attend.dHead = dh;
+        attend.scale = 1.0 / std::sqrt(double(dh));
+        // (row, head) attention problems are independent and write
+        // disjoint output slices; grain 1 mirrors the per-head
+        // parallelism of the batch path. Staging comes from the
+        // per-worker-slot pool: chunks on the same worker run
+        // sequentially, so a slot's workspace is never shared.
+        parallelFor(ctx, 0, ws.q.shape().dim(0) * heads, 1,
+                    [&](int64_t i0, int64_t i1) {
+            DecodeAttendWorkspace &attend_ws =
+                ws.attend[size_t(currentThreadSlot())];
+            for (int64_t i = i0; i < i1; ++i) {
+                const int64_t r = i / heads;
+                const int64_t h = i % heads;
+                DecodeAttendDesc head = attend;
+                head.headOffset = h * dh;
+                KvRowsView k_view, v_view;
+                prefix_kv(r, k_view, v_view);
+                const Half *q_row = ws.q.rowPtr(r) + h * dh;
+                Half *out_row = ws.attention.rowPtr(r) + h * dh;
+                if (streaming)
+                    decodeAttendStreamRun(ctx, head, q_row, k_view,
+                                          v_view, out_row, &attend_ws);
+                else
+                    decodeAttendRun(ctx, head, q_row, k_view, v_view,
+                                    out_row, &attend_ws);
+            }
+        });
+    }
+
+    // Each output below lands in a buffer nothing reads any more.
+    Tensor<Half> &projected = ws.q;
+    Tensor<Half> &sum = ws.k;
+    Tensor<Half> &hidden = ws.v;
+    projectRowsInto(ctx, "fc.out", ws.attention, w.wo, w.bo, false,
+                    projected);
+    residualAddRun(ctx, ws.x, projected, sum);
+    layerNormRun(ctx, sum, w.gamma1, w.beta1, hidden);
+
+    Tensor<Half> &ff2 = ws.attention;
+    Tensor<Half> &out = ws.q;
+    projectRowsInto(ctx, "ff.1", hidden, w.w1, w.b1, /*gelu=*/true,
+                    ws.ff1);
+    projectRowsInto(ctx, "ff.2", ws.ff1, w.w2, w.b2, false, ff2);
+    residualAddRun(ctx, hidden, ff2, sum);
+    layerNormRun(ctx, sum, w.gamma2, w.beta2, out);
+    std::swap(ws.x, out);
+}
+
+} // namespace
+
+Tensor<Half>
+runEncoderLayer(const ExecContext &ctx,
+                const FunctionalLayerConfig &config,
+                const EncoderLayerWeights &weights,
+                const Tensor<Half> &input)
+{
+    SOFTREC_ASSERT(input.shape().rank() == 2 &&
+                   input.shape().dim(1) == config.dModel,
+                   "input must be [L, dModel]");
+    SOFTREC_ASSERT(config.dModel % config.numHeads == 0,
+                   "heads must divide dModel");
+
+    // Time-only summary scope around the whole layer.
+    prof::Scope scope(ctx, "layer.encoder");
+    DecodeStepWorkspace ws;
+    ws.prepare(config, input.shape().dim(0));
+    std::copy(input.data(), input.data() + input.numel(), ws.x.data());
+    // The rows are the whole sequence and no K/V outlives the call.
+    runLayer(ctx, config, weights, /*start=*/0, ws,
+             [](const Tensor<Half> &, const Tensor<Half> &) {},
+             [](int64_t, KvRowsView &, KvRowsView &) {});
+    return std::move(ws.x);
+}
+
 void
 checkFunctionalStack(const DecoderStack &stack)
 {
@@ -148,8 +315,6 @@ checkFunctionalStack(const DecoderStack &stack)
     SOFTREC_ASSERT(stack.config.dModel % stack.config.numHeads == 0,
                    "heads must divide dModel");
 }
-
-} // namespace
 
 DecoderStack
 DecoderStack::random(int64_t d_model, int64_t num_heads, int64_t d_ff,
@@ -173,27 +338,15 @@ Tensor<Half>
 runPrefill(const ExecContext &ctx, const DecoderStack &stack,
            const Tensor<Half> &prompt, KvCache &cache)
 {
-    checkFunctionalStack(stack);
-    SOFTREC_ASSERT(prompt.shape().rank() == 2 &&
-                   prompt.shape().dim(0) >= 1 &&
-                   prompt.shape().dim(1) == stack.config.dModel,
+    SOFTREC_ASSERT(prompt.shape().rank() == 2,
                    "prompt must be [tokens, dModel]");
-    SOFTREC_ASSERT(cache.numLayers() == int64_t(stack.layers.size()) &&
-                   cache.context() == 0,
-                   "prefill needs an empty cache sized for the stack");
-    const int64_t tokens = prompt.shape().dim(0);
-
-    prof::Scope scope(ctx, "decode.prefill");
-    Tensor<Half> x = prompt;
-    for (size_t l = 0; l < stack.layers.size(); ++l) {
-        KvProjections kv;
-        x = runEncoderLayer(ctx, stack.config, stack.layers[l], x,
-                            &kv);
-        for (int64_t i = 0; i < tokens; ++i)
-            cache.appendRow(int64_t(l), kv.k.rowPtr(i),
-                            kv.v.rowPtr(i));
-    }
-    return x;
+    PrefillState state;
+    state.prepare(stack, prompt.shape().dim(0));
+    DecodeStepWorkspace ws;
+    Tensor<Half> out;
+    runPrefill(ctx, stack, prompt, state.promptTokens, cache, state, ws,
+               out);
+    return out;
 }
 
 void
@@ -202,20 +355,13 @@ PrefillState::prepare(const DecoderStack &stack,
 {
     SOFTREC_ASSERT(prompt_tokens >= 1,
                    "prefill needs at least one prompt row");
-    const size_t num_layers = stack.layers.size();
-    const Shape staged({prompt_tokens, stack.config.dModel});
     promptTokens = prompt_tokens;
     rowsDone = 0;
+    const size_t num_layers = stack.layers.size();
     k.resize(num_layers);
     v.resize(num_layers);
     kBlock.resize(num_layers);
     vBlock.resize(num_layers);
-    for (size_t l = 0; l < num_layers; ++l) {
-        k[l].resize(staged);
-        v[l].resize(staged);
-        kBlock[l] = reinterpret_cast<const std::byte *>(k[l].data());
-        vBlock[l] = reinterpret_cast<const std::byte *>(v[l].data());
-    }
 }
 
 void
@@ -226,8 +372,6 @@ runPrefill(const ExecContext &ctx, const DecoderStack &stack,
 {
     checkFunctionalStack(stack);
     const int64_t dm = stack.config.dModel;
-    const int64_t heads = stack.config.numHeads;
-    const int64_t dh = stack.config.dHead();
     SOFTREC_ASSERT(prompt.shape().rank() == 2 &&
                        prompt.shape().dim(0) == state.promptTokens &&
                        prompt.shape().dim(1) == dm,
@@ -247,104 +391,66 @@ runPrefill(const ExecContext &ctx, const DecoderStack &stack,
                    (long long)state.rowsDone);
 
     prof::Scope scope(ctx, "decode.prefill");
-    DecodeAttendDesc attend;
-    attend.dHead = dh;
-    attend.scale = 1.0 / std::sqrt(double(dh));
-    const bool streaming =
-        stack.config.attention == AttentionBackend::Streaming;
     const int64_t c0 = state.rowsDone;
+    // Later chunks read earlier rows back, so a split prompt stages
+    // the exact rows; a whole-prompt chunk attends over its own
+    // projections and never touches the staging.
+    const bool staged = rows < state.promptTokens;
+    if (staged && c0 == 0) {
+        for (size_t l = 0; l < stack.layers.size(); ++l) {
+            state.k[l].resize(Shape({state.promptTokens, dm}));
+            state.v[l].resize(Shape({state.promptTokens, dm}));
+            state.kBlock[l] =
+                reinterpret_cast<const std::byte *>(state.k[l].data());
+            state.vBlock[l] =
+                reinterpret_cast<const std::byte *>(state.v[l].data());
+        }
+    }
 
-    ws.prepare(stack, rows);
+    ws.prepare(stack.config, rows);
     std::copy(prompt.rowPtr(c0), prompt.rowPtr(c0) + rows * dm,
               ws.x.data());
-    Tensor<Half> &x = ws.x;
     for (size_t l = 0; l < stack.layers.size(); ++l) {
-        const EncoderLayerWeights &w = stack.layers[l];
-
-        projectRowsInto(ctx, "fc.q", x, w.wq, w.bq, false, ws.q);
-        projectRowsInto(ctx, "fc.k", x, w.wk, w.bk, false, ws.k);
-        projectRowsInto(ctx, "fc.v", x, w.wv, w.bv, false, ws.v);
-        // Stage the exact fp16 rows for this chunk's attention reads
-        // and append the same rows to the cache, row-ascending — the
-        // order the one-shot prefill appends in, so a quantized
-        // cache makes identical per-block decisions.
-        std::copy(ws.k.data(), ws.k.data() + rows * dm,
-                  state.k[l].rowPtr(c0));
-        std::copy(ws.v.data(), ws.v.data() + rows * dm,
-                  state.v[l].rowPtr(c0));
-        for (int64_t r = 0; r < rows; ++r)
-            cache.appendRow(int64_t(l), ws.k.rowPtr(r),
-                            ws.v.rowPtr(r));
-
-        // (row, head) attention problems are independent, exactly as
-        // in runDecodeStepInto; each row attends causally over the
-        // exact staged prefix [0, c0 + r].
-        parallelFor(ctx, 0, rows * heads, 1,
-                    [&](int64_t i0, int64_t i1) {
-            DecodeAttendWorkspace &attend_ws =
-                ws.attend[size_t(currentThreadSlot())];
-            for (int64_t i = i0; i < i1; ++i) {
-                const int64_t r = i / heads;
-                const int64_t h = i % heads;
-                DecodeAttendDesc head = attend;
-                head.headOffset = h * dh;
-                const int64_t context = c0 + r + 1;
-                const KvRowsView k_view = contiguousKvView(
-                    &state.kBlock[l], state.promptTokens, dm,
-                    context);
-                const KvRowsView v_view = contiguousKvView(
-                    &state.vBlock[l], state.promptTokens, dm,
-                    context);
-                if (streaming) {
-                    decodeAttendStreamRun(ctx, head,
-                                          ws.q.rowPtr(r) + h * dh,
-                                          k_view, v_view,
-                                          ws.attention.rowPtr(r) +
-                                              h * dh,
-                                          &attend_ws);
-                } else {
-                    decodeAttendRun(ctx, head,
-                                    ws.q.rowPtr(r) + h * dh, k_view,
-                                    v_view,
-                                    ws.attention.rowPtr(r) + h * dh,
-                                    &attend_ws);
-                }
+        // Appends run row-ascending per layer whatever the split, so
+        // a quantized cache makes identical per-block decisions.
+        const auto store = [&](const Tensor<Half> &k,
+                               const Tensor<Half> &v) {
+            if (staged) {
+                std::copy(k.data(), k.data() + rows * dm,
+                          state.k[l].rowPtr(c0));
+                std::copy(v.data(), v.data() + rows * dm,
+                          state.v[l].rowPtr(c0));
             }
-        });
-
-        projectRowsInto(ctx, "fc.out", ws.attention, w.wo, w.bo,
-                        false, ws.projected);
-        residualAddRun(ctx, x, ws.projected, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma1, w.beta1, ws.hidden);
-
-        projectRowsInto(ctx, "ff.1", ws.hidden, w.w1, w.b1,
-                        /*gelu=*/true, ws.ff1);
-        projectRowsInto(ctx, "ff.2", ws.ff1, w.w2, w.b2, false,
-                        ws.ff2);
-        residualAddRun(ctx, ws.hidden, ws.ff2, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma2, w.beta2, ws.out);
-        std::swap(ws.x, ws.out);
+            for (int64_t r = 0; r < rows; ++r)
+                cache.appendRow(int64_t(l), k.rowPtr(r), v.rowPtr(r));
+        };
+        // Row r (position c0 + r) attends causally over the exact
+        // staged prefix [0, c0 + r].
+        const auto prefix = [&](int64_t r, KvRowsView &k,
+                                KvRowsView &v) {
+            k = contiguousKvView(&state.kBlock[l], state.promptTokens,
+                                 dm, c0 + r + 1);
+            v = contiguousKvView(&state.vBlock[l], state.promptTokens,
+                                 dm, c0 + r + 1);
+        };
+        runLayer(ctx, stack.config, stack.layers[l], c0, ws, store,
+                 prefix);
     }
     state.rowsDone += rows;
     std::swap(outputs, ws.x);
 }
 
 void
-DecodeStepWorkspace::prepare(const DecoderStack &stack, int64_t rows)
+DecodeStepWorkspace::prepare(const FunctionalLayerConfig &config,
+                             int64_t rows)
 {
-    const int64_t dm = stack.config.dModel;
-    const Shape rd({rows, dm});
+    const Shape rd({rows, config.dModel});
     x.resize(rd);
     q.resize(rd);
     k.resize(rd);
     v.resize(rd);
     attention.resize(rd);
-    projected.resize(rd);
-    postAttn.resize(rd);
-    hidden.resize(rd);
-    ff1.resize(Shape({rows, stack.config.dFf}));
-    ff2.resize(rd);
-    out.resize(rd);
+    ff1.resize(Shape({rows, config.dFf}));
     if (int64_t(attend.size()) < int64_t(maxThreadSlots()))
         attend.resize(size_t(maxThreadSlots()));
 }
@@ -357,11 +463,9 @@ runDecodeStepInto(const ExecContext &ctx, const DecoderStack &stack,
 {
     checkFunctionalStack(stack);
     const int64_t rows = inputs.shape().dim(0);
-    const int64_t dm = stack.config.dModel;
-    const int64_t heads = stack.config.numHeads;
-    const int64_t dh = stack.config.dHead();
     SOFTREC_ASSERT(inputs.shape().rank() == 2 &&
-                   inputs.shape().dim(1) == dm && rows >= 1,
+                   inputs.shape().dim(1) == stack.config.dModel &&
+                   rows >= 1,
                    "decode inputs must be [R, dModel]");
     SOFTREC_ASSERT(int64_t(caches.size()) == rows,
                    "one KvCache per batch row (%lld != %lld)",
@@ -374,79 +478,26 @@ runDecodeStepInto(const ExecContext &ctx, const DecoderStack &stack,
                        "decode needs prefilled caches");
 
     prof::Scope scope(ctx, "decode.step");
-    DecodeAttendDesc attend;
-    attend.dHead = dh;
-    attend.scale = 1.0 / std::sqrt(double(dh));
-    const bool streaming =
-        stack.config.attention == AttentionBackend::Streaming;
-
-    ws.prepare(stack, rows);
+    ws.prepare(stack.config, rows);
     std::copy(inputs.data(), inputs.data() + inputs.numel(),
               ws.x.data());
-    Tensor<Half> &x = ws.x;
+    // Every row sits past position 0: its cache holds the prompt.
+    const int64_t start = caches[0]->context();
     for (size_t l = 0; l < stack.layers.size(); ++l) {
-        const EncoderLayerWeights &w = stack.layers[l];
-
-        // Batched projections: the packed GEMM computes each output
-        // row independently, so these match single-request runs bit
-        // for bit (and the prefill's projections of the same rows).
-        projectRowsInto(ctx, "fc.q", x, w.wq, w.bq, false, ws.q);
-        projectRowsInto(ctx, "fc.k", x, w.wk, w.bk, false, ws.k);
-        projectRowsInto(ctx, "fc.v", x, w.wv, w.bv, false, ws.v);
-        for (int64_t r = 0; r < rows; ++r)
-            caches[size_t(r)]->appendRow(int64_t(l), ws.k.rowPtr(r),
-                                         ws.v.rowPtr(r));
-
-        // (request, head) attention rows are independent problems
-        // writing disjoint output slices; grain 1 mirrors the
-        // encoder layer's per-head parallelism. Staging buffers come
-        // from the per-worker-slot pool: chunks on the same worker
-        // run sequentially, so the slot's workspace is never shared,
-        // and its contents are dead between calls.
-        parallelFor(ctx, 0, rows * heads, 1,
-                    [&](int64_t i0, int64_t i1) {
-            DecodeAttendWorkspace &attend_ws =
-                ws.attend[size_t(currentThreadSlot())];
-            for (int64_t i = i0; i < i1; ++i) {
-                const int64_t r = i / heads;
-                const int64_t h = i % heads;
-                DecodeAttendDesc head = attend;
-                head.headOffset = h * dh;
-                const KvCache &cache = *caches[size_t(r)];
-                // Backend dispatch: the streaming variant is
-                // bit-identical to streaming-prefill rows, so the
-                // KV-equivalence contract holds per backend.
-                if (streaming) {
-                    decodeAttendStreamRun(ctx, head,
-                                          ws.q.rowPtr(r) + h * dh,
-                                          cache.kView(int64_t(l)),
-                                          cache.vView(int64_t(l)),
-                                          ws.attention.rowPtr(r) +
-                                              h * dh,
-                                          &attend_ws);
-                } else {
-                    decodeAttendRun(ctx, head,
-                                    ws.q.rowPtr(r) + h * dh,
-                                    cache.kView(int64_t(l)),
-                                    cache.vView(int64_t(l)),
-                                    ws.attention.rowPtr(r) + h * dh,
-                                    &attend_ws);
-                }
-            }
-        });
-
-        projectRowsInto(ctx, "fc.out", ws.attention, w.wo, w.bo,
-                        false, ws.projected);
-        residualAddRun(ctx, x, ws.projected, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma1, w.beta1, ws.hidden);
-
-        projectRowsInto(ctx, "ff.1", ws.hidden, w.w1, w.b1,
-                        /*gelu=*/true, ws.ff1);
-        projectRowsInto(ctx, "ff.2", ws.ff1, w.w2, w.b2, false,
-                        ws.ff2);
-        residualAddRun(ctx, ws.hidden, ws.ff2, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma2, w.beta2, ws.out);
-        std::swap(ws.x, ws.out);
+        const auto append = [&](const Tensor<Half> &k,
+                                const Tensor<Half> &v) {
+            for (int64_t r = 0; r < rows; ++r)
+                caches[size_t(r)]->appendRow(int64_t(l), k.rowPtr(r),
+                                             v.rowPtr(r));
+        };
+        // Each request attends over its own cache, new row included.
+        const auto cached = [&](int64_t r, KvRowsView &k,
+                                KvRowsView &v) {
+            k = caches[size_t(r)]->kView(int64_t(l));
+            v = caches[size_t(r)]->vView(int64_t(l));
+        };
+        runLayer(ctx, stack.config, stack.layers[l], start, ws, append,
+                 cached);
     }
     // Hand the result storage to the caller and keep its old buffer
     // as next step's scratch — no copy, no allocation.

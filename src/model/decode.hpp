@@ -17,6 +17,14 @@
  * (DecoderStack/runPrefill/runDecodeStepInto) that actually computes
  * tokens on the CPU for the serving engine, bit-identical to
  * recomputing the full prefix through runEncoderLayer at every step.
+ *
+ * runEncoderLayer, both runPrefill overloads and runDecodeStepInto
+ * share one layer body (decode.cpp), which runs the layer over R
+ * rows in a DecodeStepWorkspace. Only attention depends on where the
+ * rows sit: rows starting at position 0 (an encoder call, a first
+ * prefill chunk) attend over their own projections with the batch
+ * kernels; rows past position 0 (later chunks, decode steps) run the
+ * decode kernel per (row, head) over the K/V rows before them.
  */
 
 #ifndef SOFTREC_MODEL_DECODE_HPP
@@ -104,9 +112,20 @@ struct DecoderStack
 };
 
 /**
+ * Reject a stack the functional KV path does not support: it must be
+ * causal, dense, Baseline-strategy (either attention backend), have
+ * layers, and have heads that divide dModel. Throws
+ * std::logic_error. The model entry points call this, and so does
+ * ServeEngine's constructor, so a bad stack fails when the engine is
+ * built rather than on its serving thread.
+ */
+void checkFunctionalStack(const DecoderStack &stack);
+
+/**
  * Full-context forward pass over the prompt, seeding `cache` with
- * every layer's K/V rows for all prompt tokens. The cache must be
- * empty and sized for the stack's layer count.
+ * every layer's K/V rows for all prompt tokens: one resumable-prefill
+ * chunk covering the whole prompt. The cache must be empty and sized
+ * for the stack's layer count.
  *
  * @param prompt [promptTokens, dModel] fp16
  * @return the stack's output, [promptTokens, dModel]; its last row is
@@ -121,27 +140,30 @@ Tensor<Half> runPrefill(const ExecContext &ctx,
  * have been processed, plus per-layer staging of the *exact* fp16
  * K/V rows produced so far.
  *
- * The staging exists for bit-identity: unchunked prefill attends
+ * The staging exists for bit-identity: a whole-prompt chunk attends
  * over the projection outputs directly, before the KV cache stores
- * them — so on a quantized cache a chunk must not read earlier rows
- * back through the cache (that would fold the quantization error of
- * its own prompt into the prefill math). Chunked prefill therefore
- * attends over this exact staging and *also* appends every row to
- * the cache in the same per-layer order as the unchunked path,
- * which keeps the cache contents (including per-block quantization
- * decisions) identical too.
+ * them — so on a quantized cache a later chunk must not read earlier
+ * rows back through the cache (that would fold the quantization
+ * error of its own prompt into the prefill math). A split prompt
+ * therefore attends over this exact staging and *also* appends every
+ * row to the cache in the same per-layer order as a whole-prompt
+ * chunk, which keeps the cache contents (including per-block
+ * quantization decisions) identical too. A whole-prompt chunk never
+ * reads the staging, so it is only sized by the first chunk of a
+ * split prompt.
  */
 struct PrefillState
 {
     int64_t promptTokens = 0; //!< total prompt rows
     int64_t rowsDone = 0;     //!< rows already processed
-    //! Exact fp16 K/V rows per layer, [promptTokens, dModel].
+    //! Exact fp16 K/V rows per layer, [promptTokens, dModel] once a
+    //! split prompt's first chunk sized them.
     std::vector<Tensor<Half>> k, v;
     //! Stable single-pseudo-block base pointers into k/v for the
     //! contiguousKvView reads (one cell per layer).
     std::vector<const std::byte *> kBlock, vBlock;
 
-    /** Size the staging for a prompt and reset progress to row 0. */
+    /** Set up for a prompt and reset progress to row 0. */
     void prepare(const DecoderStack &stack, int64_t prompt_tokens);
     /** True once every prompt row has been processed. */
     bool
@@ -152,30 +174,33 @@ struct PrefillState
 };
 
 /**
- * Step-lifetime buffers for runDecodeStepInto: every intermediate a
- * decode step produces (projections, attention output, residual and
- * LayerNorm results) plus one DecodeAttendWorkspace per worker slot.
- * A serving loop keeps one of these across its whole drain; after the
- * buffers reach their high-water shape (max batch rows, max context),
+ * Buffers of the shared layer body: the layer input/output, the
+ * projections, the attention output and the FF hidden activations,
+ * plus one DecodeAttendWorkspace per worker slot. A stage's output
+ * goes to a buffer whose contents are dead by then, so the workspace
+ * holds only what attention needs live; sizing it up front then
+ * costs an encoder call no more peak memory than allocating each
+ * stage on use. A serving loop keeps one of these across its whole
+ * drain, for prefill chunks and decode steps alike; after the
+ * buffers reach their high-water shape (max rows, max context),
  * stepping allocates nothing.
  */
 struct DecodeStepWorkspace
 {
-    Tensor<Half> x;         //!< layer input/output, [R, dModel]
-    Tensor<Half> q, k, v;   //!< projections, [R, dModel]
-    Tensor<Half> attention; //!< concatenated head outputs
-    Tensor<Half> projected; //!< fc.out result
-    Tensor<Half> postAttn;  //!< x + attention
-    Tensor<Half> hidden;    //!< post-attention LayerNorm
-    Tensor<Half> ff1;       //!< [R, dFf]
-    Tensor<Half> ff2;       //!< [R, dModel]
-    Tensor<Half> out;       //!< post-FF LayerNorm
+    Tensor<Half> x; //!< layer input/output, [R, dModel]
+    //! Projections, [R, dModel]. Once attention has read them, q
+    //! takes the fc.out result and then the layer output, k the
+    //! residual sums, v the post-attention LayerNorm.
+    Tensor<Half> q, k, v;
+    //! Concatenated head outputs, [R, dModel]; then the ff.2 result.
+    Tensor<Half> attention;
+    Tensor<Half> ff1; //!< [R, dFf]
     //! One attention staging workspace per worker slot, indexed by
     //! ExecContext::currentThreadSlot() inside the head loop.
     std::vector<DecodeAttendWorkspace> attend;
 
-    /** Size every buffer for an R-row step of `stack`. */
-    void prepare(const DecoderStack &stack, int64_t rows);
+    /** Size every buffer for an R-row layer of `config`. */
+    void prepare(const FunctionalLayerConfig &config, int64_t rows);
 };
 
 /**
@@ -188,13 +213,15 @@ struct DecodeStepWorkspace
  * one-shot overload.
  *
  * Bit-identity with the one-shot runPrefill, for every chunk split:
- * the projections are row-independent batched GEMMs; each row's
- * attention runs the decode kernel of the configured backend over
- * the exact staged prefix, which PR 8 pinned bit-identical to the
- * batch prefill row at the same position; and the post-attention
- * stages are row-local. Cache appends happen row-ascending per
- * layer, the same order as the one-shot path, so the stored blocks
- * (and their quantization headers) match bit for bit as well.
+ * the projections are row-independent batched GEMMs; the first chunk
+ * runs causal batch attention over its own rows, whose row i equals
+ * the whole-prompt row i; every later row runs the decode kernel of
+ * the configured backend over the exact staged prefix, which is
+ * pinned bit-identical to the batch prefill row at the same
+ * position; and the post-attention stages are row-local. Cache
+ * appends happen row-ascending per layer, the same order as the
+ * one-shot path, so the stored blocks (and their quantization
+ * headers) match bit for bit as well.
  *
  * @param rows chunk size; 1 <= rows <= promptTokens - rowsDone
  * @param ws   step buffers reused across chunks and decode steps

@@ -1,6 +1,7 @@
 /**
  * @file
- * Functional encoder layer implementation.
+ * Functional encoder layer: weight initialization and the shared
+ * row projection. The layer body itself lives in decode.cpp.
  */
 
 #include "model/functional_layer.hpp"
@@ -8,9 +9,6 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "common/profiler.hpp"
-#include "core/attention_exec.hpp"
-#include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -84,113 +82,6 @@ projectRowsInto(const ExecContext &ctx, const char *name,
                    "got %s", name, (long long)desc.m,
                    (long long)desc.n, out.shape().toString().c_str());
     gemmRun(ctx, desc, ops, out);
-}
-
-Tensor<Half>
-projectRows(const ExecContext &ctx, const char *name,
-            const Tensor<Half> &x, const Tensor<Half> &w,
-            const Tensor<float> &bias, bool gelu)
-{
-    Tensor<Half> out(Shape({x.shape().dim(0), w.shape().dim(1)}));
-    projectRowsInto(ctx, name, x, w, bias, gelu, out);
-    return out;
-}
-
-namespace {
-
-/** Copy head columns [h*dh, (h+1)*dh) into an [L, dh] tensor. */
-Tensor<Half>
-sliceHead(const Tensor<Half> &x, int64_t head, int64_t d_head)
-{
-    const int64_t rows = x.shape().dim(0);
-    Tensor<Half> out(Shape({rows, d_head}));
-    for (int64_t i = 0; i < rows; ++i)
-        for (int64_t j = 0; j < d_head; ++j)
-            out.at(i, j) = x.at(i, head * d_head + j);
-    return out;
-}
-
-} // namespace
-
-Tensor<Half>
-runEncoderLayer(const ExecContext &ctx,
-                const FunctionalLayerConfig &config,
-                const EncoderLayerWeights &weights,
-                const Tensor<Half> &input, KvProjections *kv_capture)
-{
-    SOFTREC_ASSERT(input.shape().rank() == 2 &&
-                   input.shape().dim(1) == config.dModel,
-                   "input must be [L, dModel]");
-    SOFTREC_ASSERT(config.dModel % config.numHeads == 0,
-                   "heads must divide dModel");
-    const int64_t rows = input.shape().dim(0);
-    const int64_t dh = config.dHead();
-
-    // Time-only summary scope around the whole layer.
-    prof::Scope scope(ctx, "layer.encoder");
-
-    // QKV projections.
-    const Tensor<Half> q =
-        projectRows(ctx, "fc.q", input, weights.wq, weights.bq);
-    const Tensor<Half> k =
-        projectRows(ctx, "fc.k", input, weights.wk, weights.bk);
-    const Tensor<Half> v =
-        projectRows(ctx, "fc.v", input, weights.wv, weights.bv);
-    if (kv_capture != nullptr) {
-        kv_capture->k = k;
-        kv_capture->v = v;
-    }
-
-    // Multi-head attention under the configured strategy.
-    SdaConfig sda;
-    sda.seqLen = rows;
-    sda.dHead = dh;
-    sda.causalMask = config.causalMask;
-    sda.layout = config.layout;
-    sda.subVector = config.subVector;
-    sda.attnTiling = config.attnTiling;
-    sda.backend = config.attention;
-
-    // Heads are independent problems writing disjoint column bands of
-    // the concatenated output, so they parallelize at grain 1; the
-    // kernels inside each head then run inline (nested regions
-    // degrade to serial), keeping the math order head-local and the
-    // result bit-identical for any thread count.
-    Tensor<Half> attention(Shape({rows, config.dModel}));
-    parallelFor(ctx, 0, config.numHeads, 1,
-                [&](int64_t head0, int64_t head1) {
-        for (int64_t head = head0; head < head1; ++head) {
-            AttentionInputs head_inputs{sliceHead(q, head, dh),
-                                        sliceHead(k, head, dh),
-                                        sliceHead(v, head, dh)};
-            const Tensor<Half> head_out =
-                runAttention(ctx, sda, head_inputs, config.strategy);
-            for (int64_t i = 0; i < rows; ++i)
-                for (int64_t j = 0; j < dh; ++j)
-                    attention.at(i, head * dh + j) = head_out.at(i, j);
-        }
-    });
-
-    // Output projection, residual, LayerNorm.
-    const Tensor<Half> projected =
-        projectRows(ctx, "fc.out", attention, weights.wo, weights.bo);
-    Tensor<Half> post_attn(input.shape());
-    residualAddRun(ctx, input, projected, post_attn);
-    Tensor<Half> hidden(input.shape());
-    layerNormRun(ctx, post_attn, weights.gamma1, weights.beta1,
-                 hidden);
-
-    // FeedForward, residual, LayerNorm.
-    const Tensor<Half> ff1 = projectRows(ctx, "ff.1", hidden,
-                                         weights.w1, weights.b1,
-                                         /*gelu=*/true);
-    const Tensor<Half> ff2 =
-        projectRows(ctx, "ff.2", ff1, weights.w2, weights.b2);
-    Tensor<Half> post_ff(input.shape());
-    residualAddRun(ctx, hidden, ff2, post_ff);
-    Tensor<Half> out(input.shape());
-    layerNormRun(ctx, post_ff, weights.gamma2, weights.beta2, out);
-    return out;
 }
 
 } // namespace softrec

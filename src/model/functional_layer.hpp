@@ -10,6 +10,11 @@
  * throughout. It exists to demonstrate end to end that softmax
  * recomposition leaves a real transformer layer's numerics intact,
  * not just an isolated attention head's.
+ *
+ * runEncoderLayer is defined in decode.cpp: it is one caller of the
+ * layer body that the KV-cached prefill and decode paths
+ * (model/decode.hpp) run too, so all of them compute a layer the
+ * same way.
  */
 
 #ifndef SOFTREC_MODEL_FUNCTIONAL_LAYER_HPP
@@ -65,17 +70,6 @@ struct FunctionalLayerConfig
 };
 
 /**
- * Optional capture of a layer's K/V projections, filled by
- * runEncoderLayer when passed. Serving prefill uses this to seed a
- * per-request KV cache without recomputing the projections.
- */
-struct KvProjections
-{
-    Tensor<Half> k; //!< [L, dModel] after the fc.k projection
-    Tensor<Half> v; //!< [L, dModel] after the fc.v projection
-};
-
-/**
  * Run one encoder layer: LayerNorm(x + MHA(x)), then
  * LayerNorm(h + FF(h)). Attention heads run in parallel under the
  * context; every kernel inside is chunk-deterministic, so the output
@@ -83,34 +77,24 @@ struct KvProjections
  *
  * @param ctx execution context (serial when default-constructed)
  * @param input [L, dModel] fp16
- * @param kv_capture when non-null, receives copies of the layer's
- *        K/V projections (for KV-cached decode prefill)
  * @return [L, dModel] fp16
  */
 Tensor<Half> runEncoderLayer(const ExecContext &ctx,
                              const FunctionalLayerConfig &config,
                              const EncoderLayerWeights &weights,
-                             const Tensor<Half> &input,
-                             KvProjections *kv_capture = nullptr);
+                             const Tensor<Half> &input);
 
 /**
- * y = x W + b through the functional GEMM with the layer-standard
- * 16x16x16 tiling, fp16 storage. Shared by the encoder layer and the
- * KV-cached decode step so both produce bit-identical projections.
+ * out = x W + b through the functional GEMM with the layer-standard
+ * 16x16x16 tiling, fp16 storage, into a caller-owned output tensor
+ * pre-sized to [rows, n]. Every projection of the layer body goes
+ * through here, so callers reuse step-lifetime buffers and every
+ * path produces bit-identical projections of the same rows.
  *
  * @param x [rows, k] fp16
  * @param w [k, n] fp16
  * @param bias [n] fp32
- */
-Tensor<Half> projectRows(const ExecContext &ctx, const char *name,
-                         const Tensor<Half> &x, const Tensor<Half> &w,
-                         const Tensor<float> &bias, bool gelu = false);
-
-/**
- * projectRows into a caller-owned output tensor (pre-sized to
- * [rows, n]), so callers on the per-token decode path can reuse a
- * step-lifetime buffer instead of allocating a fresh tensor per
- * projection. Bit-identical to projectRows.
+ * @param gelu apply GELU after the bias (ff.1)
  */
 void projectRowsInto(const ExecContext &ctx, const char *name,
                      const Tensor<Half> &x, const Tensor<Half> &w,

@@ -56,7 +56,8 @@ int64_t
 prefillChunkTokensFromEnv()
 {
     // serveEnvInt accepts [1, max] or unset: an explicit 0 (or any
-    // garbage) is fatal, and only *unset* selects unchunked prefill.
+    // garbage) is fatal, and only *unset* selects whole-prompt
+    // prefill.
     return serveEnvInt("SOFTREC_SERVE_PREFILL_CHUNK", 0, 1 << 20);
 }
 
@@ -132,8 +133,8 @@ ServeConfig::validate() const
                    "streamCapacity must be >= 1 (got %lld)",
                    (long long)streamCapacity);
     SOFTREC_ASSERT(prefillChunkTokens >= 0,
-                   "prefillChunkTokens must be >= 0, 0 = unchunked "
-                   "(got %lld)",
+                   "prefillChunkTokens must be >= 0, 0 = whole prompt "
+                   "as one chunk (got %lld)",
                    (long long)prefillChunkTokens);
 }
 

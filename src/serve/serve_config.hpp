@@ -52,8 +52,8 @@ struct ServeConfig
     //! serving thread blocks on a slow consumer).
     int64_t streamCapacity = 64;
     //! Prompt rows processed per serve step during prefill. 0 runs
-    //! prefill unchunked at admission (the pre-chunking behaviour);
-    //! a positive value bounds how long an arriving prompt can
+    //! the whole prompt as one chunk in the step that admits it; a
+    //! positive value bounds how long an arriving prompt can
     //! displace active decode streams to one chunk per step, at
     //! bit-identical outputs (see runPrefill's resumable overload).
     int64_t prefillChunkTokens = 0;
@@ -92,7 +92,7 @@ struct ServeConfig
      * sample and sizes storage from the others, so all of
      * maxBatchRows, tokenBudget, queueCapacity, kvBlockTokens, and
      * streamCapacity must be >= 1, and prefillChunkTokens >= 0
-     * (0 = unchunked). ServeEngine validates at construction so a
+     * (0 = whole prompt as one chunk). ServeEngine validates at construction so a
      * zeroed config is a startup error, not a divide-by-zero at the
      * first step boundary.
      */

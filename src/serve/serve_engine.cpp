@@ -65,9 +65,11 @@ ServeEngine::ServeEngine(const ExecContext &ctx,
       slots_(size_t(config.maxBatchRows)),
       epoch_(std::chrono::steady_clock::now())
 {
-    // Startup-time proof that every limit the engine divides by or
-    // sizes storage with is usable — samplePressure's divisions by
-    // kvTokenBudget_ and queueCapacity rely on it.
+    // Startup-time proof that the stack is one the serving thread can
+    // run and that every limit the engine divides by or sizes storage
+    // with is usable — samplePressure's divisions by kvTokenBudget_
+    // and queueCapacity rely on it.
+    checkFunctionalStack(stack);
     config.validate();
     mirror_.queueCapacity = config.queueCapacity;
     mirror_.tokenBudget = kvTokenBudget_;
@@ -337,17 +339,7 @@ ServeEngine::prefillSlot(int64_t slot_index)
     state.footprintTokens = prompt_tokens +
                             slot.request.generateTokens;
     state.nextInput = Tensor<Half>(Shape({1, stack_.config.dModel}));
-    if (config_.prefillChunkTokens == 0) {
-        // Unchunked: the whole prompt runs here, at admission, on
-        // the one-shot batch path.
-        const Tensor<Half> out = runPrefill(
-            ctx_, stack_, slot.request.prompt, *state.cache);
-        scheduler_.notePrefillProgress(slot_index, prompt_tokens);
-        seedNextInput(state, out);
-        return;
-    }
-    // Chunked: register for advancePrefills, which feeds the prompt
-    // in at most prefillChunkTokens rows per serve step.
+    // advancePrefills feeds the prompt in, starting this same step.
     state.prefill = std::make_unique<PrefillState>();
     state.prefill->prepare(stack_, prompt_tokens);
     prefilling_.push_back(slot_index);
@@ -364,9 +356,12 @@ ServeEngine::advancePrefills()
         const int64_t slot_index = prefilling_[i];
         SlotState &state = slots_[size_t(slot_index)];
         PrefillState &prefill = *state.prefill;
+        // Chunking off (0) runs the whole prompt as one chunk.
+        const int64_t chunk = config_.prefillChunkTokens > 0
+                                  ? config_.prefillChunkTokens
+                                  : prefill.promptTokens;
         const int64_t rows =
-            std::min(config_.prefillChunkTokens,
-                     prefill.promptTokens - prefill.rowsDone);
+            std::min(chunk, prefill.promptTokens - prefill.rowsDone);
         runPrefill(ctx_, stack_,
                    scheduler_.slot(slot_index).request.prompt, rows,
                    *state.cache, prefill, stepWs_, prefillOut_);

@@ -160,7 +160,7 @@ class ServeEngine
         int64_t tenantId = 0;
         int64_t footprintTokens = 0; //!< tenant-ledger reservation
         //! Resumable-prefill progress; non-null only while the slot
-        //! is streaming its prompt in chunk by chunk.
+        //! is streaming its prompt in.
         std::unique_ptr<PrefillState> prefill;
     };
 
@@ -171,17 +171,18 @@ class ServeEngine
     void serveStep();
     void samplePressure();
     //! Admission plus prefill progress for the step: newly admitted
-    //! slots begin prefill (one-shot when chunking is off), every
-    //! slot mid-prefill advances by one chunk, then the
-    //! decode-eligible batch is composed.
+    //! slots join the prefilling set, every slot mid-prefill
+    //! advances by one chunk, then the decode-eligible batch is
+    //! composed.
     void admitAndPrefill();
-    //! Set up a freshly admitted slot and start its prefill: with
-    //! chunking off the whole prompt runs here; otherwise the slot
-    //! joins prefilling_ and advancePrefills feeds it chunk by chunk.
+    //! Set up a freshly admitted slot and register it in prefilling_
+    //! for advancePrefills.
     void prefillSlot(int64_t slot_index);
     //! One chunk for every slot mid-prefill (admission order), so an
     //! arriving long prompt displaces active decode streams by at
-    //! most one chunk per step and per prefilling request.
+    //! most one chunk per step and per prefilling request. With
+    //! chunking off the chunk is the whole prompt, so a slot admitted
+    //! this step finishes its prefill this step.
     void advancePrefills();
     //! Seed the first decode input from the prompt's last output row.
     void seedNextInput(SlotState &state, const Tensor<Half> &out);

@@ -3,15 +3,18 @@
  * Tests of the autoregressive generation study, plus the KV-cache
  * equivalence suite: incremental decode through the functional KV
  * path must be bit-identical to recomputing the full prefix at every
- * step, across thread counts and SIMD backends.
+ * step, across thread counts, SIMD backends and both attention
+ * backends (pinned per test, not taken from SOFTREC_ATTENTION).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/streaming_attention.hpp"
 #include "model/decode.hpp"
 #include "model/functional_layer.hpp"
 #include "serve/kv_cache.hpp"
@@ -25,6 +28,16 @@ constexpr int64_t kDff = 48;
 constexpr int64_t kLayers = 2;
 constexpr int64_t kPrompt = 7;
 constexpr int64_t kSteps = 5;
+
+/** Random stack on an explicit attention backend. */
+DecoderStack
+makeStack(Rng &rng, AttentionBackend backend)
+{
+    DecoderStack stack =
+        DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
+    stack.config.attention = backend;
+    return stack;
+}
 
 Tensor<Half>
 randomPrompt(Rng &rng, int64_t tokens)
@@ -89,11 +102,11 @@ expectRowBitsEqual(const Tensor<Half> &got, int64_t got_row,
  * is bit-identical to a full-prefix recompute of the same sequence.
  */
 void
-checkIncrementalMatchesRecompute(const ExecContext &ctx)
+checkIncrementalMatchesRecompute(const ExecContext &ctx,
+                                 AttentionBackend backend)
 {
     Rng rng(17);
-    const DecoderStack stack =
-        DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
+    const DecoderStack stack = makeStack(rng, backend);
     const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
 
     KvSlab slab(/*block_tokens=*/4, kDm);
@@ -126,45 +139,49 @@ checkIncrementalMatchesRecompute(const ExecContext &ctx)
     }
 }
 
-TEST(KvEquivalence, SerialContext)
+/** The suite runs once per attention backend. */
+class KvEquivalence : public testing::TestWithParam<AttentionBackend>
 {
-    checkIncrementalMatchesRecompute(ExecContext());
+};
+
+TEST_P(KvEquivalence, SerialContext)
+{
+    checkIncrementalMatchesRecompute(ExecContext(), GetParam());
 }
 
-TEST(KvEquivalence, ThreadPool4)
+TEST_P(KvEquivalence, ThreadPool4)
 {
     ThreadPool pool(4);
     ExecContext ctx;
     ctx.pool = &pool;
-    checkIncrementalMatchesRecompute(ctx);
+    checkIncrementalMatchesRecompute(ctx, GetParam());
 }
 
-TEST(KvEquivalence, ScalarSimdBackend)
+TEST_P(KvEquivalence, ScalarSimdBackend)
 {
     const SimdBackend prev = setSimdBackend(SimdBackend::Scalar);
-    checkIncrementalMatchesRecompute(ExecContext());
+    checkIncrementalMatchesRecompute(ExecContext(), GetParam());
     setSimdBackend(prev);
 }
 
-TEST(KvEquivalence, DetectedSimdBackendThreaded)
+TEST_P(KvEquivalence, DetectedSimdBackendThreaded)
 {
     const SimdBackend prev =
         setSimdBackend(detectedSimdBackend());
     ThreadPool pool(4);
     ExecContext ctx;
     ctx.pool = &pool;
-    checkIncrementalMatchesRecompute(ctx);
+    checkIncrementalMatchesRecompute(ctx, GetParam());
     setSimdBackend(prev);
 }
 
-TEST(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
+TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
 {
     // Decode outputs must not depend on execution resources at all:
     // run the same generation under four (threads, backend) pairs and
     // require identical bits everywhere.
     Rng rng(23);
-    const DecoderStack stack =
-        DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
+    const DecoderStack stack = makeStack(rng, GetParam());
     const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
 
     auto generate = [&](int threads, SimdBackend backend) {
@@ -198,11 +215,10 @@ TEST(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
     EXPECT_EQ(generate(4, detectedSimdBackend()), reference);
 }
 
-TEST(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
+TEST_P(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
 {
     Rng rng(29);
-    const DecoderStack stack =
-        DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
+    const DecoderStack stack = makeStack(rng, GetParam());
     const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
 
     KvSlab slab(/*block_tokens=*/3, kDm);
@@ -211,9 +227,9 @@ TEST(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
 
     // Layer 0's cached K rows must equal the fc.k projection of the
     // prompt (the cache stores projections, not raw embeddings).
-    const Tensor<Half> k = projectRows(
-        ExecContext(), "fc.k", prompt, stack.layers[0].wk,
-        stack.layers[0].bk);
+    Tensor<Half> k(Shape({kPrompt, kDm}));
+    projectRowsInto(ExecContext(), "fc.k", prompt, stack.layers[0].wk,
+                    stack.layers[0].bk, /*gelu=*/false, k);
     const KvRowsView view = cache.kView(0);
     ASSERT_EQ(view.rows, kPrompt);
     for (int64_t i = 0; i < kPrompt; ++i)
@@ -221,6 +237,14 @@ TEST(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
             EXPECT_EQ(view.row(i)[j].bits(), k.at(i, j).bits())
                 << "row " << i << " column " << j;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, KvEquivalence,
+    testing::Values(AttentionBackend::Recomposed,
+                    AttentionBackend::Streaming),
+    [](const testing::TestParamInfo<AttentionBackend> &info) {
+        return std::string(attentionBackendName(info.param));
+    });
 
 TEST(DecodeStep, StructureAndWeightBoundGemvs)
 {

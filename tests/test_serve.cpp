@@ -796,5 +796,24 @@ TEST(ServeEngineDrain, ZeroedConfigIsAStartupError)
     }
 }
 
+TEST(ServeEngineDrain, UnsupportedStackIsAStartupError)
+{
+    // The functional KV path runs only causal dense Baseline stacks.
+    // Any other stack must fail where the engine is built, not on the
+    // serving thread at the first admitted request.
+    {
+        DecoderStack stack = testStack();
+        stack.config.strategy = Strategy::Fused;
+        EXPECT_THROW(ServeEngine(ExecContext(), stack, ServeConfig()),
+                     std::logic_error);
+    }
+    {
+        DecoderStack stack = testStack();
+        stack.config.causalMask = false;
+        EXPECT_THROW(ServeEngine(ExecContext(), stack, ServeConfig()),
+                     std::logic_error);
+    }
+}
+
 } // namespace
 } // namespace softrec

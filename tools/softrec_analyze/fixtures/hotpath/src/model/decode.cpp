@@ -15,3 +15,11 @@ setupOnce(Ctx &ctx)
   auto ws = std::make_unique<Workspace>();
   ctx.use(ws.get());
 }
+
+template <typename StoreKv>
+void
+runLayer(Workspace &ws, const StoreKv &store_kv)
+{
+  ws.scratch.resize(ws.rows);
+  store_kv(ws);
+}

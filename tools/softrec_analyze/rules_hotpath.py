@@ -25,6 +25,7 @@ KERNEL_DIRS = ("src/kernels/",)
 HOT_FUNCTIONS = {
     "decodeAttendRun",          # src/kernels/decode_attention.cpp
     "runDecodeStepInto",        # src/model/decode.cpp
+    "runLayer",                 # src/model/decode.cpp, layer body
     "ServeEngine::serveStep",   # src/serve/serve_engine.cpp
 }
 
@@ -58,7 +59,7 @@ def _hot_function_lines(src):
     "no new/malloc/container growth (a) inside loop bodies or "
     "parallelFor lambdas in src/kernels/, or (b) anywhere in the "
     "per-token decode functions (decodeAttendRun, runDecodeStepInto, "
-    "ServeEngine::serveStep). Stage into pre-sized buffers, reuse a "
+    "runLayer, ServeEngine::serveStep). Stage into pre-sized buffers, reuse a "
     "workspace (DecodeAttendWorkspace / DecodeStepWorkspace), or "
     "hoist the allocation out of the steady state; per-chunk staging "
     "that is deliberately amortized lives in the baseline with its "
