@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bench_report.hpp"
@@ -24,6 +25,18 @@
 
 namespace softrec {
 namespace bench {
+
+/** Median of a non-empty sample set (mean of the middle two if even). */
+inline double
+median(std::vector<double> samples)
+{
+    SOFTREC_ASSERT(!samples.empty(), "median of no samples");
+    std::sort(samples.begin(), samples.end());
+    const size_t mid = samples.size() / 2;
+    return samples.size() % 2 != 0
+        ? samples[mid]
+        : 0.5 * (samples[mid - 1] + samples[mid]);
+}
 
 /**
  * Warmup + median-of-N wall-clock timing: runs `body` `warmup` times
@@ -47,11 +60,7 @@ medianSeconds(int warmup, int reps, Fn &&body)
         samples.push_back(
             std::chrono::duration<double>(stop - start).count());
     }
-    std::sort(samples.begin(), samples.end());
-    const size_t mid = samples.size() / 2;
-    return samples.size() % 2 != 0
-        ? samples[mid]
-        : 0.5 * (samples[mid - 1] + samples[mid]);
+    return median(std::move(samples));
 }
 
 /**

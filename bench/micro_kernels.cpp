@@ -10,6 +10,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bench_common.hpp"
 #include "common/bench_report.hpp"
 #include "common/exec_context.hpp"
@@ -224,12 +229,18 @@ BENCHMARK(BM_HalfConversion);
  * off-chip traffic under SDF (IR plus the fused LS/GS extras) must be
  * far below the baseline kernel's four matrix sweeps.
  *
+ * Each strategy runs once untimed (first-touch page faults, cache
+ * fill), then kTrafficReps times with a fresh profiler; a row's ms is
+ * the median over those runs. The byte counters are deterministic, so
+ * a row whose counters differ between runs is a hard error.
+ *
  * L defaults to 4096 (the paper's headline point); SOFTREC_BENCH_SEQLEN
  * overrides it so CI smoke runs stay fast.
  */
 int
 writeTrafficReport()
 {
+    constexpr int kTrafficReps = 5;
     const int64_t seq_len = bench::benchSeqLenFromEnv(4096);
 
     SdaConfig config;
@@ -263,16 +274,36 @@ writeTrafficReport()
 
     double baseline_traffic = 0.0, sdf_traffic = 0.0;
     for (const auto &entry : kStrategies) {
-        prof::Profiler profiler;
-        ExecContext ctx = ExecContext::fromEnv();
-        ctx.profiler = &profiler;
-        runAttention(ctx, config, inputs, entry.strategy);
+        runAttention(ExecContext::fromEnv(), config, inputs,
+                     entry.strategy);
+        std::vector<std::map<std::string, prof::ScopeStats>> runs;
+        for (int rep = 0; rep < kTrafficReps; ++rep) {
+            prof::Profiler profiler;
+            ExecContext ctx = ExecContext::fromEnv();
+            ctx.profiler = &profiler;
+            runAttention(ctx, config, inputs, entry.strategy);
+            runs.push_back(profiler.snapshot());
+        }
 
         double softmax_bytes = 0.0;
-        for (const auto &[name, stats] : profiler.snapshot()) {
+        for (const auto &[name, stats] : runs.front()) {
+            std::vector<double> ms;
+            for (const auto &run : runs) {
+                const auto it = run.find(name);
+                if (run.size() != runs.front().size() ||
+                    it == run.end() ||
+                    it->second.bytesRead != stats.bytesRead ||
+                    it->second.bytesWritten != stats.bytesWritten) {
+                    fatal("micro_kernels: %s/%s byte counters differ "
+                          "between runs; traffic accounting must be "
+                          "deterministic",
+                          entry.prefix, name.c_str());
+                }
+                ms.push_back(it->second.seconds * 1e3);
+            }
             BenchKernelRow row;
             row.name = std::string(entry.prefix) + "/" + name;
-            row.ms = stats.seconds * 1e3;
+            row.ms = bench::median(std::move(ms));
             row.bytesRead = stats.bytesRead;
             row.bytesWritten = stats.bytesWritten;
             row.calls = stats.calls;

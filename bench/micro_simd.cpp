@@ -2,9 +2,11 @@
  * @file
  * Scalar-vs-SIMD A/B micro-benchmarks of the vectorized kernel
  * substrate: batch fp16<->fp32 conversion throughput, the packed-panel
- * GEMM mainloop, and row softmax. Both arms run the same code paths —
- * the backend is switched in-process via setSimdBackend() — so the
- * report isolates exactly what the SIMD conversion paths buy.
+ * GEMM at an attention shape and at the serving projection shape, and
+ * row softmax. Both arms run the same code paths — the backend is
+ * switched in-process via setSimdBackend(), which selects both the
+ * conversion paths and the GEMM micro-kernel — so the report isolates
+ * exactly what the SIMD backend buys.
  * Writes BENCH_micro_simd.json (schema softrec-bench-v1).
  */
 
@@ -22,6 +24,7 @@
 #include "fp16/half.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
+#include "model/functional_layer.hpp"
 #include "tensor/tensor.hpp"
 
 namespace softrec {
@@ -148,6 +151,29 @@ main()
             uint64_t((mn + mn) * dh) * kFp16Bytes;
         addArmRows(report, "gemm.mainloop", t, in_bytes,
                    uint64_t(mn * mn) * kFp16Bytes, ctx.threads());
+    }
+
+    // --- Serving projection GEMM: [L, 256] x [256, 1024] with bias,
+    // through projectRowsInto (tileM = tileN = 16), the shape of the
+    // ff.1 projection in the serving model.
+    {
+        const int64_t dm = 256, dff = 1024;
+        Tensor<Half> x = randomHalf(rng, Shape({L, dm}));
+        Tensor<Half> w = randomHalf(rng, Shape({dm, dff}));
+        Tensor<float> bias(Shape({dff}));
+        for (int64_t j = 0; j < dff; ++j)
+            bias.at(j) = float(rng.normal(0.0, 0.02));
+        Tensor<Half> out(Shape({L, dff}));
+
+        const ArmTimes t = runArms([&] {
+            projectRowsInto(ctx, "bench.proj", x, w, bias,
+                            /*gelu=*/false, out);
+        });
+        const uint64_t in_bytes =
+            uint64_t((L + dff) * dm) * kFp16Bytes +
+            uint64_t(dff) * kFp32Bytes;
+        addArmRows(report, "gemm.proj", t, in_bytes,
+                   uint64_t(L * dff) * kFp16Bytes, ctx.threads());
     }
 
     // --- Row softmax over attention-width rows.

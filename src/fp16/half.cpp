@@ -15,18 +15,7 @@
 #include <cstring>
 
 #include "common/logging.hpp"
-
-#if !defined(SOFTREC_SIMD_DISABLED) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SOFTREC_SIMD_X86 1
-#include <immintrin.h>
-#endif
-
-#if !defined(SOFTREC_SIMD_DISABLED) && defined(__aarch64__) && \
-    defined(__ARM_NEON)
-#define SOFTREC_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
+#include "fp16/simd_platform.hpp"
 
 namespace softrec {
 

@@ -85,15 +85,21 @@ inline bool operator>(Half a, Half b) { return float(a) > float(b); }
 inline bool operator>=(Half a, Half b) { return float(a) >= float(b); }
 
 /**
- * Batch-conversion backend. The SIMD paths are bit-identical to the
- * scalar ones by construction (NaN chunks fall back to the scalar
- * conversion), so the choice only affects throughput, never results.
+ * SIMD backend of the kernel substrate: it selects both the batch
+ * fp16<->fp32 conversions below and the GEMM micro-kernel in
+ * kernels/gemm.cpp. Every SIMD path is bit-identical to the scalar one
+ * by construction (NaN conversion chunks fall back to the scalar
+ * conversion; the AVX2 GEMM keeps the scalar kernel's rounding and
+ * accumulation order), so the choice only affects throughput, never
+ * results.
  */
 enum class SimdBackend
 {
-    Scalar,   ///< Portable software conversion, always available.
-    F16cAvx2, ///< x86-64 VCVTPH2PS/VCVTPS2PH, 8 elements per step.
-    Neon,     ///< AArch64 vcvt_f32_f16/vcvt_f16_f32, 4 per step.
+    Scalar,   ///< Portable conversion and GEMM, always available.
+    F16cAvx2, ///< x86-64 VCVTPH2PS/VCVTPS2PH, 8 elements per step,
+              ///< plus the AVX2 register-blocked GEMM micro-kernel.
+    Neon,     ///< AArch64 vcvt_f32_f16/vcvt_f16_f32, 4 per step
+              ///< (the GEMM uses the portable kernel).
 };
 
 /** Human-readable backend name ("scalar", "f16c-avx2", "neon"). */
@@ -106,9 +112,10 @@ const char *simdBackendName(SimdBackend backend);
 SimdBackend detectedSimdBackend();
 
 /**
- * Active batch-conversion backend: detectedSimdBackend() unless the
- * environment says SOFTREC_SIMD=off (force scalar). SOFTREC_SIMD=auto
- * or unset means detect; anything else warns and detects.
+ * Active SIMD backend (conversions and GEMM micro-kernel):
+ * detectedSimdBackend() unless the environment says SOFTREC_SIMD=off
+ * (force scalar). SOFTREC_SIMD=auto or unset means detect; anything
+ * else warns and detects.
  */
 SimdBackend simdBackend();
 

@@ -114,7 +114,11 @@ struct GemmOperands
  * (so a fused LS uses sub-vectors of exactly tileN columns), results
  * rounded to fp16 on store. Parallelizes over m-tile strips; each
  * strip owns its accumulator and writes disjoint output rows, so
- * results are bit-identical for any thread count.
+ * results are bit-identical for any thread count. The micro-kernel
+ * follows simdBackend() (AVX2 register blocks under F16cAvx2, the
+ * portable kernel otherwise) with identical bits, and a causal tile
+ * that is masked everywhere skips the mainloop (its epilogue still
+ * writes -inf).
  *
  * @param ctx execution context (serial when default-constructed)
  * @param desc launch description (batch must be 1)

@@ -177,9 +177,13 @@ TEST_P(KvEquivalence, DetectedSimdBackendThreaded)
 
 TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
 {
-    // Decode outputs must not depend on execution resources at all:
-    // run the same generation under four (threads, backend) pairs and
-    // require identical bits everywhere.
+    // Prefill outputs, decode outputs and the cached K/V bytes must
+    // not depend on execution resources at all: run the same
+    // generation under four (threads, backend) pairs and require
+    // identical bits everywhere. The backends run different GEMM
+    // micro-kernels (the prompt fills one 4-row register block and
+    // leaves 3 rows), so this is also the layer-level check that the
+    // scalar and SIMD kernels agree.
     Rng rng(23);
     const DecoderStack stack = makeStack(rng, GetParam());
     const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
@@ -196,6 +200,8 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
             KvCache cache(slab, kLayers);
             const Tensor<Half> out =
                 runPrefill(ctx, stack, prompt, cache);
+            for (int64_t i = 0; i < out.numel(); ++i)
+                bits.push_back(out.data()[i].bits());
             Tensor<Half> input(Shape({1, kDm}));
             for (int64_t j = 0; j < kDm; ++j)
                 input.at(0, j) = out.at(kPrompt - 1, j);
@@ -203,6 +209,14 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
                 input = decodeStep(ctx, stack, input, {&cache});
                 for (int64_t j = 0; j < kDm; ++j)
                     bits.push_back(input.at(0, j).bits());
+            }
+            for (int64_t layer = 0; layer < kLayers; ++layer) {
+                for (const KvRowsView &view :
+                     {cache.kView(layer), cache.vView(layer)}) {
+                    for (int64_t pos = 0; pos < view.rows; ++pos)
+                        for (int64_t j = 0; j < view.rowWidth; ++j)
+                            bits.push_back(view.row(pos)[j].bits());
+                }
             }
         }
         setSimdBackend(prev);

@@ -4,10 +4,13 @@
  * conversions must be bit-for-bit identical between the scalar and
  * SIMD backends (including NaN payloads, infinities, subnormals, and
  * rounding boundaries), the packed-panel GEMM must match the naive
- * reference at ragged shapes under both backends, and kernels built
- * on the substrate must stay deterministic across thread counts.
+ * reference at ragged shapes and produce the same bits under both
+ * backends (every epilogue, the GS prologue, signed zeros, and the
+ * fully-masked causal tiles whose mainloop is skipped), and kernels
+ * built on the substrate must stay deterministic across thread counts.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -274,6 +277,205 @@ TEST(PackedGemm, FusedLsEpilogueMatchesUnfused)
     EXPECT_LT(maxAbsDiff(toFloat(x_prime), toFloat(want_x)), 0.02);
     EXPECT_LT(maxAbsDiff(local_max, want_max), 0.02);
     EXPECT_LT(maxAbsDiff(local_sum, want_sum), 0.02);
+}
+
+// --- Scalar and SIMD GEMM kernels are bit-identical -----------------
+
+/** Output (and LS m'/d') bits of one GEMM run under `backend`. */
+std::vector<uint32_t>
+gemmBits(SimdBackend backend, const GemmDesc &desc,
+         const GemmOperands &ops)
+{
+    Tensor<Half> c(Shape({desc.m, desc.n}));
+    const int64_t nsv = (desc.n + desc.tiling.tileN - 1) /
+                        desc.tiling.tileN;
+    Tensor<float> local_max(Shape({desc.m, nsv}));
+    Tensor<float> local_sum(Shape({desc.m, nsv}));
+    LsOutputs ls;
+    ls.localMax = &local_max;
+    ls.localSum = &local_sum;
+    withBackend(backend, [&] {
+        gemmRun(ExecContext(), desc, ops, c,
+                desc.epilogue.localSoftmax ? &ls : nullptr);
+    });
+    std::vector<uint32_t> bits;
+    for (int64_t i = 0; i < c.numel(); ++i)
+        bits.push_back(c.data()[i].bits());
+    if (desc.epilogue.localSoftmax) {
+        for (const Tensor<float> *t : {&local_max, &local_sum}) {
+            for (int64_t i = 0; i < t->numel(); ++i) {
+                uint32_t u;
+                __builtin_memcpy(&u, &t->data()[i], 4);
+                bits.push_back(u);
+            }
+        }
+    }
+    return bits;
+}
+
+TEST(PackedGemm, ScalarAndSimdKernelsBitIdentical)
+{
+    // The SIMD kernel blocks 4 rows x 16 columns in registers; the
+    // row counts leave 0-3 rows after the last block of a 16-row
+    // strip and the tile widths cover ragged and whole 16-column
+    // blocks, so every leftover path meets the scalar reference.
+    enum Epilogue { kPlain, kScale, kCausal, kBias, kGelu, kLs, kGs };
+    int seed = 300;
+    for (const int64_t m : {4, 21, 38, 55}) {
+        for (const int64_t tile_n : {8, 16, 24, 64}) {
+            for (const bool transpose_b : {false, true}) {
+                for (const Epilogue epi :
+                     {kPlain, kScale, kCausal, kBias, kGelu, kLs,
+                      kGs}) {
+                    Rng rng(uint64_t(seed++));
+                    GemmDesc desc;
+                    desc.m = m;
+                    desc.n = 70;
+                    desc.k = 19;
+                    desc.tiling.tileM = 16;
+                    desc.tiling.tileN = tile_n;
+                    desc.epilogue.scale =
+                        epi == kScale || epi == kLs ? 0.125 : 1.0;
+                    desc.epilogue.causalMask =
+                        epi == kCausal || epi == kLs;
+                    desc.epilogue.bias = epi == kBias || epi == kGelu;
+                    desc.epilogue.gelu = epi == kGelu;
+                    desc.epilogue.localSoftmax = epi == kLs;
+                    desc.prologue.globalScale = epi == kGs;
+                    desc.prologue.gsSubVector = 8;
+                    Tensor<Half> a(Shape({m, desc.k}));
+                    Tensor<Half> b(transpose_b
+                                       ? Shape({desc.n, desc.k})
+                                       : Shape({desc.k, desc.n}));
+                    fillNormal(a, rng, 0.0, 1.0);
+                    fillNormal(b, rng, 0.0, 1.0);
+                    Tensor<float> bias(Shape({desc.n}));
+                    fillNormal(bias, rng, 0.0, 0.5);
+                    Tensor<float> gs(Shape({m, (desc.k + 7) / 8}));
+                    fillNormal(gs, rng, 1.0, 0.25);
+                    GemmOperands ops;
+                    ops.a = &a;
+                    ops.b = &b;
+                    ops.transposeB = transpose_b;
+                    ops.bias = &bias;
+                    ops.gsFactors = &gs;
+                    EXPECT_EQ(
+                        gemmBits(SimdBackend::Scalar, desc, ops),
+                        gemmBits(detectedSimdBackend(), desc, ops))
+                        << "m=" << m << " tileN=" << tile_n
+                        << " transposed=" << transpose_b
+                        << " epilogue=" << int(epi);
+                }
+            }
+        }
+    }
+}
+
+TEST(PackedGemm, ZeroRowTimesNegativeBStoresPositiveZero)
+{
+    // Each accumulator starts at +0.0f and adds every product, so an
+    // all-zero A row gives +0 + (-0) + ... = +0. A kernel seeded
+    // with its first product would store -0 instead.
+    GemmDesc desc;
+    desc.m = 6;
+    desc.n = 32;
+    desc.k = 5;
+    desc.tiling.tileM = 16;
+    desc.tiling.tileN = 16;
+    Tensor<Half> a(Shape({desc.m, desc.k})); // all +0
+    Tensor<Half> b(Shape({desc.k, desc.n}));
+    for (int64_t i = 0; i < b.numel(); ++i)
+        b.data()[i] = Half(-1.5f);
+    GemmOperands ops;
+    ops.a = &a;
+    ops.b = &b;
+    for (const SimdBackend backend :
+         {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const uint32_t bits : gemmBits(backend, desc, ops))
+            ASSERT_EQ(bits, 0u) << simdBackendName(backend);
+    }
+}
+
+TEST(PackedGemm, FullyMaskedCausalTilesMatchMaskingAfterwards)
+{
+    // 41x41 causal scores in 16-row strips and 8-column tiles: strip
+    // 0 has fully masked tiles from column 16 on, every strip has
+    // partly masked diagonal tiles and unmasked tiles, and the last
+    // strip's last row (40) is the only unmasked row of tile n0 = 40,
+    // the edge of the skip condition. The masked GEMM must equal the
+    // unmasked one with -inf written over j > i afterwards, also
+    // when a K row is NaN.
+    const int64_t L = 41;
+    const int64_t tile_n = 8;
+    const int64_t nsv = (L + tile_n - 1) / tile_n;
+    for (const bool nan_row : {false, true}) {
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            Rng rng(71);
+            GemmDesc plain;
+            plain.m = L;
+            plain.n = L;
+            plain.k = 16;
+            plain.tiling.tileM = 16;
+            plain.tiling.tileN = tile_n;
+            plain.epilogue.scale = 0.25;
+            Tensor<Half> q(Shape({L, plain.k}));
+            Tensor<Half> k(Shape({L, plain.k}));
+            fillNormal(q, rng, 0.0, 1.0);
+            fillNormal(k, rng, 0.0, 1.0);
+            if (nan_row) {
+                // Column 35: fully masked for strips 0-1, partly
+                // masked in strip 2, unmasked for rows 35-40.
+                for (int64_t kk = 0; kk < plain.k; ++kk)
+                    k.at(35, kk) = Half::fromBits(0x7e00);
+            }
+            GemmOperands ops;
+            ops.a = &q;
+            ops.b = &k;
+            ops.transposeB = true;
+            GemmDesc causal = plain;
+            causal.epilogue.causalMask = true;
+            GemmDesc causal_ls = causal;
+            causal_ls.epilogue.localSoftmax = true;
+
+            Tensor<Half> want(Shape({L, L})), got(Shape({L, L}));
+            Tensor<Half> x_prime(Shape({L, L}));
+            Tensor<float> lmax(Shape({L, nsv}));
+            Tensor<float> lsum(Shape({L, nsv}));
+            LsOutputs ls{&lmax, &lsum};
+            // The NaN reaches unmasked scores too, which the checked
+            // build's LS invariant rejects, so LS runs without it.
+            withBackend(backend, [&] {
+                gemmRun(ExecContext(), plain, ops, want);
+                gemmRun(ExecContext(), causal, ops, got);
+                if (!nan_row)
+                    gemmRun(ExecContext(), causal_ls, ops, x_prime, &ls);
+            });
+            for (int64_t i = 0; i < L; ++i) {
+                for (int64_t j = 0; j < L; ++j) {
+                    const uint16_t expect = j > i
+                        ? Half::infinity().bits() | 0x8000u
+                        : want.at(i, j).bits();
+                    ASSERT_EQ(got.at(i, j).bits(), expect)
+                        << "i=" << i << " j=" << j << " nan="
+                        << nan_row << " " << simdBackendName(backend);
+                }
+                // LS over a fully masked sub-vector: m' = -inf,
+                // d' = 0, and X' is exactly zero.
+                for (int64_t tn = 0; tn < nsv && !nan_row; ++tn) {
+                    const int64_t j0 = tn * tile_n;
+                    if (j0 <= i)
+                        continue;
+                    EXPECT_EQ(lmax.at(i, tn),
+                              -std::numeric_limits<float>::infinity());
+                    EXPECT_EQ(lsum.at(i, tn), 0.0f);
+                    for (int64_t j = j0; j < std::min(L, j0 + tile_n);
+                         ++j)
+                        ASSERT_EQ(x_prime.at(i, j).bits(), 0u);
+                }
+            }
+        }
+    }
 }
 
 // --- Determinism across thread counts ------------------------------

@@ -57,4 +57,5 @@ def _load():
     import rules_envreg      # noqa: F401
     import rules_profscope   # noqa: F401
     import rules_serveapi    # noqa: F401
+    import rules_simd        # noqa: F401
     _LOADED = True
