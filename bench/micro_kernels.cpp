@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -231,8 +232,10 @@ BENCHMARK(BM_HalfConversion);
  *
  * Each strategy runs once untimed (first-touch page faults, cache
  * fill), then kTrafficReps times with a fresh profiler; a row's ms is
- * the median over those runs. The byte counters are deterministic, so
- * a row whose counters differ between runs is a hard error.
+ * the median over those runs, with their min and max as ms_min/ms_max
+ * so one slow run (host steal) shows as spread, not as a silent
+ * shift. The byte counters are deterministic, so a row whose counters
+ * differ between runs is a hard error.
  *
  * L defaults to 4096 (the paper's headline point); SOFTREC_BENCH_SEQLEN
  * overrides it so CI smoke runs stay fast.
@@ -303,6 +306,8 @@ writeTrafficReport()
             }
             BenchKernelRow row;
             row.name = std::string(entry.prefix) + "/" + name;
+            row.msMin = *std::min_element(ms.begin(), ms.end());
+            row.msMax = *std::max_element(ms.begin(), ms.end());
             row.ms = bench::median(std::move(ms));
             row.bytesRead = stats.bytesRead;
             row.bytesWritten = stats.bytesWritten;

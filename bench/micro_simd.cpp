@@ -2,11 +2,12 @@
  * @file
  * Scalar-vs-SIMD A/B micro-benchmarks of the vectorized kernel
  * substrate: batch fp16<->fp32 conversion throughput, the packed-panel
- * GEMM at an attention shape and at the serving projection shape, and
- * row softmax. Both arms run the same code paths — the backend is
- * switched in-process via setSimdBackend(), which selects both the
- * conversion paths and the GEMM micro-kernel — so the report isolates
- * exactly what the SIMD backend buys.
+ * GEMM at an attention shape and at the serving projection shape, the
+ * exp primitive on its own and row softmax. Both arms run the same
+ * code paths — the backend is switched in-process via setSimdBackend(),
+ * which selects the conversion paths, the GEMM micro-kernel and the
+ * exp path — so the report isolates exactly what the SIMD backend
+ * buys. The exp and softmax arms also report ns per element.
  * Writes BENCH_micro_simd.json (schema softrec-bench-v1).
  */
 
@@ -22,6 +23,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "fp16/half.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
 #include "model/functional_layer.hpp"
@@ -86,6 +88,17 @@ addArmRows(BenchReport &report, const std::string &stem,
     }
     report.setDerived(stem + "_speedup",
                       t.simd_s > 0.0 ? t.scalar_s / t.simd_s : 0.0);
+}
+
+/** Per-element cost of both arms over `elems` elements per call. */
+void
+addNsPerElem(BenchReport &report, const std::string &stem,
+             const ArmTimes &t, int64_t elems)
+{
+    report.setDerived(stem + ".scalar_ns_per_elem",
+                      t.scalar_s * 1e9 / double(elems));
+    report.setDerived(stem + ".simd_ns_per_elem",
+                      t.simd_s * 1e9 / double(elems));
 }
 
 } // namespace
@@ -176,6 +189,29 @@ main()
                    uint64_t(L * dff) * kFp16Bytes, ctx.threads());
     }
 
+    // --- The exp primitive alone: 256 attention-width rows through
+    // expSpan (one L1-resident row, so this is the exp's compute, not
+    // memory traffic).
+    {
+        const int64_t rows = 256;
+        std::vector<float> src(static_cast<size_t>(L));
+        std::vector<float> dst(static_cast<size_t>(L));
+        for (float &v : src)
+            v = float(rng.normal(0.0, 2.0));
+        const float shift = maxSpan(SimdBackend::Scalar, src.data(), L);
+        float sink = 0.0f;
+        const ArmTimes t = runArms([&] {
+            const SimdBackend backend = simdBackend();
+            for (int64_t r = 0; r < rows; ++r)
+                sink += expSpan(backend, src.data(), shift, dst.data(), L);
+        });
+        if (!(sink > 0.0f))
+            fatal("micro_simd: exp.span sums must be positive");
+        const uint64_t bytes = uint64_t(rows * L) * kFp32Bytes;
+        addArmRows(report, "exp.span", t, bytes, bytes, 1);
+        addNsPerElem(report, "exp.span", t, rows * L);
+    }
+
     // --- Row softmax over attention-width rows.
     {
         const int64_t rows = 256;
@@ -191,6 +227,7 @@ main()
         const uint64_t bytes = uint64_t(rows * L) * kFp16Bytes;
         addArmRows(report, "softmax.row", t, bytes, bytes,
                    ctx.threads());
+        addNsPerElem(report, "softmax.row", t, rows * L);
     }
 
     const std::string path = report.defaultPath();

@@ -9,8 +9,8 @@
 #      cppcheck               (skipped if cppcheck is absent)
 #   4. release build + tests  (-DSOFTREC_WERROR=ON), run six times:
 #      serial, SOFTREC_THREADS=4 to exercise the thread pool,
-#      SOFTREC_SIMD=off to pin the scalar conversion fallback and
-#      the portable GEMM micro-kernel,
+#      SOFTREC_SIMD=off to pin the scalar conversion fallback, the
+#      portable GEMM micro-kernel and the scalar exp path,
 #      SOFTREC_ATTENTION=streaming to serve/decode through the
 #      single-pass streaming attention backend,
 #      SOFTREC_SERVE_KV_DTYPE=int8 to serve on the quantized KV
@@ -97,7 +97,7 @@ step "release tests with SOFTREC_THREADS=4 (thread-pool path)"
 SOFTREC_THREADS=4 \
     ctest --test-dir build/release --output-on-failure -j "${JOBS}"
 
-step "release tests with SOFTREC_SIMD=off (scalar conversions + portable GEMM kernel)"
+step "release tests with SOFTREC_SIMD=off (scalar conversions, portable GEMM kernel, scalar exp)"
 SOFTREC_SIMD=off \
     ctest --test-dir build/release --output-on-failure -j "${JOBS}"
 

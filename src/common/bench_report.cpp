@@ -133,8 +133,12 @@ BenchReport::render() const
         const BenchKernelRow &row = kernels_[i];
         out << (i ? ",\n    " : "\n    ") << "{\"name\": "
             << jsonQuote(row.name)
-            << ", \"ms\": " << jsonNumber(row.ms)
-            << ", \"bytes_read\": " << row.bytesRead
+            << ", \"ms\": " << jsonNumber(row.ms);
+        if (row.msMin && row.msMax) {
+            out << ", \"ms_min\": " << jsonNumber(*row.msMin)
+                << ", \"ms_max\": " << jsonNumber(*row.msMax);
+        }
+        out << ", \"bytes_read\": " << row.bytesRead
             << ", \"bytes_written\": " << row.bytesWritten
             << ", \"calls\": " << row.calls
             << ", \"threads\": " << row.threads << "}";

@@ -12,11 +12,16 @@
  *       "config": { "<key>": <string|number|bool>, ... },
  *       "kernels": [
  *         { "name": "<scope>", "ms": <number>,
+ *           ["ms_min": <number>, "ms_max": <number>,]
  *           "bytes_read": <integer>, "bytes_written": <integer>,
  *           "calls": <integer>, "threads": <integer> }, ...
  *       ],
  *       "derived": { "<key>": <number>, ... }
  *     }
+ *
+ * A row whose ms summarizes repeated runs (a median) may carry the
+ * spread of those runs as ms_min/ms_max; the checker requires both or
+ * neither and ms_min <= ms <= ms_max.
  *
  * All numbers are emitted with std::to_chars, so the output is
  * locale-independent by construction.
@@ -26,6 +31,7 @@
 #define SOFTREC_COMMON_BENCH_REPORT_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +45,9 @@ struct BenchKernelRow
 {
     std::string name;
     double ms = 0.0;
+    //! Fastest and slowest of the runs `ms` summarizes, when repeated.
+    std::optional<double> msMin;
+    std::optional<double> msMax;
     uint64_t bytesRead = 0;
     uint64_t bytesWritten = 0;
     int64_t calls = 0;

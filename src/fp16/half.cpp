@@ -181,7 +181,7 @@ halfToFloatF16c(const Half *src, float *dst, int64_t n)
     // GCC does not always insert VZEROUPPER on the tail-call exit of
     // target("avx2") functions; without it the dirty YMM upper state
     // imposes false-dependency stalls on every SSE instruction the
-    // caller runs next (e.g. libm expf in the softmax kernels).
+    // caller runs next (e.g. the kernels' baseline-ISA epilogues).
     _mm256_zeroupper();
     halfToFloatScalar(src + i, dst + i, n - i);
 }

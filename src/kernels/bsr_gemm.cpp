@@ -6,13 +6,13 @@
 #include "kernels/bsr_gemm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
@@ -120,6 +120,7 @@ bsrSddRun(const ExecContext &ctx, const BsrSddDesc &desc,
 
     // Parallel over block rows: each row's stored blocks (and their
     // m'/d' slots) are disjoint; each chunk owns its accumulator.
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, layout.blockRows(), 1,
                 [&](int64_t br0, int64_t br1) {
     std::vector<float> acc(size_t(bs * bs));
@@ -154,17 +155,9 @@ bsrSddRun(const ExecContext &ctx, const BsrSddDesc &desc,
             for (int64_t i = 0; i < bs; ++i) {
                 float *row = &acc[size_t(i * bs)];
                 if (desc.fuseLocalSoftmax) {
-                    float m_local = kNegInf;
-                    for (int64_t j = 0; j < bs; ++j)
-                        m_local = std::max(m_local, row[j]);
-                    float d_local = 0.0f;
-                    for (int64_t j = 0; j < bs; ++j) {
-                        const float e = m_local == kNegInf
-                            ? 0.0f
-                            : std::exp(row[j] - m_local);
-                        d_local += e;
-                        row[j] = e;
-                    }
+                    const float m_local = maxSpan(backend, row, bs);
+                    const float d_local =
+                        expSpan(backend, row, m_local, row, bs);
                     (*local_max)[size_t(kk * bs + i)] = m_local;
                     (*local_sum)[size_t(kk * bs + i)] = d_local;
                 }

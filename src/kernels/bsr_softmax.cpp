@@ -6,13 +6,13 @@
 #include "kernels/bsr_softmax.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
 #include "sim/cost_model.hpp"
@@ -118,6 +118,7 @@ bsrRowSoftmaxRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
     const BsrLayout &layout = checkedLayout(desc);
     const int64_t bs = layout.blockSize();
     prof::Scope scope(ctx, "softmax.bsr.row");
+    const SimdBackend backend = simdBackend();
     // Parallel over block rows: each chunk writes disjoint blocks.
     parallelFor(ctx, 0, layout.blockRows(), 1,
                 [&](int64_t br0, int64_t br1) {
@@ -149,17 +150,10 @@ bsrRowSoftmaxRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
                 halfToFloat(in.blockData(k) + i * bs,
                             &row[size_t(s * bs)], bs);
             }
-            float max_val = kNegInf;
-            for (size_t x = 0; x < row_len; ++x)
-                max_val = std::max(max_val, row[x]);
-            float denom = 0.0f;
-            for (size_t x = 0; x < row_len; ++x) {
-                const float e = max_val == kNegInf
-                    ? 0.0f
-                    : std::exp(row[x] - max_val);
-                row[x] = e;
-                denom += e;
-            }
+            const float max_val =
+                maxSpan(backend, row.data(), int64_t(row_len));
+            const float denom = expSpan(backend, row.data(), max_val,
+                                        row.data(), int64_t(row_len));
             for (size_t x = 0; x < row_len; ++x)
                 row[x] = denom > 0.0f ? row[x] / denom : 0.0f;
             for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
@@ -219,6 +213,7 @@ bsrLsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
     local_max.assign(count, kNegInf);
     local_sum.assign(count, 0.0f);
     prof::Scope scope(ctx, "softmax.bsr.ls");
+    const SimdBackend backend = simdBackend();
     // Parallel over stored blocks: each block owns its rows of
     // x_prime and its m'/d' slots.
     parallelFor(ctx, 0, layout.nnzBlocks(), 4,
@@ -235,17 +230,9 @@ bsrLsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
     for (int64_t k = blk0; k < blk1; ++k) {
         for (int64_t i = 0; i < bs; ++i) {
             halfToFloat(in.blockData(k) + i * bs, row.data(), bs);
-            float m_local = kNegInf;
-            for (int64_t j = 0; j < bs; ++j)
-                m_local = std::max(m_local, row[size_t(j)]);
-            float d_local = 0.0f;
-            for (int64_t j = 0; j < bs; ++j) {
-                const float e = m_local == kNegInf
-                    ? 0.0f
-                    : std::exp(row[size_t(j)] - m_local);
-                d_local += e;
-                row[size_t(j)] = e;
-            }
+            const float m_local = maxSpan(backend, row.data(), bs);
+            const float d_local =
+                expSpan(backend, row.data(), m_local, row.data(), bs);
             floatToHalf(row.data(), x_prime.blockData(k) + i * bs, bs);
             local_max[size_t(k * bs + i)] = m_local;
             local_sum[size_t(k * bs + i)] = d_local;
@@ -298,47 +285,41 @@ bsrIrRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
                    local_sum.size() == count,
                    "BSR IR input size mismatch");
     recon.assign(count, 0.0f);
+    // A row's m' values are strided by bs across its blocks; each row
+    // gathers them into its own contiguous slice of `factors`, which
+    // then holds exp(m' - m) and finally r'. A fully masked sub-vector
+    // (m' = -inf, d' = 0) gets exp = +0 and contributes nothing to d.
+    std::vector<float> factors(count);
     prof::Scope scope(ctx, "softmax.bsr.ir");
+    const SimdBackend backend = simdBackend();
     // Parallel over block rows: each row's r' slots are disjoint.
     parallelFor(ctx, 0, layout.blockRows(), 1,
                 [&](int64_t br0, int64_t br1) {
     for (int64_t br = br0; br < br1; ++br) {
+        const int64_t k0 = layout.rowBegin(br);
+        const int64_t row_nnz = layout.rowEnd(br) - k0;
         if (scope.active()) {
-            const uint64_t md_count =
-                uint64_t(layout.rowEnd(br) - layout.rowBegin(br)) *
-                uint64_t(bs);
+            const uint64_t md_count = uint64_t(row_nnz) * uint64_t(bs);
             scope.addRead(md_count * 2 * kFp32Bytes); // m', d'
             scope.addWrite(md_count * kFp32Bytes);    // r'
         }
         for (int64_t i = 0; i < bs; ++i) {
-            float m_global = kNegInf;
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                m_global = std::max(m_global,
-                                    local_max[size_t(k * bs + i)]);
-            }
+            float *factor = &factors[size_t((k0 * bs) + i * row_nnz)];
+            for (int64_t s = 0; s < row_nnz; ++s)
+                factor[s] = local_max[size_t((k0 + s) * bs + i)];
+            const float m_global = maxSpan(backend, factor, row_nnz);
+            expSpan(backend, factor, m_global, factor, row_nnz);
             float d_global = 0.0f;
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                const float m_local = local_max[size_t(k * bs + i)];
-                if (m_local == kNegInf)
-                    continue;
-                d_global += std::exp(m_local - m_global) *
-                            local_sum[size_t(k * bs + i)];
-            }
+            for (int64_t s = 0; s < row_nnz; ++s)
+                d_global +=
+                    factor[s] * local_sum[size_t((k0 + s) * bs + i)];
             SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
                           "BSR IR row %lld: global normalizer d = %f "
                           "must be positive for an unmasked row",
                           (long long)(br * bs + i), double(d_global));
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                const float m_local = local_max[size_t(k * bs + i)];
-                if (m_local == kNegInf || d_global <= 0.0f) {
-                    recon[size_t(k * bs + i)] = 0.0f;
-                } else {
-                    recon[size_t(k * bs + i)] =
-                        std::exp(m_local - m_global) / d_global;
-                }
+            for (int64_t s = 0; s < row_nnz; ++s) {
+                recon[size_t((k0 + s) * bs + i)] =
+                    d_global > 0.0f ? factor[s] / d_global : 0.0f;
             }
         }
     }

@@ -10,10 +10,14 @@
  *    order of the packed GEMM micro-kernel (which accumulates
  *    k-ascending whatever the tiling) and its epilogue/store.
  *  - softmax: the same staged three-pass safe softmax as
- *    rowSoftmaxRun. The prefill row additionally carries exp(-inf)=0
- *    terms for the causally masked tail; appending exact zeros to a
- *    running fp32 sum does not change its bits, so the shorter row
- *    here produces identical probabilities.
+ *    rowSoftmaxRun, through the same maxSpan/expSpan calls. The
+ *    prefill row is longer: it carries a -inf tail for the causally
+ *    masked columns. maxSpan never lets -inf replace a lane's max,
+ *    and expSpan maps each masked column to +0 and adds it to lane
+ *    j % 8, where adding +0 to a lane sum (itself >= +0) leaves its
+ *    bits unchanged; the eight lanes are then combined by the same
+ *    fixed tree. So max and denominator, and with them the
+ *    probabilities, are bit-identical for any context % 8.
  *  - output: fp32 accumulation in ascending key order per element —
  *    the micro-kernel's k-ascending order for the P.V GEMM, whose
  *    masked tail contributes p = 0 terms that are bit-level no-ops.
@@ -25,7 +29,6 @@
 #include "kernels/decode_attention.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -34,6 +37,7 @@
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/kernel_common.hpp"
 
 namespace softrec {
@@ -99,17 +103,10 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
 
     // Safe softmax over the score row (rowSoftmaxRun's three passes).
     halfToFloat(row_h.data(), row.data(), context);
-    float max_val = kNegInf;
-    for (int64_t j = 0; j < context; ++j)
-        max_val = std::max(max_val, row[size_t(j)]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < context; ++j) {
-        const float e = max_val == kNegInf
-            ? 0.0f
-            : std::exp(row[size_t(j)] - max_val);
-        row[size_t(j)] = e;
-        denom += e;
-    }
+    const SimdBackend backend = simdBackend();
+    const float max_val = maxSpan(backend, row.data(), context);
+    const float denom =
+        expSpan(backend, row.data(), max_val, row.data(), context);
     for (int64_t j = 0; j < context; ++j)
         row[size_t(j)] = denom > 0.0f ? row[size_t(j)] / denom : 0.0f;
     floatToHalf(row.data(), row_h.data(), context);

@@ -176,6 +176,7 @@ biasActRun(const ExecContext &ctx, const Tensor<Half> &in,
     prof::Scope scope(ctx, "ew.bias_act");
     if (scope.active())
         scope.addRead(uint64_t(width) * kFp32Bytes); // bias vector
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, rows, 8, [&](int64_t row0, int64_t row1) {
         if (scope.active()) {
             const uint64_t bytes =
@@ -187,12 +188,10 @@ biasActRun(const ExecContext &ctx, const Tensor<Half> &in,
         const float *b = bias.data();
         for (int64_t i = row0; i < row1; ++i) {
             halfToFloat(in.rowPtr(i), row.data(), width);
-            for (int64_t j = 0; j < width; ++j) {
-                float v = row[size_t(j)] + b[j];
-                if (gelu)
-                    v = geluApprox(v);
-                row[size_t(j)] = v;
-            }
+            for (int64_t j = 0; j < width; ++j)
+                row[size_t(j)] += b[j];
+            if (gelu)
+                geluSpan(backend, row.data(), row.data(), width);
             floatToHalf(row.data(), out.rowPtr(i), width);
         }
     });

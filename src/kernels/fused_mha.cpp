@@ -6,7 +6,6 @@
 #include "kernels/fused_mha.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "common/units.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
@@ -125,12 +125,12 @@ fusedMhaRun(const ExecContext &ctx, const FusedMhaDesc &desc,
 
     // Parallel over query rows; each chunk owns a scores buffer and
     // writes disjoint output rows (bit-identical at any thread count).
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, L, 8, [&](int64_t row0, int64_t row1) {
         std::vector<float> scores(size_t(L), 0.0f);
         std::vector<float> orow(size_t(dh), 0.0f);
         for (int64_t i = row0; i < row1; ++i) {
             const float *qrow = &qf[size_t(i) * size_t(dh)];
-            float row_max = neg_inf;
             for (int64_t j = 0; j < L; ++j) {
                 const float *krow = &kf[size_t(j) * size_t(dh)];
                 float s = 0.0f;
@@ -140,16 +140,10 @@ fusedMhaRun(const ExecContext &ctx, const FusedMhaDesc &desc,
                 if (desc.causalMask && j > i)
                     s = neg_inf;
                 scores[size_t(j)] = s;
-                row_max = std::max(row_max, s);
             }
-            float denom = 0.0f;
-            for (int64_t j = 0; j < L; ++j) {
-                const float e = row_max == neg_inf
-                    ? 0.0f
-                    : std::exp(scores[size_t(j)] - row_max);
-                scores[size_t(j)] = e;
-                denom += e;
-            }
+            const float row_max = maxSpan(backend, scores.data(), L);
+            const float denom = expSpan(backend, scores.data(), row_max,
+                                        scores.data(), L);
             SOFTREC_CHECK(denom > 0.0f || row_max == neg_inf,
                           "fused MHA row %lld: normalizer d = %f must "
                           "be positive for an unmasked row",

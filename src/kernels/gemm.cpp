@@ -7,7 +7,6 @@
 #include "kernels/gemm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "fp16/simd_math.hpp"
 #include "fp16/simd_platform.hpp"
 #include "sim/calibration.hpp"
 
@@ -279,12 +279,31 @@ gemmProfile(const GpuSpec &spec, const GemmDesc &desc)
     return prof;
 }
 
+void
+geluSpan(SimdBackend backend, const float *x, float *out, int64_t n)
+{
+    constexpr float kSqrt2OverPi = 0.7978845608028654f;
+    // tanh's argument is staged per chunk, so x and out may alias.
+    constexpr int64_t kChunk = 64;
+    float inner[kChunk];
+    for (int64_t i0 = 0; i0 < n; i0 += kChunk) {
+        const int64_t w = std::min(kChunk, n - i0);
+        for (int64_t i = 0; i < w; ++i) {
+            const float v = x[i0 + i];
+            inner[i] = kSqrt2OverPi * (v + 0.044715f * v * v * v);
+        }
+        tanhSpan(backend, inner, inner, w);
+        for (int64_t i = 0; i < w; ++i)
+            out[i0 + i] = 0.5f * x[i0 + i] * (1.0f + inner[i]);
+    }
+}
+
 float
 geluApprox(float x)
 {
-    const float c = 0.7978845608028654f; // sqrt(2/pi)
-    const float inner = c * (x + 0.044715f * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
+    float y;
+    geluSpan(SimdBackend::Scalar, &x, &y, 1);
+    return y;
 }
 
 void
@@ -383,10 +402,12 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         }
     }
 
-    // Both micro-kernels produce the same bits, so the backend only
-    // changes speed. Read it once so one call never mixes kernels.
+    // Both micro-kernels, like both exp paths, produce the same bits,
+    // so the backend only changes speed. Read it once so one call
+    // never mixes paths.
+    const SimdBackend backend = simdBackend();
     [[maybe_unused]] const bool use_avx2 =
-        simdBackend() == SimdBackend::F16cAvx2;
+        backend == SimdBackend::F16cAvx2;
     const auto microKernel = [&](const float *a_rows,
                                  const float *panel, float *acc,
                                  int64_t mh) {
@@ -458,24 +479,14 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                     for (int64_t j = 0; j < nw; ++j)
                         row[j] += bias[j];
                 }
-                if (desc.epilogue.gelu) {
-                    for (int64_t j = 0; j < nw; ++j)
-                        row[j] = geluApprox(row[j]);
-                }
+                if (desc.epilogue.gelu)
+                    geluSpan(backend, row, row, nw);
 
                 if (desc.epilogue.localSoftmax) {
                     // One sub-vector: this row segment of width nw.
-                    float local_max = neg_inf;
-                    for (int64_t j = 0; j < nw; ++j)
-                        local_max = std::max(local_max, row[j]);
-                    float local_sum = 0.0f;
-                    for (int64_t j = 0; j < nw; ++j) {
-                        const float e = local_max == neg_inf
-                            ? 0.0f
-                            : std::exp(row[j] - local_max);
-                        local_sum += e;
-                        row[j] = e;
-                    }
+                    const float local_max = maxSpan(backend, row, nw);
+                    const float local_sum =
+                        expSpan(backend, row, local_max, row, nw);
                     ls->localMax->at(m0 + i, tn) = local_max;
                     ls->localSum->at(m0 + i, tn) = local_sum;
                     SOFTREC_CHECK(local_sum > 0.0f ||

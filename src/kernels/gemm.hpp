@@ -130,7 +130,17 @@ void gemmRun(const ExecContext &ctx, const GemmDesc &desc,
              const GemmOperands &ops, Tensor<Half> &c,
              const LsOutputs *ls = nullptr);
 
-/** GeLU (tanh approximation), exposed for reuse and tests. */
+/**
+ * GeLU (tanh approximation) over a span:
+ * out[i] = 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), with tanh
+ * from tanhSpan (fp16/simd_math.hpp). Same bits on every backend; x
+ * and out may alias. The fused GEMM epilogue and biasActRun both call
+ * it, so fused and unfused GeLU agree bit for bit.
+ */
+void geluSpan(SimdBackend backend, const float *x, float *out,
+              int64_t n);
+
+/** One-element geluSpan, exposed for reuse and tests. */
 float geluApprox(float x);
 
 } // namespace softrec

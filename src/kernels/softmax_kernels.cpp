@@ -6,13 +6,13 @@
 #include "kernels/softmax_kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
 #include "sim/cost_model.hpp"
@@ -25,6 +25,9 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 /** Rows per parallelFor chunk (fixed: part of the determinism contract). */
 constexpr int64_t kRowGrain = 8;
+
+/** Elements per step of the online softmax's running (max, sum). */
+constexpr int64_t kOnlineChunk = 64;
 
 } // namespace
 
@@ -79,6 +82,7 @@ rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
     if constexpr (kCheckedBuild)
         checkFinite(in, "rowSoftmax input", /*allow_neg_inf=*/true);
     prof::Scope scope(ctx, "softmax.row");
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
         if (scope.active()) {
@@ -93,17 +97,10 @@ rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
         std::vector<float> row(size_t(desc.cols));
         for (int64_t i = row0; i < row1; ++i) {
             halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            float max_val = kNegInf;
-            for (int64_t j = 0; j < desc.cols; ++j)
-                max_val = std::max(max_val, row[size_t(j)]);
-            float denom = 0.0f;
-            for (int64_t j = 0; j < desc.cols; ++j) {
-                const float e = max_val == kNegInf
-                    ? 0.0f
-                    : std::exp(row[size_t(j)] - max_val);
-                row[size_t(j)] = e;
-                denom += e;
-            }
+            const float max_val =
+                maxSpan(backend, row.data(), desc.cols);
+            const float denom = expSpan(backend, row.data(), max_val,
+                                        row.data(), desc.cols);
             for (int64_t j = 0; j < desc.cols; ++j) {
                 row[size_t(j)] =
                     denom > 0.0f ? row[size_t(j)] / denom : 0.0f;
@@ -146,6 +143,7 @@ onlineRowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
     if constexpr (kCheckedBuild)
         checkFinite(in, "onlineRowSoftmax input", /*allow_neg_inf=*/true);
     prof::Scope scope(ctx, "softmax.online");
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
         if (scope.active()) {
@@ -155,30 +153,33 @@ onlineRowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
             scope.addWrite(matrix);
         }
         std::vector<float> row(size_t(desc.cols));
+        float chunk[kOnlineChunk];
         for (int64_t i = row0; i < row1; ++i) {
             halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            // Single online pass: running max and rescaled normalizer.
+            // Single online pass, one chunk at a time: running max and
+            // rescaled normalizer (exp(-inf - m) == 0 drops the empty
+            // running sum of the first live chunk).
             float running_max = kNegInf;
             float running_sum = 0.0f;
-            for (int64_t j = 0; j < desc.cols; ++j) {
-                const float x = row[size_t(j)];
-                const float new_max = std::max(running_max, x);
+            for (int64_t j0 = 0; j0 < desc.cols; j0 += kOnlineChunk) {
+                const int64_t w = std::min(kOnlineChunk, desc.cols - j0);
+                const float new_max = std::max(
+                    running_max, maxSpan(backend, &row[size_t(j0)], w));
                 if (new_max == kNegInf)
                     continue;
-                running_sum =
-                    running_sum *
-                        (running_max == kNegInf
-                             ? 0.0f
-                             : std::exp(running_max - new_max)) +
-                    std::exp(x - new_max);
+                float rescale;
+                expSpan(backend, &running_max, new_max, &rescale, 1);
+                running_sum = running_sum * rescale +
+                              expSpan(backend, &row[size_t(j0)], new_max,
+                                      chunk, w);
                 running_max = new_max;
             }
+            expSpan(backend, row.data(), running_max, row.data(),
+                    desc.cols);
             for (int64_t j = 0; j < desc.cols; ++j) {
-                const float e = running_max == kNegInf
-                    ? 0.0f
-                    : std::exp(row[size_t(j)] - running_max);
-                row[size_t(j)] =
-                    running_sum > 0.0f ? e / running_sum : 0.0f;
+                row[size_t(j)] = running_sum > 0.0f
+                    ? row[size_t(j)] / running_sum
+                    : 0.0f;
             }
             floatToHalf(row.data(), out.rowPtr(i), desc.cols);
         }
@@ -239,6 +240,7 @@ lsRun(const ExecContext &ctx, const SoftmaxShape &desc,
     if constexpr (kCheckedBuild)
         checkFinite(in, "LS input", /*allow_neg_inf=*/true);
     prof::Scope scope(ctx, "softmax.ls");
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
         if (scope.active()) {
@@ -262,17 +264,10 @@ lsRun(const ExecContext &ctx, const SoftmaxShape &desc,
                 const int64_t j0 = sv * desc.subVector;
                 const int64_t j1 =
                     std::min(desc.cols, j0 + desc.subVector);
-                float m_local = kNegInf;
-                for (int64_t j = j0; j < j1; ++j)
-                    m_local = std::max(m_local, row[size_t(j)]);
-                float d_local = 0.0f;
-                for (int64_t j = j0; j < j1; ++j) {
-                    const float e = m_local == kNegInf
-                        ? 0.0f
-                        : std::exp(row[size_t(j)] - m_local);
-                    d_local += e;
-                    row[size_t(j)] = e;
-                }
+                float *seg = &row[size_t(j0)];
+                const float m_local = maxSpan(backend, seg, j1 - j0);
+                const float d_local =
+                    expSpan(backend, seg, m_local, seg, j1 - j0);
                 md_max[sv] = m_local;
                 md_sum[sv] = d_local;
                 SOFTREC_CHECK(d_local > 0.0f || m_local == kNegInf,
@@ -324,6 +319,8 @@ irRun(const ExecContext &ctx, const SoftmaxShape &desc,
                    recon.shape() == md_shape,
                    "IR shapes must be [rows, N_sv]");
     prof::Scope scope(ctx, "softmax.ir");
+    const SimdBackend backend = simdBackend();
+    const int64_t nsv = desc.numSubVectors();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
         if (scope.active()) {
@@ -336,29 +333,20 @@ irRun(const ExecContext &ctx, const SoftmaxShape &desc,
             const float *md_max = local_max.rowPtr(i);
             const float *md_sum = local_sum.rowPtr(i);
             float *r = recon.rowPtr(i);
-            float m_global = kNegInf;
-            for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv)
-                m_global = std::max(m_global, md_max[sv]);
+            // r' starts as exp(m' - m); a fully masked sub-vector
+            // (m' = -inf, d' = 0) gets exp = +0 and contributes
+            // nothing to d.
+            const float m_global = maxSpan(backend, md_max, nsv);
+            expSpan(backend, md_max, m_global, r, nsv);
             float d_global = 0.0f;
-            for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv) {
-                const float m_local = md_max[sv];
-                if (m_local == kNegInf)
-                    continue; // fully masked: contributes nothing
-                d_global +=
-                    std::exp(m_local - m_global) * md_sum[sv];
-            }
+            for (int64_t sv = 0; sv < nsv; ++sv)
+                d_global += r[sv] * md_sum[sv];
             SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
                           "IR row %lld: global normalizer d = %f must "
                           "be positive for an unmasked row",
                           (long long)i, double(d_global));
-            for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv) {
-                const float m_local = md_max[sv];
-                if (m_local == kNegInf || d_global <= 0.0f) {
-                    r[sv] = 0.0f;
-                } else {
-                    r[sv] = std::exp(m_local - m_global) / d_global;
-                }
-            }
+            for (int64_t sv = 0; sv < nsv; ++sv)
+                r[sv] = d_global > 0.0f ? r[sv] / d_global : 0.0f;
         }
     });
     if constexpr (kCheckedBuild)

@@ -9,11 +9,12 @@
  *  - scores: fp32 accumulation in ascending d per element, then the
  *    conditional scale multiply — the per-element order of the packed
  *    GEMM micro-kernel and of decodeAttendRun's score loop;
- *  - tile max, m_new = max(m, tile_max); a tile whose running max is
- *    still -inf is skipped (guards exp(-inf - -inf));
+ *  - tile max (maxSpan), m_new = max(m, tile_max); a tile whose
+ *    running max is still -inf is skipped;
  *  - rescale = exp(m - m_new) applied to d and (when != 1) to the
- *    accumulator, then e_j = exp(s_j - m_new) accumulated j-ascending
- *    into d and j-outer / d-inner into the accumulator;
+ *    accumulator, then e_j = exp(s_j - m_new) for the tile in one
+ *    expSpan, whose lane-order sum is added to d, and e_j accumulated
+ *    j-outer / d-inner into the accumulator;
  *  - epilogue: one reciprocal inv = 1/d multiplied into the fp32
  *    accumulator (division-free inner loop), then the fp16 store.
  *
@@ -28,7 +29,6 @@
 #include "kernels/streaming_attention.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -37,6 +37,7 @@
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/kernel_common.hpp"
 
 namespace softrec {
@@ -80,26 +81,16 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
  */
 template <typename VRowFn>
 inline void
-onlineTileUpdate(float *SOFTREC_RESTRICT s, int64_t w, int64_t dh,
-                 float &m, float &d, float *SOFTREC_RESTRICT acc,
-                 VRowFn &&v_row)
+onlineTileUpdate(SimdBackend backend, float *SOFTREC_RESTRICT s,
+                 int64_t w, int64_t dh, float &m, float &d,
+                 float *SOFTREC_RESTRICT acc, VRowFn &&v_row)
 {
-    float tile_max = kNegInf;
-    for (int64_t j = 0; j < w; ++j)
-        tile_max = std::max(tile_max, s[j]);
-    const float m_new = std::max(m, tile_max);
+    const float m_new = std::max(m, maxSpan(backend, s, w));
     if (m_new == kNegInf)
         return; // every score so far is -inf; nothing to accumulate
-    // softrec-lint: allow(raw-exp) — this IS a safe softmax: both
-    // exponents are <= 0 by construction (m, s[j] <= m_new).
-    const float rescale = std::exp(m - m_new); // 1.0 when m == m_new
-    float tile_sum = 0.0f;
-    for (int64_t j = 0; j < w; ++j) {
-        // softrec-lint: allow(raw-exp) — see above.
-        const float e = std::exp(s[j] - m_new);
-        s[j] = e;
-        tile_sum += e;
-    }
+    float rescale; // 1.0 when m == m_new, +0 when m is still -inf
+    expSpan(backend, &m, m_new, &rescale, 1);
+    const float tile_sum = expSpan(backend, s, m_new, s, w);
     d = d * rescale + tile_sum;
     if (rescale != 1.0f) {
         for (int64_t dd = 0; dd < dh; ++dd)
@@ -215,6 +206,7 @@ streamingAttentionRun(const ExecContext &ctx,
     prof::Scope scope(ctx, "sda.stream");
     if (scope.active())
         scope.addRead(uint64_t(2 * kv * dh) * kFp16Bytes); // K, V
+    const SimdBackend backend = simdBackend();
 
     // Pack K once into one fp32 panel per key tile, laid out
     // [dHead][kStreamKeyTile] (the gemm.cpp transposeB scatter), so
@@ -292,7 +284,7 @@ streamingAttentionRun(const ExecContext &ctx,
                         std::min(w_full, valid - t0);
                     const float *vtile = &vpack[size_t(t0 * dh)];
                     onlineTileUpdate(
-                        &sbuf[size_t(i * kStreamKeyTile)], w, dh,
+                        backend, &sbuf[size_t(i * kStreamKeyTile)], w, dh,
                         mbuf[size_t(i)], dbuf[size_t(i)],
                         &accbuf[size_t(i * dh)],
                         [vtile, dh](int64_t j) {
@@ -348,6 +340,7 @@ decodeAttendStreamRun(const ExecContext &ctx,
     std::fill(acc.begin(), acc.end(), 0.0f);
     float m = kNegInf;
     float d = 0.0f;
+    const SimdBackend backend = simdBackend();
 
     for (int64_t t0 = 0; t0 < context; t0 += kStreamKeyTile) {
         const int64_t tw = std::min(kStreamKeyTile, context - t0);
@@ -365,7 +358,8 @@ decodeAttendStreamRun(const ExecContext &ctx,
             for (int64_t j = 0; j < tw; ++j)
                 tile[size_t(j)] *= float(desc.scale);
         }
-        onlineTileUpdate(tile.data(), tw, dh, m, d, acc.data(),
+        onlineTileUpdate(backend, tile.data(), tw, dh, m, d,
+                         acc.data(),
                          [&](int64_t j) {
                              v.loadRow(t0 + j, desc.headOffset, dh,
                                        lane.data());

@@ -84,7 +84,22 @@ TEST(BenchReport, EmitsSchemaAndSections)
     EXPECT_TRUE(contains(json, "\"calls\": 3"));
     EXPECT_TRUE(contains(json, "\"threads\": 4"));
     EXPECT_TRUE(contains(json, "\"speedup\": 1.25"));
+    EXPECT_FALSE(contains(json, "ms_min"));
     EXPECT_EQ(json.back(), '\n');
+}
+
+TEST(BenchReport, RowSpreadFollowsTheMedian)
+{
+    BenchReport report("unit");
+    BenchKernelRow row;
+    row.name = "sdf/sda.qk";
+    row.ms = 2.5;
+    row.msMin = 2.25;
+    row.msMax = 5.0;
+    report.addKernel(row);
+    EXPECT_TRUE(contains(report.render(),
+                         "\"ms\": 2.5, \"ms_min\": 2.25, "
+                         "\"ms_max\": 5, \"bytes_read\""));
 }
 
 TEST(BenchReport, DefaultPathUsesName)

@@ -4,13 +4,16 @@
  * equivalence suite: incremental decode through the functional KV
  * path must be bit-identical to recomputing the full prefix at every
  * step, across thread counts, SIMD backends and both attention
- * backends (pinned per test, not taken from SOFTREC_ATTENTION).
+ * backends (pinned per test, not taken from SOFTREC_ATTENTION), at
+ * prompt lengths that leave every remainder modulo the exp
+ * primitive's 8 sum lanes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,7 +29,6 @@ constexpr int64_t kDm = 32;
 constexpr int64_t kHeads = 2;
 constexpr int64_t kDff = 48;
 constexpr int64_t kLayers = 2;
-constexpr int64_t kPrompt = 7;
 constexpr int64_t kSteps = 5;
 
 /** Random stack on an explicit attention backend. */
@@ -103,33 +105,34 @@ expectRowBitsEqual(const Tensor<Half> &got, int64_t got_row,
  */
 void
 checkIncrementalMatchesRecompute(const ExecContext &ctx,
-                                 AttentionBackend backend)
+                                 AttentionBackend backend,
+                                 int64_t prompt_len)
 {
     Rng rng(17);
     const DecoderStack stack = makeStack(rng, backend);
-    const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
+    const Tensor<Half> prompt = randomPrompt(rng, prompt_len);
 
     KvSlab slab(/*block_tokens=*/4, kDm);
     KvCache cache(slab, kLayers);
     const Tensor<Half> prefill_out =
         runPrefill(ctx, stack, prompt, cache);
-    EXPECT_EQ(cache.context(), kPrompt);
+    EXPECT_EQ(cache.context(), prompt_len);
 
     // The prefill itself must match a plain stack forward bit for bit.
     const Tensor<Half> plain = fullForward(ctx, stack, prompt);
-    for (int64_t i = 0; i < kPrompt; ++i)
+    for (int64_t i = 0; i < prompt_len; ++i)
         expectRowBitsEqual(prefill_out, i, plain, i, "prefill", i);
 
     Tensor<Half> seq = prompt;
     Tensor<Half> input(Shape({1, kDm}));
     for (int64_t j = 0; j < kDm; ++j)
-        input.at(0, j) = prefill_out.at(kPrompt - 1, j);
+        input.at(0, j) = prefill_out.at(prompt_len - 1, j);
 
     for (int64_t t = 0; t < kSteps; ++t) {
         seq = appendRow(seq, input, 0);
         const Tensor<Half> decode_out =
             decodeStep(ctx, stack, input, {&cache});
-        EXPECT_EQ(cache.context(), kPrompt + t + 1);
+        EXPECT_EQ(cache.context(), prompt_len + t + 1);
 
         const Tensor<Half> full = fullForward(ctx, stack, seq);
         expectRowBitsEqual(decode_out, 0, full,
@@ -139,14 +142,25 @@ checkIncrementalMatchesRecompute(const ExecContext &ctx,
     }
 }
 
-/** The suite runs once per attention backend. */
-class KvEquivalence : public testing::TestWithParam<AttentionBackend>
+/**
+ * The suite runs once per (attention backend, prompt length). Every
+ * full-prefix recompute row i carries a causally masked -inf tail of
+ * a different length than the prefill row it must equal, so the
+ * prompt lengths put every remainder of the context modulo 8 under
+ * the lane-order sum, and 2055 spans many tiles.
+ */
+class KvEquivalence
+    : public testing::TestWithParam<std::tuple<AttentionBackend, int64_t>>
 {
+  protected:
+    static AttentionBackend backend() { return std::get<0>(GetParam()); }
+    static int64_t promptLen() { return std::get<1>(GetParam()); }
 };
 
 TEST_P(KvEquivalence, SerialContext)
 {
-    checkIncrementalMatchesRecompute(ExecContext(), GetParam());
+    checkIncrementalMatchesRecompute(ExecContext(), backend(),
+                                     promptLen());
 }
 
 TEST_P(KvEquivalence, ThreadPool4)
@@ -154,13 +168,14 @@ TEST_P(KvEquivalence, ThreadPool4)
     ThreadPool pool(4);
     ExecContext ctx;
     ctx.pool = &pool;
-    checkIncrementalMatchesRecompute(ctx, GetParam());
+    checkIncrementalMatchesRecompute(ctx, backend(), promptLen());
 }
 
 TEST_P(KvEquivalence, ScalarSimdBackend)
 {
     const SimdBackend prev = setSimdBackend(SimdBackend::Scalar);
-    checkIncrementalMatchesRecompute(ExecContext(), GetParam());
+    checkIncrementalMatchesRecompute(ExecContext(), backend(),
+                                     promptLen());
     setSimdBackend(prev);
 }
 
@@ -171,7 +186,7 @@ TEST_P(KvEquivalence, DetectedSimdBackendThreaded)
     ThreadPool pool(4);
     ExecContext ctx;
     ctx.pool = &pool;
-    checkIncrementalMatchesRecompute(ctx, GetParam());
+    checkIncrementalMatchesRecompute(ctx, backend(), promptLen());
     setSimdBackend(prev);
 }
 
@@ -185,8 +200,8 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
     // leaves 3 rows), so this is also the layer-level check that the
     // scalar and SIMD kernels agree.
     Rng rng(23);
-    const DecoderStack stack = makeStack(rng, GetParam());
-    const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
+    const DecoderStack stack = makeStack(rng, backend());
+    const Tensor<Half> prompt = randomPrompt(rng, promptLen());
 
     auto generate = [&](int threads, SimdBackend backend) {
         const SimdBackend prev = setSimdBackend(backend);
@@ -204,7 +219,7 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
                 bits.push_back(out.data()[i].bits());
             Tensor<Half> input(Shape({1, kDm}));
             for (int64_t j = 0; j < kDm; ++j)
-                input.at(0, j) = out.at(kPrompt - 1, j);
+                input.at(0, j) = out.at(promptLen() - 1, j);
             for (int64_t t = 0; t < kSteps; ++t) {
                 input = decodeStep(ctx, stack, input, {&cache});
                 for (int64_t j = 0; j < kDm; ++j)
@@ -232,8 +247,8 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
 TEST_P(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
 {
     Rng rng(29);
-    const DecoderStack stack = makeStack(rng, GetParam());
-    const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
+    const DecoderStack stack = makeStack(rng, backend());
+    const Tensor<Half> prompt = randomPrompt(rng, promptLen());
 
     KvSlab slab(/*block_tokens=*/3, kDm);
     KvCache cache(slab, kLayers);
@@ -241,12 +256,12 @@ TEST_P(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
 
     // Layer 0's cached K rows must equal the fc.k projection of the
     // prompt (the cache stores projections, not raw embeddings).
-    Tensor<Half> k(Shape({kPrompt, kDm}));
+    Tensor<Half> k(Shape({promptLen(), kDm}));
     projectRowsInto(ExecContext(), "fc.k", prompt, stack.layers[0].wk,
                     stack.layers[0].bk, /*gelu=*/false, k);
     const KvRowsView view = cache.kView(0);
-    ASSERT_EQ(view.rows, kPrompt);
-    for (int64_t i = 0; i < kPrompt; ++i)
+    ASSERT_EQ(view.rows, promptLen());
+    for (int64_t i = 0; i < promptLen(); ++i)
         for (int64_t j = 0; j < kDm; ++j)
             EXPECT_EQ(view.row(i)[j].bits(), k.at(i, j).bits())
                 << "row " << i << " column " << j;
@@ -254,10 +269,13 @@ TEST_P(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, KvEquivalence,
-    testing::Values(AttentionBackend::Recomposed,
-                    AttentionBackend::Streaming),
-    [](const testing::TestParamInfo<AttentionBackend> &info) {
-        return std::string(attentionBackendName(info.param));
+    testing::Combine(testing::Values(AttentionBackend::Recomposed,
+                                     AttentionBackend::Streaming),
+                     testing::Values(int64_t(1), int64_t(7), int64_t(9),
+                                     int64_t(17), int64_t(2055))),
+    [](const testing::TestParamInfo<KvEquivalence::ParamType> &info) {
+        return std::string(attentionBackendName(std::get<0>(info.param))) +
+               "_prompt" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(DecodeStep, StructureAndWeightBoundGemvs)

@@ -6,8 +6,11 @@
  * rounding boundaries), the packed-panel GEMM must match the naive
  * reference at ragged shapes and produce the same bits under both
  * backends (every epilogue, the GS prologue, signed zeros, and the
- * fully-masked causal tiles whose mainloop is skipped), and kernels
- * built on the substrate must stay deterministic across thread counts.
+ * fully-masked causal tiles whose mainloop is skipped), the exp
+ * primitive and its max/tanh companions must give the same bits under
+ * both backends while keeping their documented accuracy, special
+ * values and lane-order sum, and kernels built on the substrate must
+ * stay deterministic across thread counts.
  */
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "fp16/half.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -475,6 +479,240 @@ TEST(PackedGemm, FullyMaskedCausalTilesMatchMaskingAfterwards)
                 }
             }
         }
+    }
+}
+
+// --- The exp primitive: Scalar and SIMD are bit-identical -----------
+
+uint32_t
+bitsOf(float f)
+{
+    uint32_t u;
+    __builtin_memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+float
+floatOf(uint32_t u)
+{
+    float f;
+    __builtin_memcpy(&f, &u, sizeof(f));
+    return f;
+}
+
+/** Every float in [-90, 90] at a bit-pattern stride, both signs. */
+std::vector<float>
+denseExpSweep()
+{
+    std::vector<float> xs;
+    for (uint32_t u = 0; u <= bitsOf(90.0f); u += 509) {
+        xs.push_back(floatOf(u));
+        xs.push_back(-floatOf(u));
+    }
+    // The flush and overflow thresholds, float by float.
+    for (const float edge : {-87.33654f, 88.72283f}) {
+        for (int step = -64; step <= 64; ++step)
+            xs.push_back(floatOf(bitsOf(edge) + uint32_t(step)));
+    }
+    return xs;
+}
+
+/** expSpan's outputs followed by its returned sum, as bits. */
+std::vector<uint32_t>
+expSpanBits(SimdBackend backend, const float *x, float shift,
+            int64_t n)
+{
+    std::vector<float> out(size_t(n) + 1, 0.0f);
+    out[size_t(n)] = expSpan(backend, x, shift, out.data(), n);
+    std::vector<uint32_t> bits;
+    for (const float f : out)
+        bits.push_back(bitsOf(f));
+    return bits;
+}
+
+TEST(ExpPrimitive, ScalarAndSimdBitIdenticalOverDenseSweep)
+{
+    const std::vector<float> xs = denseExpSweep();
+    ASSERT_GT(xs.size(), 2000000u);
+    // Shift 0 reaches the overflow outputs (and an infinite sum); the
+    // larger shifts keep the sum finite, so its lane order counts.
+    for (const float shift : {0.0f, 45.5f, 90.0f}) {
+        EXPECT_EQ(expSpanBits(SimdBackend::Scalar, xs.data(), shift,
+                              int64_t(xs.size())),
+                  expSpanBits(detectedSimdBackend(), xs.data(), shift,
+                              int64_t(xs.size())))
+            << "shift=" << shift;
+    }
+}
+
+TEST(ExpPrimitive, ScalarAndSimdBitIdenticalAtEveryLength)
+{
+    // Lengths 0-33 run every tail shape of the 8-wide path, at every
+    // offset into the input, with specials mixed in.
+    Rng rng(61);
+    std::vector<float> x(64);
+    for (float &v : x)
+        v = float(rng.normal(0.0, 4.0));
+    x[5] = -std::numeric_limits<float>::infinity();
+    x[12] = 0.0f;
+    x[13] = -0.0f;
+    x[21] = 120.0f;
+    for (int64_t offset = 0; offset < 8; ++offset) {
+        for (int64_t n = 0; n <= 33; ++n) {
+            EXPECT_EQ(expSpanBits(SimdBackend::Scalar, &x[size_t(offset)],
+                                  1.5f, n),
+                      expSpanBits(detectedSimdBackend(),
+                                  &x[size_t(offset)], 1.5f, n))
+                << "offset=" << offset << " n=" << n;
+        }
+    }
+}
+
+TEST(ExpPrimitive, WithinOneUlpOfLibmOnNormalResults)
+{
+    const std::vector<float> xs = denseExpSweep();
+    std::vector<float> out(xs.size());
+    for (const SimdBackend backend :
+         {SimdBackend::Scalar, detectedSimdBackend()}) {
+        expSpan(backend, xs.data(), 0.0f, out.data(),
+                int64_t(xs.size()));
+        int64_t checked = 0;
+        for (size_t i = 0; i < xs.size(); ++i) {
+            const float want = std::exp(xs[i]);
+            if (!std::isnormal(want))
+                continue;
+            ++checked;
+            const int64_t ulp =
+                int64_t(bitsOf(out[i])) - int64_t(bitsOf(want));
+            ASSERT_LE(std::abs(ulp), 1)
+                << "x=" << xs[i] << " got " << out[i] << " want "
+                << want << " (" << simdBackendName(backend) << ")";
+        }
+        EXPECT_GT(checked, 1000000);
+    }
+}
+
+TEST(ExpPrimitive, SpecialValues)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float nan = floatOf(0x7fc01234u);
+    const std::vector<float> in = {-kInf, nan, 0.0f, -0.0f, 88.8f,
+                                   kInf, -87.34f, -1000.0f,
+                                   88.72283f};
+    for (const SimdBackend backend :
+         {SimdBackend::Scalar, detectedSimdBackend()}) {
+        std::vector<float> out(in.size());
+        expSpan(backend, in.data(), 0.0f, out.data(),
+                int64_t(in.size()));
+        EXPECT_EQ(bitsOf(out[0]), 0u) << "-inf -> +0";
+        EXPECT_EQ(bitsOf(out[1]), bitsOf(nan)) << "NaN -> same NaN";
+        EXPECT_EQ(out[2], 1.0f) << "+0 -> 1";
+        EXPECT_EQ(out[3], 1.0f) << "-0 -> 1";
+        EXPECT_EQ(out[4], kInf) << "overflow -> +inf";
+        EXPECT_EQ(out[5], kInf) << "+inf -> +inf";
+        EXPECT_EQ(bitsOf(out[6]), 0u) << "subnormal result -> +0";
+        EXPECT_EQ(bitsOf(out[7]), 0u) << "underflow -> +0";
+        EXPECT_TRUE(std::isfinite(out[8])) << "largest finite exp";
+        // A -inf shift is a fully masked row: +0 everywhere, sum 0.
+        const std::vector<float> masked(11, -kInf);
+        std::vector<float> zeros(masked.size(), 1.0f);
+        EXPECT_EQ(expSpan(backend, masked.data(), -kInf, zeros.data(),
+                          int64_t(masked.size())),
+                  0.0f);
+        for (const float z : zeros)
+            EXPECT_EQ(bitsOf(z), 0u);
+    }
+}
+
+TEST(ExpPrimitive, AppendedMaskedElementsLeaveSumAndMaxUnchanged)
+{
+    // Decode sums a row of `context` scores; the causal prefill row
+    // of the same context carries a -inf tail. Their exp is +0, so
+    // the sum (and the max) must keep every bit for any tail length.
+    Rng rng(67);
+    std::vector<float> row(80, -std::numeric_limits<float>::infinity());
+    for (size_t j = 0; j < 40; ++j)
+        row[j] = float(rng.normal(0.0, 3.0));
+    std::vector<float> out(row.size());
+    for (const SimdBackend backend :
+         {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (int64_t n = 1; n <= 33; ++n) {
+            const float max_n = maxSpan(backend, row.data(), n);
+            const float sum_n =
+                expSpan(backend, row.data(), max_n, out.data(), n);
+            for (int64_t tail = 1; n + tail <= 80; ++tail) {
+                std::vector<float> longer(row.begin(), row.begin() + n);
+                longer.resize(size_t(n + tail),
+                              -std::numeric_limits<float>::infinity());
+                const float max_l =
+                    maxSpan(backend, longer.data(), n + tail);
+                ASSERT_EQ(bitsOf(max_l), bitsOf(max_n))
+                    << "n=" << n << " tail=" << tail;
+                ASSERT_EQ(bitsOf(expSpan(backend, longer.data(), max_l,
+                                         longer.data(), n + tail)),
+                          bitsOf(sum_n))
+                    << "n=" << n << " tail=" << tail << " ("
+                    << simdBackendName(backend) << ")";
+            }
+        }
+    }
+}
+
+TEST(ExpPrimitive, MaxAndTanhScalarAndSimdBitIdentical)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    Rng rng(71);
+    std::vector<float> x(64);
+    for (float &v : x)
+        v = float(rng.normal(0.0, 6.0));
+    x[3] = std::numeric_limits<float>::quiet_NaN();
+    x[9] = -0.0f;
+    x[10] = 0.0f;
+    x[17] = -kInf;
+    x[26] = kInf;
+    std::vector<float> zeros = {-0.0f, 0.0f, -0.0f, 0.0f, 0.0f,
+                                -0.0f, -0.0f, 0.0f, -0.0f};
+    for (int64_t offset = 0; offset < 8; ++offset) {
+        for (int64_t n = 0; n <= 33; ++n) {
+            const float *xs = &x[size_t(offset)];
+            EXPECT_EQ(bitsOf(maxSpan(SimdBackend::Scalar, xs, n)),
+                      bitsOf(maxSpan(detectedSimdBackend(), xs, n)))
+                << "offset=" << offset << " n=" << n;
+            std::vector<float> a(static_cast<size_t>(n));
+            std::vector<float> b(static_cast<size_t>(n));
+            tanhSpan(SimdBackend::Scalar, xs, a.data(), n);
+            tanhSpan(detectedSimdBackend(), xs, b.data(), n);
+            for (int64_t i = 0; i < n; ++i) {
+                ASSERT_EQ(bitsOf(a[size_t(i)]), bitsOf(b[size_t(i)]))
+                    << "offset=" << offset << " n=" << n << " i=" << i;
+            }
+        }
+    }
+    // Signed-zero maxima: the lane tree decides, the same way on both.
+    for (int64_t n = 1; n <= int64_t(zeros.size()); ++n) {
+        EXPECT_EQ(bitsOf(maxSpan(SimdBackend::Scalar, zeros.data(), n)),
+                  bitsOf(maxSpan(detectedSimdBackend(), zeros.data(), n)))
+            << "n=" << n;
+    }
+    EXPECT_EQ(maxSpan(detectedSimdBackend(), x.data(), 0), -kInf);
+}
+
+TEST(ExpPrimitive, TanhAndGeluAccuracy)
+{
+    std::vector<float> x;
+    for (float v = -12.0f; v <= 12.0f; v += 0.001f)
+        x.push_back(v);
+    std::vector<float> t(x.size()), g(x.size());
+    tanhSpan(detectedSimdBackend(), x.data(), t.data(),
+             int64_t(x.size()));
+    geluSpan(detectedSimdBackend(), x.data(), g.data(),
+             int64_t(x.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+        ASSERT_NEAR(t[i], std::tanh(x[i]), 1e-6) << "x=" << x[i];
+        // The span is the fused GeLU; geluApprox is its one-element
+        // form and must give the same bits.
+        ASSERT_EQ(bitsOf(g[i]), bitsOf(geluApprox(x[i])))
+            << "x=" << x[i];
     }
 }
 

@@ -18,9 +18,11 @@ Checked invariants:
                   finite floats.
   kernels         array of rows, each with exactly the keys
                   {name, ms, bytes_read, bytes_written, calls,
-                  threads}; name non-empty and unique; ms a finite
-                  float >= 0; bytes/calls non-negative integers;
-                  threads an integer >= 1.
+                  threads}, plus optionally the run spread
+                  {ms_min, ms_max} (both or neither); name non-empty
+                  and unique; ms a finite float >= 0; with a spread,
+                  ms_min <= ms <= ms_max; bytes/calls non-negative
+                  integers; threads an integer >= 1.
   derived         object; values are finite floats.
   JSON text       must not contain NaN/Infinity tokens (the emitter
                   writes null for non-finite values; Python's json
@@ -42,6 +44,7 @@ SCHEMA = "softrec-bench-v1"
 TOP_KEYS = {"schema", "name", "config", "kernels", "derived"}
 ROW_KEYS = {"name", "ms", "bytes_read", "bytes_written", "calls",
             "threads"}
+SPREAD_KEYS = {"ms_min", "ms_max"}
 
 
 def is_int(value):
@@ -106,7 +109,7 @@ def validate_text(path, text):
             bad("%s must be an object" % where)
             continue
         missing = ROW_KEYS - row.keys()
-        extra = row.keys() - ROW_KEYS
+        extra = row.keys() - ROW_KEYS - SPREAD_KEYS
         if missing:
             bad("%s missing keys: %s" %
                 (where, ", ".join(sorted(missing))))
@@ -123,6 +126,17 @@ def validate_text(path, text):
         ms = row.get("ms")
         if not is_finite_number(ms) or ms < 0:
             bad("%s ms must be a finite number >= 0" % where)
+            ms = None
+        spread = SPREAD_KEYS & row.keys()
+        if spread and spread != SPREAD_KEYS:
+            bad("%s needs both ms_min and ms_max or neither" % where)
+        elif spread:
+            lo, hi = row["ms_min"], row["ms_max"]
+            if not is_finite_number(lo) or not is_finite_number(hi):
+                bad("%s ms_min/ms_max must be finite numbers" % where)
+            elif ms is not None and not lo <= ms <= hi:
+                bad("%s needs ms_min <= ms <= ms_max (%r, %r, %r)" %
+                    (where, lo, ms, hi))
         for key in ("bytes_read", "bytes_written", "calls"):
             if key in row and (not is_int(row[key]) or row[key] < 0):
                 bad("%s %s must be a non-negative integer" %
@@ -160,7 +174,9 @@ GOOD_FIXTURE = """{
     {"name": "softmax.row", "ms": 1.5, "bytes_read": 1024,
      "bytes_written": 1024, "calls": 2, "threads": 4},
     {"name": "sda.qk", "ms": 0, "bytes_read": 0,
-     "bytes_written": 0, "calls": 1, "threads": 1}
+     "bytes_written": 0, "calls": 1, "threads": 1},
+    {"name": "sda.av", "ms": 2.5, "ms_min": 2.25, "ms_max": 5,
+     "bytes_read": 0, "bytes_written": 0, "calls": 1, "threads": 1}
   ],
   "derived": {"speedup": 1.25}
 }"""
@@ -195,6 +211,14 @@ BAD_FIXTURES = [
      '"bytes_written": 0, "calls": 1, "threads": 1}, {"name": "k", '
      '"ms": 1, "bytes_read": 0, "bytes_written": 0, "calls": 1, '
      '"threads": 1}], "derived": {}}', "duplicate kernel name"),
+    ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
+     '"kernels": [{"name": "k", "ms": 6, "ms_min": 1, "ms_max": 5, '
+     '"bytes_read": 0, "bytes_written": 0, "calls": 1, "threads": 1}], '
+     '"derived": {}}', "ms_min <= ms <= ms_max"),
+    ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
+     '"kernels": [{"name": "k", "ms": 1, "ms_min": 1, '
+     '"bytes_read": 0, "bytes_written": 0, "calls": 1, "threads": 1}], '
+     '"derived": {}}', "both ms_min and ms_max"),
     ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
      '"kernels": [], "derived": {"r": NaN}}', "non-finite"),
     ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '

@@ -6,18 +6,16 @@ import re
 
 from registry import register
 
-# Files implementing safe softmax itself: exp() here is always of the
-# form exp(x - m) with m the running/local/global max.
+# The libm reference math the kernel tests compare against: exp() here
+# is always of the form exp(x - m) with m the running/local/global max.
 RAW_EXP_ALLOWED_FILES = {
-    "src/kernels/softmax_kernels.cpp",
-    "src/kernels/decode_attention.cpp",
-    "src/kernels/bsr_softmax.cpp",
-    "src/kernels/bsr_gemm.cpp",
-    "src/kernels/gemm.cpp",
-    "src/kernels/fused_mha.cpp",
     "src/core/softmax_math.cpp",
     "src/core/attention_exec.cpp",
 }
+
+# Kernels have no allow-listed file: every exp and tanh goes through
+# the one exp primitive (fp16/simd_math.hpp).
+LIBM_EXP_BANNED_DIRS = ("src/kernels/",)
 
 # The seeded deterministic generator lives here.
 RNG_ALLOWED_FILES = {
@@ -30,6 +28,8 @@ HALF_NARROW_ALLOWED_DIRS = ("src/fp16/",)
 HALF_LOOP_CONV_DIRS = ("src/kernels/",)
 
 RAW_EXP_RE = re.compile(r"(?<![\w.:])(?:std::)?expf?\s*\(")
+LIBM_EXP_TANH_RE = re.compile(
+    r"(?<![\w.:])(?:std::)?(?:expf?|tanhf?)\s*\(")
 HALF_NARROW_RE = re.compile(
     r"static_cast<\s*Half\s*>|\(\s*Half\s*\)\s*[\w(]")
 # Per-element conversions the batch span routines replace: widening an
@@ -46,12 +46,21 @@ RNG_RE = re.compile(
 
 @register(
     "raw-exp", "error",
-    "bare exp() outside the safe-softmax/LS helpers",
+    "bare exp() outside the reference softmax; any libm exp/tanh in "
+    "src/kernels/",
     "exp() on attention logits overflows for logits > ~88 (fp32) or "
-    "~11 (fp16); it is only safe inside the safe-softmax / LS helpers "
-    "that subtract a running max first. Subtract the row max or move "
-    "the code into a safe-softmax helper.")
+    "~11 (fp16); it is only safe inside the reference safe-softmax "
+    "math that subtracts a running max first. Kernels call libm exp "
+    "or tanh nowhere: expSpan/maxSpan/tanhSpan (fp16/simd_math.hpp) "
+    "are the one vectorized exp, bit-identical across SIMD backends, "
+    "that keeps decode bit-identical to prefill.")
 def check_raw_exp(src, ctx):
+    if src.rel_path.startswith(LIBM_EXP_BANNED_DIRS):
+        for lineno, code in enumerate(src.code_lines, start=1):
+            if LIBM_EXP_TANH_RE.search(code):
+                yield lineno, ("libm exp/tanh in a kernel; use "
+                               "expSpan/tanhSpan (fp16/simd_math.hpp)")
+        return
     if src.rel_path in RAW_EXP_ALLOWED_FILES:
         return
     for lineno, code in enumerate(src.code_lines, start=1):
