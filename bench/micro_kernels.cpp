@@ -228,10 +228,17 @@ BENCHMARK(BM_HalfConversion);
  * BENCH_micro_kernels.json. The derived entries verify the paper's
  * recomposition claim on *measured* counters: the softmax layer's
  * off-chip traffic under SDF (IR plus the fused LS/GS extras) must be
- * far below the baseline kernel's four matrix sweeps.
+ * far below the baseline kernel's four matrix sweeps. A second pass
+ * reruns the three strategies with the causal mask (rows
+ * causal_baseline/..., causal_sd/..., causal_sdf/...): they stop at
+ * the diagonal, so their time drops, while their byte counters stay
+ * the modeled causal-oblivious ones; tools/check_bench_json.py holds
+ * each causal row's counters to its non-causal twin's.
  *
  * Each strategy runs once untimed (first-touch page faults, cache
- * fill), then kTrafficReps times with a fresh profiler; a row's ms is
+ * fill), then kTrafficReps times with a fresh profiler, all over one
+ * AttentionWorkspace as the serving layer body keeps one per worker,
+ * so the rows time the kernels, not the allocator; a row's ms is
  * the median over those runs, with their min and max as ms_min/ms_max
  * so one slow run (host steal) shows as spread, not as a silent
  * shift. The byte counters are deterministic, so a row whose counters
@@ -275,16 +282,20 @@ writeTrafficReport()
         {Strategy::Fused, "sdf", "softmax_traffic_sdf_bytes"},
     };
 
-    double baseline_traffic = 0.0, sdf_traffic = 0.0;
-    for (const auto &entry : kStrategies) {
-        runAttention(ExecContext::fromEnv(), config, inputs,
-                     entry.strategy);
+    // Rows of one strategy under `prefix`; returns the strategy's
+    // softmax-layer bytes.
+    const auto measure = [&](const std::string &prefix,
+                             Strategy strategy) {
+        AttentionWorkspace ws;
+        Tensor<Half> out;
+        runAttention(ExecContext::fromEnv(), config, inputs, strategy, ws,
+                     out);
         std::vector<std::map<std::string, prof::ScopeStats>> runs;
         for (int rep = 0; rep < kTrafficReps; ++rep) {
             prof::Profiler profiler;
             ExecContext ctx = ExecContext::fromEnv();
             ctx.profiler = &profiler;
-            runAttention(ctx, config, inputs, entry.strategy);
+            runAttention(ctx, config, inputs, strategy, ws, out);
             runs.push_back(profiler.snapshot());
         }
 
@@ -300,12 +311,12 @@ writeTrafficReport()
                     fatal("micro_kernels: %s/%s byte counters differ "
                           "between runs; traffic accounting must be "
                           "deterministic",
-                          entry.prefix, name.c_str());
+                          prefix.c_str(), name.c_str());
                 }
                 ms.push_back(it->second.seconds * 1e3);
             }
             BenchKernelRow row;
-            row.name = std::string(entry.prefix) + "/" + name;
+            row.name = prefix + "/" + name;
             row.msMin = *std::min_element(ms.begin(), ms.end());
             row.msMax = *std::max_element(ms.begin(), ms.end());
             row.ms = bench::median(std::move(ms));
@@ -318,12 +329,22 @@ writeTrafficReport()
                 softmax_bytes +=
                     double(stats.bytesRead + stats.bytesWritten);
         }
+        return softmax_bytes;
+    };
+
+    double baseline_traffic = 0.0, sdf_traffic = 0.0;
+    for (const auto &entry : kStrategies) {
+        const double softmax_bytes =
+            measure(entry.prefix, entry.strategy);
         report.setDerived(entry.derived, softmax_bytes);
         if (entry.strategy == Strategy::Baseline)
             baseline_traffic = softmax_bytes;
         if (entry.strategy == Strategy::Fused)
             sdf_traffic = softmax_bytes;
     }
+    config.causalMask = true;
+    for (const auto &entry : kStrategies)
+        measure(std::string("causal_") + entry.prefix, entry.strategy);
     report.setDerived("softmax_traffic_sdf_over_baseline",
                       baseline_traffic > 0.0
                           ? sdf_traffic / baseline_traffic

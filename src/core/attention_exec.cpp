@@ -38,9 +38,10 @@ makeAttentionInputs(const SdaConfig &config)
 
 namespace {
 
-Tensor<Half>
+void
 runDense(const ExecContext &ctx, const SdaConfig &config,
-         const AttentionInputs &inputs, Strategy strategy)
+         const AttentionInputs &inputs, Strategy strategy,
+         AttentionWorkspace &ws, Tensor<Half> &out)
 {
     const int64_t L = config.seqLen;
     const int64_t kv = config.keyLen();
@@ -59,19 +60,21 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     qk.epilogue.scale = config.scale();
     qk.epilogue.causalMask = config.causalMask;
 
+    // Every strategy hands P.V a left operand that is +0 past the
+    // diagonal of a causal row (probabilities or X'), so P.V stops
+    // there.
     GemmDesc av;
     av.name = "sda.av";
     av.m = L;
     av.n = dh;
     av.k = kv;
     av.tiling = config.attnTiling;
+    av.prologue.causalA = config.causalMask;
 
     GemmOperands qk_ops;
     qk_ops.a = &inputs.q;
     qk_ops.b = &inputs.k;
     qk_ops.transposeB = true;
-
-    Tensor<Half> out(Shape({L, dh}));
 
     SoftmaxShape sub;
     sub.rows = L;
@@ -79,68 +82,69 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     sub.subVector = strategy == Strategy::Fused ? tiling.tileN
                                                 : config.subVector;
     const Shape md_shape({L, sub.numSubVectors()});
+    const Shape matrix({L, kv});
 
     switch (strategy) {
       case Strategy::Baseline: {
-        Tensor<Half> scores(Shape({L, kv}));
-        gemmRun(ctx, qk, qk_ops, scores);
-        Tensor<Half> probs(Shape({L, kv}));
+        ws.scores.resize(matrix);
+        gemmRun(ctx, qk, qk_ops, ws.scores);
+        ws.probs.resize(matrix);
         SoftmaxShape softmax;
         softmax.rows = L;
         softmax.cols = kv;
-        rowSoftmaxRun(ctx, softmax, scores, probs);
+        softmax.causal = config.causalMask;
+        rowSoftmaxRun(ctx, softmax, ws.scores, ws.probs);
         GemmOperands av_ops;
-        av_ops.a = &probs;
+        av_ops.a = &ws.probs;
         av_ops.b = &inputs.v;
         gemmRun(ctx, av, av_ops, out);
         break;
       }
       case Strategy::Decomposed: {
-        Tensor<Half> scores(Shape({L, kv}));
-        gemmRun(ctx, qk, qk_ops, scores);
-        Tensor<Half> x_prime(Shape({L, kv}));
-        Tensor<float> local_max(md_shape);
-        Tensor<float> local_sum(md_shape);
-        lsRun(ctx, sub, scores, x_prime, local_max, local_sum);
-        Tensor<float> recon(md_shape);
-        irRun(ctx, sub, local_max, local_sum, recon);
-        Tensor<Half> probs(Shape({L, kv}));
-        gsRun(ctx, sub, x_prime, recon, probs);
+        ws.scores.resize(matrix);
+        gemmRun(ctx, qk, qk_ops, ws.scores);
+        ws.xPrime.resize(matrix);
+        ws.localMax.resize(md_shape);
+        ws.localSum.resize(md_shape);
+        lsRun(ctx, sub, ws.scores, ws.xPrime, ws.localMax, ws.localSum);
+        ws.recon.resize(md_shape);
+        irRun(ctx, sub, ws.localMax, ws.localSum, ws.recon);
+        ws.probs.resize(matrix);
+        gsRun(ctx, sub, ws.xPrime, ws.recon, ws.probs);
         GemmOperands av_ops;
-        av_ops.a = &probs;
+        av_ops.a = &ws.probs;
         av_ops.b = &inputs.v;
         gemmRun(ctx, av, av_ops, out);
         break;
       }
       case Strategy::Fused: {
-        Tensor<Half> x_prime(Shape({L, kv}));
-        Tensor<float> local_max(md_shape);
-        Tensor<float> local_sum(md_shape);
+        ws.xPrime.resize(matrix);
+        ws.localMax.resize(md_shape);
+        ws.localSum.resize(md_shape);
         qk.epilogue.localSoftmax = true;
-        LsOutputs ls{&local_max, &local_sum};
-        gemmRun(ctx, qk, qk_ops, x_prime, &ls);
-        Tensor<float> recon(md_shape);
-        irRun(ctx, sub, local_max, local_sum, recon);
+        LsOutputs ls{&ws.localMax, &ws.localSum};
+        gemmRun(ctx, qk, qk_ops, ws.xPrime, &ls);
+        ws.recon.resize(md_shape);
+        irRun(ctx, sub, ws.localMax, ws.localSum, ws.recon);
         av.prologue.globalScale = true;
         av.prologue.gsSubVector = sub.subVector;
         GemmOperands av_ops;
-        av_ops.a = &x_prime;
+        av_ops.a = &ws.xPrime;
         av_ops.b = &inputs.v;
-        av_ops.gsFactors = &recon;
+        av_ops.gsFactors = &ws.recon;
         gemmRun(ctx, av, av_ops, out);
         break;
       }
     }
-    return out;
 }
 
-Tensor<Half>
+void
 runSparse(const ExecContext &ctx, const SdaConfig &config,
-          const AttentionInputs &inputs, Strategy strategy)
+          const AttentionInputs &inputs, Strategy strategy,
+          Tensor<Half> &out)
 {
     SOFTREC_ASSERT(config.sparse(), "sparse attention needs a layout");
     const BsrLayout &layout = *config.layout;
-    const int64_t L = config.seqLen;
     const int64_t dh = config.dHead;
     const size_t sub_count =
         size_t(layout.nnzBlocks() * layout.blockSize());
@@ -156,8 +160,6 @@ runSparse(const ExecContext &ctx, const SdaConfig &config,
 
     BsrSoftmaxDesc sub;
     sub.layout = &layout;
-
-    Tensor<Half> out(Shape({L, dh}));
 
     switch (strategy) {
       case Strategy::Baseline: {
@@ -194,7 +196,6 @@ runSparse(const ExecContext &ctx, const SdaConfig &config,
         break;
       }
     }
-    return out;
 }
 
 /** Static scope name per strategy (prof::Scope keeps the pointer). */
@@ -214,10 +215,12 @@ attentionScopeName(Strategy strategy)
 
 } // namespace
 
-Tensor<Half>
+void
 runAttention(const ExecContext &ctx, const SdaConfig &config,
-             const AttentionInputs &inputs, Strategy strategy)
+             const AttentionInputs &inputs, Strategy strategy,
+             AttentionWorkspace &ws, Tensor<Half> &out)
 {
+    out.resize(Shape({config.seqLen, config.dHead}));
     if (config.backend == AttentionBackend::Streaming) {
         if (config.sparse()) {
             fatal("SOFTREC_ATTENTION=streaming supports dense "
@@ -233,16 +236,27 @@ runAttention(const ExecContext &ctx, const SdaConfig &config,
         desc.dHead = config.dHead;
         desc.causalMask = config.causalMask;
         desc.scale = config.scale();
-        Tensor<Half> out(Shape({config.seqLen, config.dHead}));
         streamingAttentionRun(ctx, desc, inputs.q, inputs.k, inputs.v,
                               out);
-        return out;
+        return;
     }
     // Time-only summary scope; the kernels inside record their own
     // time and traffic under their individual names.
     prof::Scope scope(ctx, attentionScopeName(strategy));
-    return config.sparse() ? runSparse(ctx, config, inputs, strategy)
-                           : runDense(ctx, config, inputs, strategy);
+    if (config.sparse())
+        runSparse(ctx, config, inputs, strategy, out);
+    else
+        runDense(ctx, config, inputs, strategy, ws, out);
+}
+
+Tensor<Half>
+runAttention(const ExecContext &ctx, const SdaConfig &config,
+             const AttentionInputs &inputs, Strategy strategy)
+{
+    AttentionWorkspace ws;
+    Tensor<Half> out;
+    runAttention(ctx, config, inputs, strategy, ws, out);
+    return out;
 }
 
 Tensor<float>

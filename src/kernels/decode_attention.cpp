@@ -10,17 +10,21 @@
  *    order of the packed GEMM micro-kernel (which accumulates
  *    k-ascending whatever the tiling) and its epilogue/store.
  *  - softmax: the same staged three-pass safe softmax as
- *    rowSoftmaxRun, through the same maxSpan/expSpan calls. The
- *    prefill row is longer: it carries a -inf tail for the causally
- *    masked columns. maxSpan never lets -inf replace a lane's max,
- *    and expSpan maps each masked column to +0 and adds it to lane
- *    j % 8, where adding +0 to a lane sum (itself >= +0) leaves its
- *    bits unchanged; the eight lanes are then combined by the same
- *    fixed tree. So max and denominator, and with them the
- *    probabilities, are bit-identical for any context % 8.
+ *    rowSoftmaxRun, through the same maxSpan/expSpan calls. A causal
+ *    prefill row stops at the diagonal, so it covers exactly the
+ *    decode context. That stop is itself bit-exact against the
+ *    full-row kernel on the -inf tail: maxSpan never lets -inf
+ *    replace a lane's max, and expSpan maps each masked column to +0
+ *    and adds it to lane j % 8, where adding +0 to a lane sum (itself
+ *    >= +0) leaves its bits unchanged; the eight lanes are then
+ *    combined by the same fixed tree. So max and denominator, and
+ *    with them the probabilities, are bit-identical for any
+ *    context % 8.
  *  - output: fp32 accumulation in ascending key order per element —
- *    the micro-kernel's k-ascending order for the P.V GEMM, whose
- *    masked tail contributes p = 0 terms that are bit-level no-ops.
+ *    the micro-kernel's k-ascending order for the P.V GEMM. Causal
+ *    P.V (GemmPrologue::causalA) skips the masked tail rather than
+ *    adding its +0 terms, so prefill reads the same V rows as decode
+ *    and the two agree even when a later V row is not finite.
  *
  * All Half<->float conversions use the batch converters, which are
  * bit-identical to scalar conversion on every backend.

@@ -24,18 +24,23 @@ namespace {
 
 /**
  * Portable fp32 micro-kernel over columns [j0, ldn) of one tile:
- * acc[mh, ldn] += A[mh, k] . panel[k, ldn], four output rows sharing
- * each panel-row sweep. The accumulators live in memory (acc), so the
- * compiler may vectorize the j loop but not keep the tile in
- * registers. Accumulation is unconditional (no zero-operand skip) and
- * k-ascending per output element, the same order as a scalar triple
- * loop, so tiling is invisible in the result bits.
+ * acc[mh, ldn] += A[mh, depth] . panel[depth, ldn], four output rows
+ * sharing each panel-row sweep. Row i of a_rows (stride k_depth)
+ * reads columns [0, min(k_depth, diag + i + 1)): a causal-A caller
+ * passes the strip's first global row as diag, anyone else k_depth,
+ * which gives every row the full depth. The accumulators live in
+ * memory (acc), so the compiler may vectorize the j loop but not keep
+ * the tile in registers. Accumulation is unconditional (no
+ * zero-operand skip) and k-ascending per output element, the same
+ * order as a scalar triple loop, so tiling is invisible in the result
+ * bits.
  */
 void
 microKernelScalar(const float *SOFTREC_RESTRICT a_rows,
                   const float *SOFTREC_RESTRICT panel,
                   float *SOFTREC_RESTRICT acc, int64_t mh,
-                  int64_t k_depth, int64_t ldn, int64_t j0)
+                  int64_t k_depth, int64_t diag, int64_t ldn,
+                  int64_t j0)
 {
     int64_t i = 0;
     for (; i + 4 <= mh; i += 4) {
@@ -47,7 +52,10 @@ microKernelScalar(const float *SOFTREC_RESTRICT a_rows,
         float *c1 = acc + (i + 1) * ldn;
         float *c2 = acc + (i + 2) * ldn;
         float *c3 = acc + (i + 3) * ldn;
-        for (int64_t kk = 0; kk < k_depth; ++kk) {
+        const int64_t d0 = std::min(k_depth, diag + i + 1);
+        const int64_t d3 = std::min(k_depth, diag + i + 4);
+        int64_t kk = 0;
+        for (; kk < d0; ++kk) {
             const float *b = panel + kk * ldn;
             const float v0 = a0[kk], v1 = a1[kk];
             const float v2 = a2[kk], v3 = a3[kk];
@@ -58,11 +66,23 @@ microKernelScalar(const float *SOFTREC_RESTRICT a_rows,
                 c3[j] += v3 * b[j];
             }
         }
+        // Causal A: rows i + 1..i + 3 read up to three columns more;
+        // row i + r reads column kk once kk <= diag + i + r.
+        for (; kk < d3; ++kk) {
+            const float *b = panel + kk * ldn;
+            for (int64_t r = kk - diag - i; r < 4; ++r) {
+                const float v = a_rows[(i + r) * k_depth + kk];
+                float *cr = acc + (i + r) * ldn;
+                for (int64_t j = j0; j < ldn; ++j)
+                    cr[j] += v * b[j];
+            }
+        }
     }
     for (; i < mh; ++i) {
         const float *ar = a_rows + i * k_depth;
         float *cr = acc + i * ldn;
-        for (int64_t kk = 0; kk < k_depth; ++kk) {
+        const int64_t depth = std::min(k_depth, diag + i + 1);
+        for (int64_t kk = 0; kk < depth; ++kk) {
             const float *b = panel + kk * ldn;
             const float v = ar[kk];
             for (int64_t j = j0; j < ldn; ++j)
@@ -81,14 +101,17 @@ microKernelScalar(const float *SOFTREC_RESTRICT a_rows,
  * element per row. Multiply and add are separate instructions, never
  * FMA, so each product and each sum rounds exactly where the scalar
  * `c += v * b` does, in the same k-ascending order onto the same acc
- * (zero-filled by the caller, so every sum starts at +0.0f). Columns
- * past the last full 16 (tileN % 16) go through the scalar kernel.
+ * (zero-filled by the caller, so every sum starts at +0.0f). Row
+ * depths follow diag as in microKernelScalar: a block runs the depth
+ * of its first row with all four rows, then at most three steps with
+ * the rows that read further. Columns past the last full 16
+ * (tileN % 16) go through the scalar kernel.
  */
 __attribute__((target("avx2"))) void
 microKernelAvx2(const float *SOFTREC_RESTRICT a_rows,
                 const float *SOFTREC_RESTRICT panel,
                 float *SOFTREC_RESTRICT acc, int64_t mh,
-                int64_t k_depth, int64_t ldn)
+                int64_t k_depth, int64_t diag, int64_t ldn)
 {
     const int64_t n16 = ldn - ldn % 16;
     int64_t i = 0;
@@ -97,6 +120,10 @@ microKernelAvx2(const float *SOFTREC_RESTRICT a_rows,
         const float *a1 = a_rows + (i + 1) * k_depth;
         const float *a2 = a_rows + (i + 2) * k_depth;
         const float *a3 = a_rows + (i + 3) * k_depth;
+        const int64_t d0 = std::min(k_depth, diag + i + 1);
+        const int64_t d1 = std::min(k_depth, diag + i + 2);
+        const int64_t d2 = std::min(k_depth, diag + i + 3);
+        const int64_t d3 = std::min(k_depth, diag + i + 4);
         for (int64_t j = 0; j < n16; j += 16) {
             float *c0 = acc + (i + 0) * ldn + j;
             float *c1 = acc + (i + 1) * ldn + j;
@@ -111,7 +138,8 @@ microKernelAvx2(const float *SOFTREC_RESTRICT a_rows,
             __m256 c30 = _mm256_loadu_ps(c3);
             __m256 c31 = _mm256_loadu_ps(c3 + 8);
             const float *b = panel + j;
-            for (int64_t kk = 0; kk < k_depth; ++kk, b += ldn) {
+            int64_t kk = 0;
+            for (; kk < d0; ++kk, b += ldn) {
                 const __m256 b0 = _mm256_loadu_ps(b);
                 const __m256 b1 = _mm256_loadu_ps(b + 8);
                 __m256 v = _mm256_broadcast_ss(a0 + kk);
@@ -123,6 +151,24 @@ microKernelAvx2(const float *SOFTREC_RESTRICT a_rows,
                 v = _mm256_broadcast_ss(a2 + kk);
                 c20 = _mm256_add_ps(c20, _mm256_mul_ps(v, b0));
                 c21 = _mm256_add_ps(c21, _mm256_mul_ps(v, b1));
+                v = _mm256_broadcast_ss(a3 + kk);
+                c30 = _mm256_add_ps(c30, _mm256_mul_ps(v, b0));
+                c31 = _mm256_add_ps(c31, _mm256_mul_ps(v, b1));
+            }
+            for (; kk < d3; ++kk, b += ldn) {
+                const __m256 b0 = _mm256_loadu_ps(b);
+                const __m256 b1 = _mm256_loadu_ps(b + 8);
+                __m256 v;
+                if (kk < d1) {
+                    v = _mm256_broadcast_ss(a1 + kk);
+                    c10 = _mm256_add_ps(c10, _mm256_mul_ps(v, b0));
+                    c11 = _mm256_add_ps(c11, _mm256_mul_ps(v, b1));
+                }
+                if (kk < d2) {
+                    v = _mm256_broadcast_ss(a2 + kk);
+                    c20 = _mm256_add_ps(c20, _mm256_mul_ps(v, b0));
+                    c21 = _mm256_add_ps(c21, _mm256_mul_ps(v, b1));
+                }
                 v = _mm256_broadcast_ss(a3 + kk);
                 c30 = _mm256_add_ps(c30, _mm256_mul_ps(v, b0));
                 c31 = _mm256_add_ps(c31, _mm256_mul_ps(v, b1));
@@ -139,12 +185,13 @@ microKernelAvx2(const float *SOFTREC_RESTRICT a_rows,
     }
     for (; i < mh; ++i) {
         const float *ar = a_rows + i * k_depth;
+        const int64_t depth = std::min(k_depth, diag + i + 1);
         for (int64_t j = 0; j < n16; j += 16) {
             float *cr = acc + i * ldn + j;
             __m256 c0 = _mm256_loadu_ps(cr);
             __m256 c1 = _mm256_loadu_ps(cr + 8);
             const float *b = panel + j;
-            for (int64_t kk = 0; kk < k_depth; ++kk, b += ldn) {
+            for (int64_t kk = 0; kk < depth; ++kk, b += ldn) {
                 const __m256 b0 = _mm256_loadu_ps(b);
                 const __m256 b1 = _mm256_loadu_ps(b + 8);
                 const __m256 v = _mm256_broadcast_ss(ar + kk);
@@ -159,7 +206,8 @@ microKernelAvx2(const float *SOFTREC_RESTRICT a_rows,
     // note in halfToFloatF16c (src/fp16/half.cpp).
     _mm256_zeroupper();
     if (n16 < ldn)
-        microKernelScalar(a_rows, panel, acc, mh, k_depth, ldn, n16);
+        microKernelScalar(a_rows, panel, acc, mh, k_depth, diag, ldn,
+                          n16);
 }
 
 #endif // SOFTREC_SIMD_X86
@@ -328,6 +376,10 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         SOFTREC_ASSERT(ops.bias && ops.bias->shape() == Shape({n}),
                        "bias missing or misshaped");
     }
+    SOFTREC_ASSERT(!desc.epilogue.causalMask ||
+                       (!desc.epilogue.bias && !desc.epilogue.gelu),
+                   "causal mask is a QK^T epilogue; it takes no bias "
+                   "or GeLU (%s)", desc.name.c_str());
     const int64_t gs_sub = desc.prologue.gsSubVector;
     if (desc.prologue.globalScale) {
         SOFTREC_ASSERT(ops.gsFactors &&
@@ -410,14 +462,17 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         backend == SimdBackend::F16cAvx2;
     const auto microKernel = [&](const float *a_rows,
                                  const float *panel, float *acc,
-                                 int64_t mh) {
+                                 int64_t mh, int64_t k_depth,
+                                 int64_t diag) {
 #if defined(SOFTREC_SIMD_X86)
         if (use_avx2) {
-            microKernelAvx2(a_rows, panel, acc, mh, k, t.tileN);
+            microKernelAvx2(a_rows, panel, acc, mh, k_depth, diag,
+                            t.tileN);
             return;
         }
 #endif
-        microKernelScalar(a_rows, panel, acc, mh, k, t.tileN, 0);
+        microKernelScalar(a_rows, panel, acc, mh, k_depth, diag,
+                          t.tileN, 0);
     };
 
     // One m-tile strip of output: all n-tiles for rows [m0, m0 + mh).
@@ -426,14 +481,24 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
     auto runStrip = [&](int64_t m0, std::vector<float> &abuf,
                         std::vector<float> &acc) {
         const int64_t mh = std::min(t.tileM, m - m0);
+        // Diagonal stop: with a causal A, row m0 + i is +0 past
+        // column m0 + i, so the strip reads only columns [0, kd) and
+        // each row only its own [0, m0 + i + 1). A skipped term would
+        // be +0 times a finite B, i.e. +-0, which leaves the +0-seeded
+        // accumulator's bits unchanged; the kept terms keep their
+        // k-ascending order.
+        const bool causal_a = desc.prologue.causalA;
+        const int64_t kd = causal_a ? std::min(k, m0 + mh) : k;
+        const int64_t diag = causal_a ? m0 : kd;
         for (int64_t i = 0; i < mh; ++i) {
-            float *arow = &abuf[size_t(i * k)];
-            halfToFloat(ops.a->rowPtr(m0 + i), arow, k);
+            const int64_t depth = std::min(kd, diag + i + 1);
+            float *arow = &abuf[size_t(i * kd)];
+            halfToFloat(ops.a->rowPtr(m0 + i), arow, depth);
             if (desc.prologue.globalScale) {
                 const float *gs = ops.gsFactors->rowPtr(m0 + i);
-                for (int64_t k0 = 0; k0 < k; k0 += gs_sub) {
+                for (int64_t k0 = 0; k0 < depth; k0 += gs_sub) {
                     const float r = gs[k0 / gs_sub];
-                    const int64_t k1 = std::min(k, k0 + gs_sub);
+                    const int64_t k1 = std::min(depth, k0 + gs_sub);
                     for (int64_t kk = k0; kk < k1; ++kk)
                         arow[kk] *= r;
                 }
@@ -442,19 +507,29 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         for (int64_t tn = 0; tn < tiles_n; ++tn) {
             const int64_t n0 = tn * t.tileN;
             const int64_t nw = std::min(t.tileN, n - n0);
-            std::fill(acc.begin(), acc.end(), 0.0f);
             // A causal tile whose first column lies past its last row
-            // is masked everywhere. The epilogue overwrites masked
-            // elements whatever the accumulator holds, so skipping the
-            // mainloop leaves every output bit unchanged.
-            const bool fully_masked =
-                desc.epilogue.causalMask && n0 > m0 + mh - 1;
-            if (!fully_masked) {
-                microKernel(abuf.data(),
-                            &bpack[size_t(tn) * size_t(k) *
-                                   size_t(t.tileN)],
-                            acc.data(), mh);
+            // is masked everywhere: its epilogue would only write -inf,
+            // or under LS m' = -inf, d' = +0 and X' = +0 (maxSpan/
+            // expSpan of an all -inf segment), so those bits are
+            // stored directly and the mainloop is skipped.
+            if (desc.epilogue.causalMask && n0 > m0 + mh - 1) {
+                const Half fill = desc.epilogue.localSoftmax
+                    ? Half()
+                    : -Half::infinity();
+                for (int64_t i = 0; i < mh; ++i) {
+                    Half *crow = c.rowPtr(m0 + i) + n0;
+                    std::fill(crow, crow + nw, fill);
+                    if (desc.epilogue.localSoftmax) {
+                        ls->localMax->at(m0 + i, tn) = neg_inf;
+                        ls->localSum->at(m0 + i, tn) = 0.0f;
+                    }
+                }
+                continue;
             }
+            std::fill(acc.begin(), acc.end(), 0.0f);
+            microKernel(abuf.data(),
+                        &bpack[size_t(tn) * size_t(k) * size_t(t.tileN)],
+                        acc.data(), mh, kd, diag);
 
             // Epilogue on the fp32 tile, one plain loop per stage so
             // each can vectorize; every element still goes through

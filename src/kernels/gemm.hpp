@@ -63,6 +63,13 @@ struct GemmPrologue
     bool globalScale = false; //!< fused GS sub-layer (SDF)
     /** Sub-vector width T the incoming X' was produced with. */
     int64_t gsSubVector = 64;
+    /**
+     * A[i][j] is +0 for every j > i (causal softmax probabilities or
+     * X'), so row i reads only A columns [0, min(k, i + 1)). Leaves
+     * the result bits unchanged while B is finite; the modeled
+     * traffic and FLOPs stay causal-oblivious.
+     */
+    bool causalA = false;
 };
 
 /** Full description of one (possibly batched) GEMM launch. */
@@ -116,9 +123,11 @@ struct GemmOperands
  * strip owns its accumulator and writes disjoint output rows, so
  * results are bit-identical for any thread count. The micro-kernel
  * follows simdBackend() (AVX2 register blocks under F16cAvx2, the
- * portable kernel otherwise) with identical bits, and a causal tile
- * that is masked everywhere skips the mainloop (its epilogue still
- * writes -inf).
+ * portable kernel otherwise) with identical bits. A causal tile that
+ * is masked everywhere skips the mainloop and stores the bits its
+ * epilogue would (-inf, or under LS X' = +0, m' = -inf, d' = +0); a
+ * causal-A prologue stops each row's k loop at the diagonal. Profiler
+ * byte counters report the full modeled operands either way.
  *
  * @param ctx execution context (serial when default-constructed)
  * @param desc launch description (batch must be 1)

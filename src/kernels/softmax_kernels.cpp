@@ -96,16 +96,19 @@ rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
         // scale pass, so each element pays for one exp, not two.
         std::vector<float> row(size_t(desc.cols));
         for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            const float max_val =
-                maxSpan(backend, row.data(), desc.cols);
+            const int64_t live =
+                desc.causal ? std::min(desc.cols, i + 1) : desc.cols;
+            halfToFloat(in.rowPtr(i), row.data(), live);
+            const float max_val = maxSpan(backend, row.data(), live);
             const float denom = expSpan(backend, row.data(), max_val,
-                                        row.data(), desc.cols);
-            for (int64_t j = 0; j < desc.cols; ++j) {
+                                        row.data(), live);
+            for (int64_t j = 0; j < live; ++j) {
                 row[size_t(j)] =
                     denom > 0.0f ? row[size_t(j)] / denom : 0.0f;
             }
-            floatToHalf(row.data(), out.rowPtr(i), desc.cols);
+            floatToHalf(row.data(), out.rowPtr(i), live);
+            std::fill(out.rowPtr(i) + live, out.rowPtr(i) + desc.cols,
+                      Half());
             SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
                           "row %lld normalizer d = %f must be positive "
                           "for an unmasked row",

@@ -39,6 +39,13 @@ struct SoftmaxShape
     int64_t rows = 0;       //!< attention rows (L)
     int64_t cols = 0;       //!< attention columns (L)
     int64_t subVector = 0;  //!< sub-vector width T; 0 = whole-row
+    /**
+     * Causal rows: row i covers columns [0, min(cols, i + 1)) and the
+     * rest of the row is stored as +0 without being read. Only
+     * rowSoftmaxRun honours it; the analytical profiles stay
+     * causal-oblivious, like the paper's kernels.
+     */
+    bool causal = false;
 
     /** Number of sub-vectors per row (N_sv = ceil(L / T)). */
     int64_t numSubVectors() const;
@@ -48,7 +55,13 @@ struct SoftmaxShape
 KernelProfile rowSoftmaxProfile(const GpuSpec &spec,
                                 const SoftmaxShape &desc);
 
-/** Functional safe softmax along rows: out = softmax(in). */
+/**
+ * Functional safe softmax along rows: out = softmax(in). With
+ * desc.causal, row i stops at the diagonal; its output bits equal the
+ * full-row kernel's on a row whose columns past i are -inf (max and
+ * lane sums are unchanged by a -inf tail, and 0 / d is +0), and the
+ * input past the diagonal is never read.
+ */
 void rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
                    const Tensor<Half> &in, Tensor<Half> &out);
 

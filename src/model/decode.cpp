@@ -133,16 +133,16 @@ runGeneration(const GpuSpec &spec, const ModelConfig &model,
 
 namespace {
 
-/** Copy head columns [h*dh, (h+1)*dh) into an [L, dh] tensor. */
-Tensor<Half>
-sliceHead(const Tensor<Half> &x, int64_t head, int64_t d_head)
+/** Copy head columns [h*dh, (h+1)*dh) of x into out, [L, dh]. */
+void
+sliceHeadInto(const Tensor<Half> &x, int64_t head, int64_t d_head,
+              Tensor<Half> &out)
 {
     const int64_t rows = x.shape().dim(0);
-    Tensor<Half> out(Shape({rows, d_head}));
+    out.resize(Shape({rows, d_head}));
     for (int64_t i = 0; i < rows; ++i)
         std::copy(x.rowPtr(i) + head * d_head,
                   x.rowPtr(i) + (head + 1) * d_head, out.rowPtr(i));
-    return out;
 }
 
 /**
@@ -153,8 +153,9 @@ sliceHead(const Tensor<Half> &x, int64_t head, int64_t d_head)
  * column bands of ws.attention, so they parallelize at grain 1; the
  * kernels inside each head then run inline (nested regions degrade
  * to serial), keeping the math order head-local and the result
- * bit-identical for any thread count. Allocates per head; decode
- * steps never come here.
+ * bit-identical for any thread count. Each head stages its slices
+ * and intermediates in the worker slot's OwnRowsSlot: heads on
+ * the same worker run one after another, so a slot is never shared.
  */
 void
 attendOwnRows(const ExecContext &ctx,
@@ -174,14 +175,15 @@ attendOwnRows(const ExecContext &ctx,
 
     parallelFor(ctx, 0, config.numHeads, 1,
                 [&](int64_t head0, int64_t head1) {
+        OwnRowsSlot &slot = ws.ownRows[size_t(currentThreadSlot())];
         for (int64_t head = head0; head < head1; ++head) {
-            AttentionInputs head_inputs{sliceHead(ws.q, head, dh),
-                                        sliceHead(ws.k, head, dh),
-                                        sliceHead(ws.v, head, dh)};
-            const Tensor<Half> head_out =
-                runAttention(ctx, sda, head_inputs, config.strategy);
+            sliceHeadInto(ws.q, head, dh, slot.head.q);
+            sliceHeadInto(ws.k, head, dh, slot.head.k);
+            sliceHeadInto(ws.v, head, dh, slot.head.v);
+            runAttention(ctx, sda, slot.head, config.strategy,
+                         slot.attn, slot.out);
             for (int64_t i = 0; i < rows; ++i)
-                std::copy(head_out.rowPtr(i), head_out.rowPtr(i) + dh,
+                std::copy(slot.out.rowPtr(i), slot.out.rowPtr(i) + dh,
                           ws.attention.rowPtr(i) + head * dh);
         }
     });
@@ -453,6 +455,8 @@ DecodeStepWorkspace::prepare(const FunctionalLayerConfig &config,
     ff1.resize(Shape({rows, config.dFf}));
     if (int64_t(attend.size()) < int64_t(maxThreadSlots()))
         attend.resize(size_t(maxThreadSlots()));
+    if (int64_t(ownRows.size()) < int64_t(maxThreadSlots()))
+        ownRows.resize(size_t(maxThreadSlots()));
 }
 
 void

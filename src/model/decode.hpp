@@ -32,6 +32,7 @@
 
 #include <vector>
 
+#include "core/attention_exec.hpp"
 #include "kernels/decode_attention.hpp"
 #include "model/engine.hpp"
 #include "model/functional_layer.hpp"
@@ -174,16 +175,32 @@ struct PrefillState
 };
 
 /**
+ * One worker slot's buffers for a head whose rows start at position 0
+ * (attendOwnRows): the head's Q/K/V slices, its output and the L x L
+ * intermediates runAttention writes.
+ */
+struct OwnRowsSlot
+{
+    AttentionWorkspace attn;
+    AttentionInputs head; //!< Q/K/V slices, each [R, dHead]
+    Tensor<Half> out;     //!< head output, [R, dHead]
+};
+
+/**
  * Buffers of the shared layer body: the layer input/output, the
  * projections, the attention output and the FF hidden activations,
- * plus one DecodeAttendWorkspace per worker slot. A stage's output
+ * plus, per worker slot, one DecodeAttendWorkspace (rows past
+ * position 0) and one OwnRowsSlot (rows at position 0: a head's
+ * Q/K/V slices, output and L x L intermediates). A stage's output
  * goes to a buffer whose contents are dead by then, so the workspace
  * holds only what attention needs live; sizing it up front then
  * costs an encoder call no more peak memory than allocating each
- * stage on use. A serving loop keeps one of these across its whole
- * drain, for prefill chunks and decode steps alike; after the
- * buffers reach their high-water shape (max rows, max context),
- * stepping allocates nothing.
+ * stage on use, and the per-slot attention buffers are the ones the
+ * concurrently running heads would hold anyway. A serving loop keeps
+ * one of these across its whole drain, for prefill chunks and decode
+ * steps alike; after the buffers reach their high-water shape (max
+ * rows, max context), stepping allocates no activation or L x L
+ * buffer.
  */
 struct DecodeStepWorkspace
 {
@@ -198,6 +215,10 @@ struct DecodeStepWorkspace
     //! One attention staging workspace per worker slot, indexed by
     //! ExecContext::currentThreadSlot() inside the head loop.
     std::vector<DecodeAttendWorkspace> attend;
+    //! One whole-sequence attention workspace per worker slot, for
+    //! rows that start at position 0 (attendOwnRows), indexed the
+    //! same way.
+    std::vector<OwnRowsSlot> ownRows;
 
     /** Size every buffer for an R-row layer of `config`. */
     void prepare(const FunctionalLayerConfig &config, int64_t rows);

@@ -3,7 +3,8 @@
  * End-to-end functional equivalence of the three strategies: dense and
  * block-sparse attention must produce the same output under Baseline,
  * SD, and SDF (up to fp16 rounding), and match a double-precision
- * reference.
+ * reference; a reused AttentionWorkspace gives the bits of a fresh
+ * run.
  */
 
 #include <tuple>
@@ -116,6 +117,41 @@ TEST(DenseStrategies, CausalFirstRowAttendsOnlyToItself)
             EXPECT_NEAR(float(out.at(0, d)),
                         float(inputs.v.at(0, d)), 5e-3)
                 << strategyName(strategy);
+        }
+    }
+}
+
+TEST(DenseStrategies, ReusedWorkspaceMatchesFreshRuns)
+{
+    // One workspace and one output tensor carried across calls whose
+    // L grows and shrinks: the intermediates keep stale values from
+    // longer calls, which no kernel may read, so every call must give
+    // the bits of a fresh runAttention.
+    for (const bool causal : {false, true}) {
+        for (Strategy strategy : allStrategies()) {
+            AttentionWorkspace ws;
+            Tensor<Half> out;
+            for (const int64_t L : {40, 97, 17, 64, 97, 5}) {
+                SdaConfig config;
+                config.seqLen = L;
+                config.dHead = 16;
+                config.causalMask = causal;
+                config.subVector = 16;
+                config.attnTiling.tileM = 16;
+                config.attnTiling.tileN = 16;
+                const AttentionInputs inputs =
+                    randomInputs(config, uint64_t(L + 7 * causal));
+                runAttention(execCtx(), config, inputs, strategy, ws,
+                             out);
+                const Tensor<Half> fresh =
+                    runAttention(execCtx(), config, inputs, strategy);
+                ASSERT_EQ(out.shape(), fresh.shape());
+                for (int64_t i = 0; i < fresh.numel(); ++i)
+                    ASSERT_EQ(out.data()[i].bits(),
+                              fresh.data()[i].bits())
+                        << strategyName(strategy) << " L=" << L
+                        << " causal=" << causal << " elem=" << i;
+            }
         }
     }
 }

@@ -6,7 +6,9 @@
  * rounding boundaries), the packed-panel GEMM must match the naive
  * reference at ragged shapes and produce the same bits under both
  * backends (every epilogue, the GS prologue, signed zeros, and the
- * fully-masked causal tiles whose mainloop is skipped), the exp
+ * fully-masked causal tiles whose mainloop is skipped), causal
+ * attention's diagonal stop (causal-A GEMM, causal row softmax) must
+ * give the full computation's bits on both backends, the exp
  * primitive and its max/tanh companions must give the same bits under
  * both backends while keeping their documented accuracy, special
  * values and lane-order sum, and kernels built on the substrate must
@@ -23,6 +25,7 @@
 
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
+#include "core/attention_exec.hpp"
 #include "fp16/half.hpp"
 #include "fp16/simd_math.hpp"
 #include "kernels/gemm.hpp"
@@ -482,8 +485,6 @@ TEST(PackedGemm, FullyMaskedCausalTilesMatchMaskingAfterwards)
     }
 }
 
-// --- The exp primitive: Scalar and SIMD are bit-identical -----------
-
 uint32_t
 bitsOf(float f)
 {
@@ -491,6 +492,225 @@ bitsOf(float f)
     __builtin_memcpy(&u, &f, sizeof(u));
     return u;
 }
+
+// --- Causal attention stops at the diagonal, bit for bit -----------
+
+/** Every element's bits, row-major. */
+std::vector<uint16_t>
+halfBits(const Tensor<Half> &t)
+{
+    std::vector<uint16_t> bits;
+    for (int64_t i = 0; i < t.numel(); ++i)
+        bits.push_back(t.data()[i].bits());
+    return bits;
+}
+
+TEST(PackedGemm, CausalAStopsAtDiagonalBitIdentical)
+{
+    // A is lower-triangular (+0 past the diagonal, its diagonal
+    // nonzero), as causal probabilities and X' are. The diagonal stop
+    // must leave every bit of the plain and the GS-prologue GEMM
+    // unchanged: m is ragged against both strip heights, k runs both
+    // shorter and longer than m, and the 40 columns leave a 16-column
+    // register block plus a leftover under tileN = 16.
+    const struct { int64_t m, k; } shapes[] = {{83, 83}, {37, 50},
+                                               {83, 70}};
+    int seed = 900;
+    for (const auto &shape : shapes) {
+        for (const int64_t tile_m : {16, 64}) {
+            for (const int64_t tile_n : {16, 64}) {
+                for (const bool gs_prologue : {false, true}) {
+                    Rng rng(uint64_t(seed++));
+                    GemmDesc plain;
+                    plain.m = shape.m;
+                    plain.n = 40;
+                    plain.k = shape.k;
+                    plain.tiling.tileM = tile_m;
+                    plain.tiling.tileN = tile_n;
+                    plain.prologue.globalScale = gs_prologue;
+                    plain.prologue.gsSubVector = 16;
+                    Tensor<Half> a(Shape({plain.m, plain.k}));
+                    Tensor<Half> b(Shape({plain.k, plain.n}));
+                    fillNormal(a, rng, 0.0, 1.0);
+                    fillNormal(b, rng, 0.0, 1.0);
+                    for (int64_t i = 0; i < plain.m; ++i)
+                        for (int64_t j = i + 1; j < plain.k; ++j)
+                            a.at(i, j) = Half();
+                    Tensor<float> gs(
+                        Shape({plain.m, (plain.k + 15) / 16}));
+                    fillNormal(gs, rng, 1.0, 0.25);
+                    GemmOperands ops;
+                    ops.a = &a;
+                    ops.b = &b;
+                    ops.gsFactors = &gs;
+                    GemmDesc causal = plain;
+                    causal.prologue.causalA = true;
+                    for (const SimdBackend backend :
+                         {SimdBackend::Scalar, detectedSimdBackend()}) {
+                        EXPECT_EQ(gemmBits(backend, causal, ops),
+                                  gemmBits(backend, plain, ops))
+                            << "m=" << shape.m << " k=" << shape.k
+                            << " tileM=" << tile_m
+                            << " tileN=" << tile_n
+                            << " gs=" << gs_prologue << " "
+                            << simdBackendName(backend);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(PackedGemm, FullyMaskedLsTilesStoreTheMaskedSegmentBits)
+{
+    // A fully masked tile skips its LS epilogue and stores m', d' and
+    // X' directly. Those must be the bits maxSpan/expSpan give for an
+    // all -inf segment with a -inf shift, on both backends.
+    const float neg_inf = -std::numeric_limits<float>::infinity();
+    const int64_t L = 83;
+    for (const int64_t tile : {16, 64}) {
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            Rng rng(uint64_t(31 + tile));
+            GemmDesc desc;
+            desc.m = L;
+            desc.n = L;
+            desc.k = 16;
+            desc.tiling.tileM = tile;
+            desc.tiling.tileN = tile;
+            desc.epilogue.scale = 0.25;
+            desc.epilogue.causalMask = true;
+            desc.epilogue.localSoftmax = true;
+            Tensor<Half> q(Shape({L, desc.k}));
+            Tensor<Half> k(Shape({L, desc.k}));
+            fillNormal(q, rng, 0.0, 1.0);
+            fillNormal(k, rng, 0.0, 1.0);
+            GemmOperands ops;
+            ops.a = &q;
+            ops.b = &k;
+            ops.transposeB = true;
+            const int64_t nsv = (L + tile - 1) / tile;
+            Tensor<Half> x_prime(Shape({L, L}));
+            Tensor<float> lmax(Shape({L, nsv})), lsum(Shape({L, nsv}));
+            LsOutputs ls{&lmax, &lsum};
+            int64_t masked_tiles = 0;
+            withBackend(backend, [&] {
+                gemmRun(ExecContext(), desc, ops, x_prime, &ls);
+                for (int64_t i = 0; i < L; ++i) {
+                    const int64_t strip_end =
+                        std::min(L, (i / tile + 1) * tile);
+                    for (int64_t tn = 0; tn < nsv; ++tn) {
+                        const int64_t j0 = tn * tile;
+                        if (j0 < strip_end)
+                            continue; // some row of the strip is live
+                        ++masked_tiles;
+                        const int64_t w = std::min(tile, L - j0);
+                        std::vector<float> seg(size_t(w), neg_inf);
+                        const float m = maxSpan(backend, seg.data(), w);
+                        const float d = expSpan(backend, seg.data(), m,
+                                                seg.data(), w);
+                        std::vector<Half> x(static_cast<size_t>(w));
+                        floatToHalf(seg.data(), x.data(), w);
+                        ASSERT_EQ(bitsOf(lmax.at(i, tn)), bitsOf(m));
+                        ASSERT_EQ(bitsOf(lsum.at(i, tn)), bitsOf(d));
+                        for (int64_t j = 0; j < w; ++j)
+                            ASSERT_EQ(x_prime.at(i, j0 + j).bits(),
+                                      x[size_t(j)].bits())
+                                << "i=" << i << " j=" << j0 + j;
+                    }
+                }
+            });
+            EXPECT_GT(masked_tiles, 0) << "tile=" << tile;
+        }
+    }
+}
+
+TEST(RowSoftmax, CausalRowsStopAtDiagonalBitIdentical)
+{
+    // Rows 0-33 cover every live length 1-34 (all of them mod 8);
+    // L = 2055 adds long rows with a ragged lane tail. The causal
+    // kernel must give the full-row kernel's bits on a -inf tail, and
+    // the same bits again when the tail holds arbitrary finite
+    // values, which it therefore never reads.
+    const float neg_inf = -std::numeric_limits<float>::infinity();
+    for (const int64_t L : {34, 2055}) {
+        Rng rng(static_cast<uint64_t>(L));
+        Tensor<Half> masked(Shape({L, L}));
+        fillNormal(masked, rng, 0.0, 3.0);
+        Tensor<Half> junk = masked;
+        for (int64_t i = 0; i < L; ++i)
+            for (int64_t j = i + 1; j < L; ++j)
+                masked.at(i, j) = Half(neg_inf);
+        SoftmaxShape full;
+        full.rows = L;
+        full.cols = L;
+        SoftmaxShape causal = full;
+        causal.causal = true;
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            Tensor<Half> want(Shape({L, L}));
+            Tensor<Half> got(Shape({L, L}));
+            Tensor<Half> got_junk(Shape({L, L}));
+            withBackend(backend, [&] {
+                rowSoftmaxRun(ExecContext(), full, masked, want);
+                rowSoftmaxRun(ExecContext(), causal, masked, got);
+                rowSoftmaxRun(ExecContext(), causal, junk, got_junk);
+            });
+            EXPECT_EQ(halfBits(got), halfBits(want))
+                << "L=" << L << " " << simdBackendName(backend);
+            EXPECT_EQ(halfBits(got_junk), halfBits(want))
+                << "L=" << L << " " << simdBackendName(backend);
+        }
+    }
+}
+
+TEST(CausalAttention, RowsIgnoreNonFiniteValueRowsPastThem)
+{
+    // Causal prefill row i reads V rows [0, i] only, as decode does:
+    // setting every V row past i to +inf leaves rows <= i bit for bit
+    // unchanged under each strategy and backend (the full P.V would
+    // have turned them into +0 * inf = NaN). Rows i sit inside and at
+    // the ends of the 16-row strips.
+    SdaConfig config;
+    config.seqLen = 45;
+    config.dHead = 16;
+    config.causalMask = true;
+    config.subVector = 16;
+    config.attnTiling.tileM = 16;
+    config.attnTiling.tileN = 16;
+    AttentionInputs inputs = makeAttentionInputs(config);
+    Rng rng(5);
+    fillNormal(inputs.q, rng, 0.0, 1.0);
+    fillNormal(inputs.k, rng, 0.0, 1.0);
+    fillNormal(inputs.v, rng, 0.0, 1.0);
+    for (const Strategy strategy :
+         {Strategy::Baseline, Strategy::Decomposed, Strategy::Fused}) {
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            withBackend(backend, [&] {
+                const Tensor<Half> want =
+                    runAttention(ExecContext(), config, inputs, strategy);
+                for (const int64_t i : {0, 5, 15, 16, 30, 44}) {
+                    AttentionInputs poisoned = inputs;
+                    for (int64_t j = i + 1; j < config.seqLen; ++j)
+                        for (int64_t d = 0; d < config.dHead; ++d)
+                            poisoned.v.at(j, d) = Half::infinity();
+                    const Tensor<Half> got = runAttention(
+                        ExecContext(), config, poisoned, strategy);
+                    for (int64_t r = 0; r <= i; ++r)
+                        for (int64_t d = 0; d < config.dHead; ++d)
+                            ASSERT_EQ(got.at(r, d).bits(),
+                                      want.at(r, d).bits())
+                                << "i=" << i << " row=" << r
+                                << " strategy=" << int(strategy) << " "
+                                << simdBackendName(backend);
+                }
+            });
+        }
+    }
+}
+
+// --- The exp primitive: Scalar and SIMD are bit-identical -----------
 
 float
 floatOf(uint32_t u)

@@ -23,6 +23,11 @@ Checked invariants:
                   and unique; ms a finite float >= 0; with a spread,
                   ms_min <= ms <= ms_max; bytes/calls non-negative
                   integers; threads an integer >= 1.
+  causal twins    a row named causal_<x> needs a row named <x> with
+                  the same bytes_read and bytes_written: the causal
+                  kernels stop at the diagonal to save time, while the
+                  counters keep reporting the modeled, causal-oblivious
+                  operands.
   derived         object; values are finite floats.
   JSON text       must not contain NaN/Infinity tokens (the emitter
                   writes null for non-finite values; Python's json
@@ -45,6 +50,7 @@ TOP_KEYS = {"schema", "name", "config", "kernels", "derived"}
 ROW_KEYS = {"name", "ms", "bytes_read", "bytes_written", "calls",
             "threads"}
 SPREAD_KEYS = {"ms_min", "ms_max"}
+CAUSAL_PREFIX = "causal_"
 
 
 def is_int(value):
@@ -145,6 +151,23 @@ def validate_text(path, text):
                                  row["threads"] < 1):
             bad("%s threads must be an integer >= 1" % where)
 
+    rows_by_name = {row.get("name"): row for row in kernels
+                    if isinstance(row, dict)}
+    for row_name, row in rows_by_name.items():
+        if not isinstance(row_name, str) or \
+                not row_name.startswith(CAUSAL_PREFIX):
+            continue
+        twin_name = row_name[len(CAUSAL_PREFIX):]
+        twin = rows_by_name.get(twin_name)
+        if twin is None:
+            bad("kernel %r has no non-causal twin %r" %
+                (row_name, twin_name))
+            continue
+        for key in ("bytes_read", "bytes_written"):
+            if row.get(key) != twin.get(key):
+                bad("kernel %r %s %r differs from its non-causal twin's "
+                    "%r" % (row_name, key, row.get(key), twin.get(key)))
+
     derived = doc.get("derived", {})
     if not isinstance(derived, dict):
         bad("derived must be an object")
@@ -176,7 +199,9 @@ GOOD_FIXTURE = """{
     {"name": "sda.qk", "ms": 0, "bytes_read": 0,
      "bytes_written": 0, "calls": 1, "threads": 1},
     {"name": "sda.av", "ms": 2.5, "ms_min": 2.25, "ms_max": 5,
-     "bytes_read": 0, "bytes_written": 0, "calls": 1, "threads": 1}
+     "bytes_read": 0, "bytes_written": 0, "calls": 1, "threads": 1},
+    {"name": "causal_softmax.row", "ms": 0.75, "bytes_read": 1024,
+     "bytes_written": 1024, "calls": 2, "threads": 4}
   ],
   "derived": {"speedup": 1.25}
 }"""
@@ -219,6 +244,16 @@ BAD_FIXTURES = [
      '"kernels": [{"name": "k", "ms": 1, "ms_min": 1, '
      '"bytes_read": 0, "bytes_written": 0, "calls": 1, "threads": 1}], '
      '"derived": {}}', "both ms_min and ms_max"),
+    ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
+     '"kernels": [{"name": "sd/sda.av", "ms": 2, "bytes_read": 64, '
+     '"bytes_written": 8, "calls": 1, "threads": 1}, '
+     '{"name": "causal_sd/sda.av", "ms": 1, "bytes_read": 32, '
+     '"bytes_written": 8, "calls": 1, "threads": 1}], "derived": {}}',
+     "differs from its non-causal twin"),
+    ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
+     '"kernels": [{"name": "causal_sd/sda.av", "ms": 1, '
+     '"bytes_read": 32, "bytes_written": 8, "calls": 1, '
+     '"threads": 1}], "derived": {}}', "no non-causal twin"),
     ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
      '"kernels": [], "derived": {"r": NaN}}', "non-finite"),
     ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '

@@ -15,9 +15,10 @@ from registry import register
 
 KERNEL_DIRS = ("src/kernels/",)
 
-# Functions on the per-token decode path: their whole bodies must be
-# allocation-free (setup that genuinely runs once per step is
-# annotated allow() at the site, with the reason). The prefill and
+# Functions on the per-token decode path, plus attendOwnRows, whose
+# per-head L x L buffers come from the step workspace: their whole
+# bodies must be allocation-free (setup that genuinely runs once per
+# step is annotated allow() at the site, with the reason). The prefill and
 # finish helpers around
 # ServeEngine::serveStep are deliberately NOT here: they are the
 # documented amortized-allocation boundary (workspace construction,
@@ -26,6 +27,7 @@ HOT_FUNCTIONS = {
     "decodeAttendRun",          # src/kernels/decode_attention.cpp
     "runDecodeStepInto",        # src/model/decode.cpp
     "runLayer",                 # src/model/decode.cpp, layer body
+    "attendOwnRows",            # src/model/decode.cpp, prefill heads
     "ServeEngine::serveStep",   # src/serve/serve_engine.cpp
 }
 
@@ -59,8 +61,9 @@ def _hot_function_lines(src):
     "no new/malloc/container growth (a) inside loop bodies or "
     "parallelFor lambdas in src/kernels/, or (b) anywhere in the "
     "per-token decode functions (decodeAttendRun, runDecodeStepInto, "
-    "runLayer, ServeEngine::serveStep). Stage into pre-sized buffers, reuse a "
-    "workspace (DecodeAttendWorkspace / DecodeStepWorkspace), or "
+    "runLayer, attendOwnRows, ServeEngine::serveStep). Stage into "
+    "pre-sized buffers, reuse a workspace (DecodeAttendWorkspace / "
+    "AttentionWorkspace / DecodeStepWorkspace), or "
     "hoist the allocation out of the steady state; per-chunk staging "
     "that is deliberately amortized lives in the baseline with its "
     "justification.")
