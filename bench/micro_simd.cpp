@@ -2,12 +2,14 @@
  * @file
  * Scalar-vs-SIMD A/B micro-benchmarks of the vectorized kernel
  * substrate: batch fp16<->fp32 conversion throughput, the packed-panel
- * GEMM at an attention shape and at the serving projection shape, the
- * exp primitive on its own and row softmax. Both arms run the same
- * code paths — the backend is switched in-process via setSimdBackend(),
+ * GEMM at an attention shape (plain, and as SDF's fused-LS QK^T at the
+ * serving tiling) and at the serving projection shape, the exp
+ * primitive on its own and row softmax. Both arms run the same code
+ * paths — the backend is switched in-process via setSimdBackend(),
  * which selects the conversion paths, the GEMM micro-kernel and the
  * exp path — so the report isolates exactly what the SIMD backend
- * buys. The exp and softmax arms also report ns per element.
+ * buys. The fused-LS, exp and softmax arms also report ns per
+ * element.
  * Writes BENCH_micro_simd.json (schema softrec-bench-v1).
  */
 
@@ -164,6 +166,46 @@ main()
             uint64_t((mn + mn) * dh) * kFp16Bytes;
         addArmRows(report, "gemm.mainloop", t, in_bytes,
                    uint64_t(mn * mn) * kFp16Bytes, ctx.threads());
+    }
+
+    // --- Fused-LS QK^T at the serving tiling: [L, dHead] x [L, dHead]^T
+    // with 16 x 16 tiles, the 1/sqrt(dHead) scale and the LS epilogue
+    // (one sub-vector per tile row): SDF's QK^T, whose epilogue is the
+    // softmax work the recomposition moves into the GEMM.
+    {
+        const int64_t tile = 16;
+        const int64_t nsv = (L + tile - 1) / tile;
+        GemmDesc desc;
+        desc.name = "bench.qk_ls";
+        desc.m = L;
+        desc.n = L;
+        desc.k = dh;
+        desc.tiling.tileM = tile;
+        desc.tiling.tileN = tile;
+        desc.epilogue.scale = 0.125;
+        desc.epilogue.localSoftmax = true;
+        Tensor<Half> q = randomHalf(rng, Shape({L, dh}));
+        Tensor<Half> k = randomHalf(rng, Shape({L, dh}));
+        Tensor<Half> x_prime(Shape({L, L}));
+        Tensor<float> local_max(Shape({L, nsv}));
+        Tensor<float> local_sum(Shape({L, nsv}));
+        GemmOperands ops;
+        ops.a = &q;
+        ops.b = &k;
+        ops.transposeB = true;
+        LsOutputs ls;
+        ls.localMax = &local_max;
+        ls.localSum = &local_sum;
+
+        const ArmTimes t = runArms([&] {
+            gemmRun(ctx, desc, ops, x_prime, &ls);
+        });
+        const uint64_t in_bytes = uint64_t(2 * L * dh) * kFp16Bytes;
+        const uint64_t out_bytes = uint64_t(L * L) * kFp16Bytes +
+                                   uint64_t(2 * L * nsv) * kFp32Bytes;
+        addArmRows(report, "gemm.qk_ls", t, in_bytes, out_bytes,
+                   ctx.threads());
+        addNsPerElem(report, "gemm.qk_ls", t, L * L);
     }
 
     // --- Serving projection GEMM: [L, 256] x [256, 1024] with bias,

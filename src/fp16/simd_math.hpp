@@ -2,8 +2,11 @@
  * @file
  * The one exp primitive of the kernel substrate, with the max and
  * tanh built around it. Every softmax, LS/IR epilogue and GELU in
- * src/kernels/ goes through these span calls; only the reference
- * math in src/core/ still calls libm.
+ * src/kernels/ goes through these calls; only the reference math in
+ * src/core/ still calls libm. Each backend has one body that sweeps a
+ * tile of row segments: localSoftmaxTile is the whole of it (max, exp
+ * and fp16 store per segment), expSpan and maxSpan are its one-row,
+ * one-segment cases.
  *
  * exp(z) is evaluated the same way on every backend:
  *
@@ -32,7 +35,9 @@
  * elements (whose exp is +0) never changes a lane's sum: a row of n
  * elements and the same row followed by a -inf tail give the same
  * sum for any n % 8. That is what keeps a decode step bit-identical
- * to the causal prefill row of the same context.
+ * to the causal prefill row of the same context. A NaN sum is only
+ * NaN: which input NaN's payload it carries is not fixed, since the
+ * compiler may swap the operands of an add.
  */
 
 #ifndef SOFTREC_FP16_SIMD_MATH_HPP
@@ -43,6 +48,49 @@
 #include "fp16/half.hpp"
 
 namespace softrec {
+
+/**
+ * One tile of the Local Softmax (LS) sub-layer: rows x width fp32
+ * scores, cut into sub-vectors (segments) of subVector columns each
+ * (the last one ragged when subVector does not divide width).
+ */
+struct LsTile
+{
+    const float *x = nullptr;  //!< scores, row stride ld
+    int64_t rows = 0;
+    int64_t width = 0;
+    int64_t ld = 0;
+    int64_t subVector = 0;     //!< segment width T, > 0
+    Half *xPrime = nullptr;    //!< X' out, row stride xPrimeLd
+    int64_t xPrimeLd = 0;
+    /** m' out, one per segment: row r's segment s at r * mdLd + s. */
+    float *localMax = nullptr;
+    float *localSum = nullptr; //!< d' out, laid out like localMax
+    int64_t mdLd = 0;
+};
+
+/**
+ * The fused LS of one tile: one max pass and one exp pass over the
+ * tile, each segment's exps narrowed to fp16 as they are made. For
+ * each row and segment seg it stores
+ *
+ *   m' = maxSpan(seg), d' = expSpan(seg, m', X'), X' narrowed to fp16,
+ *
+ * with exactly the bits of those calls followed by floatToHalf, under
+ * either backend:
+ *
+ *  - lane order restarts at every segment: the segment's element j
+ *    goes to lane j % 8 of both the max and the sum;
+ *  - a fully masked segment (every element -inf, or NaN) has
+ *    m' = -inf, d' = +0 and X' = +0, the masked safe-softmax case;
+ *  - the fp16 store rounds to nearest-even like Half::fromFloat and,
+ *    like it, stores every NaN (an x of NaN, or +inf - +inf when the
+ *    segment holds +inf) as the canonical quiet NaN sign | 0x7e00;
+ *    d' is then NaN, with the payload rule of the sums above.
+ *
+ * x is only read; X' must not overlap it.
+ */
+void localSoftmaxTile(SimdBackend backend, const LsTile &tile);
 
 /**
  * out[i] = exp(x[i] - shift) for i in [0, n); returns the sum of the

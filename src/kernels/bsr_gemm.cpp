@@ -150,18 +150,23 @@ bsrSddRun(const ExecContext &ctx, const BsrSddDesc &desc,
                         sum * float(desc.scale);
                 }
             }
-            // Epilogue: plain store, or fused LS per block row; the
-            // block's rows narrow through the batch converter.
-            for (int64_t i = 0; i < bs; ++i) {
-                float *row = &acc[size_t(i * bs)];
-                if (desc.fuseLocalSoftmax) {
-                    const float m_local = maxSpan(backend, row, bs);
-                    const float d_local =
-                        expSpan(backend, row, m_local, row, bs);
-                    (*local_max)[size_t(kk * bs + i)] = m_local;
-                    (*local_sum)[size_t(kk * bs + i)] = d_local;
-                }
-                floatToHalf(row, s.blockData(kk) + i * bs, bs);
+            // Epilogue: the fused LS tile, one sub-vector per block
+            // row, or a plain store through the batch converter.
+            if (desc.fuseLocalSoftmax) {
+                LsTile tile;
+                tile.x = acc.data();
+                tile.rows = bs;
+                tile.width = bs;
+                tile.ld = bs;
+                tile.subVector = bs;
+                tile.xPrime = s.blockData(kk);
+                tile.xPrimeLd = bs;
+                tile.localMax = &(*local_max)[size_t(kk * bs)];
+                tile.localSum = &(*local_sum)[size_t(kk * bs)];
+                tile.mdLd = 1;
+                localSoftmaxTile(backend, tile);
+            } else {
+                floatToHalf(acc.data(), s.blockData(kk), bs * bs);
             }
         }
     }

@@ -225,21 +225,30 @@ bsrLsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
         scope.addRead(matrix);
         scope.addWrite(matrix + md); // X' plus m'/d'
     }
-    // One block row (bs contiguous halves) staged in fp32 at a time.
+    // One block row (bs contiguous halves) staged in fp32 at a time,
+    // one sub-vector wide.
     std::vector<float> row(size_t(bs), 0.0f);
+    LsTile tile;
+    tile.x = row.data();
+    tile.rows = 1;
+    tile.width = bs;
+    tile.ld = bs;
+    tile.subVector = bs;
+    tile.xPrimeLd = bs;
+    tile.mdLd = 1;
     for (int64_t k = blk0; k < blk1; ++k) {
         for (int64_t i = 0; i < bs; ++i) {
             halfToFloat(in.blockData(k) + i * bs, row.data(), bs);
-            const float m_local = maxSpan(backend, row.data(), bs);
-            const float d_local =
-                expSpan(backend, row.data(), m_local, row.data(), bs);
-            floatToHalf(row.data(), x_prime.blockData(k) + i * bs, bs);
-            local_max[size_t(k * bs + i)] = m_local;
-            local_sum[size_t(k * bs + i)] = d_local;
-            SOFTREC_CHECK(d_local > 0.0f || m_local == kNegInf,
+            tile.xPrime = x_prime.blockData(k) + i * bs;
+            tile.localMax = &local_max[size_t(k * bs + i)];
+            tile.localSum = &local_sum[size_t(k * bs + i)];
+            localSoftmaxTile(backend, tile);
+            SOFTREC_CHECK(*tile.localSum > 0.0f ||
+                          *tile.localMax == kNegInf,
                           "BSR LS block %lld row %lld: d' = %f must be "
                           "positive unless fully masked",
-                          (long long)k, (long long)i, double(d_local));
+                          (long long)k, (long long)i,
+                          double(*tile.localSum));
         }
     }
     });

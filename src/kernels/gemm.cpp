@@ -509,8 +509,8 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
             const int64_t nw = std::min(t.tileN, n - n0);
             // A causal tile whose first column lies past its last row
             // is masked everywhere: its epilogue would only write -inf,
-            // or under LS m' = -inf, d' = +0 and X' = +0 (maxSpan/
-            // expSpan of an all -inf segment), so those bits are
+            // or under LS m' = -inf, d' = +0 and X' = +0 (the LS
+            // tile's fully masked segment), so those bits are
             // stored directly and the mainloop is skipped.
             if (desc.epilogue.causalMask && n0 > m0 + mh - 1) {
                 const Half fill = desc.epilogue.localSoftmax
@@ -533,8 +533,9 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
 
             // Epilogue on the fp32 tile, one plain loop per stage so
             // each can vectorize; every element still goes through
-            // scale, mask, bias and GeLU in that order. C stores go
-            // through the batch converter per row.
+            // scale, mask, bias and GeLU in that order. Plain C stores
+            // go through the batch converter per row; LS narrows the
+            // whole tile in its one pass.
             for (int64_t i = 0; i < mh; ++i) {
                 float *row = &acc[size_t(i * t.tileN)];
                 // Columns [live, nw) lie past row m0 + i: the causal
@@ -556,23 +557,32 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                 }
                 if (desc.epilogue.gelu)
                     geluSpan(backend, row, row, nw);
-
-                if (desc.epilogue.localSoftmax) {
-                    // One sub-vector: this row segment of width nw.
-                    const float local_max = maxSpan(backend, row, nw);
-                    const float local_sum =
-                        expSpan(backend, row, local_max, row, nw);
-                    ls->localMax->at(m0 + i, tn) = local_max;
-                    ls->localSum->at(m0 + i, tn) = local_sum;
-                    SOFTREC_CHECK(local_sum > 0.0f ||
-                                  local_max == neg_inf,
+                if (!desc.epilogue.localSoftmax)
+                    floatToHalf(row, c.rowPtr(m0 + i) + n0, nw);
+            }
+            if (desc.epilogue.localSoftmax) {
+                // One sub-vector per row: the tile's row segment.
+                LsTile tile;
+                tile.x = acc.data();
+                tile.rows = mh;
+                tile.width = nw;
+                tile.ld = t.tileN;
+                tile.subVector = t.tileN;
+                tile.xPrime = c.rowPtr(m0) + n0;
+                tile.xPrimeLd = n;
+                tile.localMax = &ls->localMax->at(m0, tn);
+                tile.localSum = &ls->localSum->at(m0, tn);
+                tile.mdLd = tiles_n;
+                localSoftmaxTile(backend, tile);
+                for (int64_t i = 0; i < mh; ++i) {
+                    SOFTREC_CHECK(tile.localSum[i * tiles_n] > 0.0f ||
+                                  tile.localMax[i * tiles_n] == neg_inf,
                                   "fused LS epilogue (%lld, %lld): "
                                   "d' = %f must be positive unless "
                                   "fully masked",
                                   (long long)(m0 + i), (long long)tn,
-                                  double(local_sum));
+                                  double(tile.localSum[i * tiles_n]));
                 }
-                floatToHalf(row, c.rowPtr(m0 + i) + n0, nw);
             }
         }
     };

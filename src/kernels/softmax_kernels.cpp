@@ -255,31 +255,31 @@ lsRun(const ExecContext &ctx, const SoftmaxShape &desc,
             scope.addRead(matrix);
             scope.addWrite(matrix + md); // X' plus m'/d'
         }
-        // Whole row staged in fp32 once; each sub-vector's exp values
-        // overwrite their segment in place, then one batch narrow
-        // stores the full X' row.
+        // Whole row staged in fp32 once; the LS tile narrows each
+        // sub-vector's exp values straight into X'.
         std::vector<float> row(size_t(desc.cols));
+        LsTile tile;
+        tile.x = row.data();
+        tile.rows = 1;
+        tile.width = desc.cols;
+        tile.ld = desc.cols;
+        tile.subVector = desc.subVector;
+        tile.xPrimeLd = desc.cols;
+        tile.mdLd = desc.numSubVectors();
         for (int64_t i = row0; i < row1; ++i) {
             halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            float *md_max = local_max.rowPtr(i);
-            float *md_sum = local_sum.rowPtr(i);
+            tile.xPrime = x_prime.rowPtr(i);
+            tile.localMax = local_max.rowPtr(i);
+            tile.localSum = local_sum.rowPtr(i);
+            localSoftmaxTile(backend, tile);
             for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv) {
-                const int64_t j0 = sv * desc.subVector;
-                const int64_t j1 =
-                    std::min(desc.cols, j0 + desc.subVector);
-                float *seg = &row[size_t(j0)];
-                const float m_local = maxSpan(backend, seg, j1 - j0);
-                const float d_local =
-                    expSpan(backend, seg, m_local, seg, j1 - j0);
-                md_max[sv] = m_local;
-                md_sum[sv] = d_local;
-                SOFTREC_CHECK(d_local > 0.0f || m_local == kNegInf,
+                SOFTREC_CHECK(tile.localSum[sv] > 0.0f ||
+                              tile.localMax[sv] == kNegInf,
                               "LS sub-vector (%lld, %lld): d' = %f must "
                               "be positive unless fully masked",
                               (long long)i, (long long)sv,
-                              double(d_local));
+                              double(tile.localSum[sv]));
             }
-            floatToHalf(row.data(), x_prime.rowPtr(i), desc.cols);
         }
     });
     if constexpr (kCheckedBuild)

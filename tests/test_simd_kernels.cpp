@@ -6,13 +6,16 @@
  * rounding boundaries), the packed-panel GEMM must match the naive
  * reference at ragged shapes and produce the same bits under both
  * backends (every epilogue, the GS prologue, signed zeros, and the
- * fully-masked causal tiles whose mainloop is skipped), causal
- * attention's diagonal stop (causal-A GEMM, causal row softmax) must
- * give the full computation's bits on both backends, the exp
- * primitive and its max/tanh companions must give the same bits under
- * both backends while keeping their documented accuracy, special
- * values and lane-order sum, and kernels built on the substrate must
- * stay deterministic across thread counts.
+ * fully-masked causal tiles whose mainloop is skipped), the fused LS
+ * epilogue must give a triple loop's bits followed by the per-segment
+ * LS sequence, causal attention's diagonal stop (causal-A GEMM,
+ * causal row softmax) must give the full computation's bits on both
+ * backends, the exp primitive and its max/tanh companions must give
+ * the same bits under both backends while keeping their documented
+ * accuracy, special values and lane-order sum, the LS tile primitive
+ * must give the bits of maxSpan, expSpan and floatToHalf per segment,
+ * and kernels built on the substrate must stay deterministic across
+ * thread counts.
  */
 
 #include <algorithm>
@@ -288,6 +291,15 @@ TEST(PackedGemm, FusedLsEpilogueMatchesUnfused)
 
 // --- Scalar and SIMD GEMM kernels are bit-identical -----------------
 
+/** The bits of a float. */
+uint32_t
+bitsOf(float f)
+{
+    uint32_t u;
+    __builtin_memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
 /** Output (and LS m'/d') bits of one GEMM run under `backend`. */
 std::vector<uint32_t>
 gemmBits(SimdBackend backend, const GemmDesc &desc,
@@ -318,6 +330,80 @@ gemmBits(SimdBackend backend, const GemmDesc &desc,
         }
     }
     return bits;
+}
+
+TEST(PackedGemm, FusedLsEpilogueBitExactAgainstTripleLoop)
+{
+    // The fused LS epilogue must store the bits of: an fp32 triple
+    // loop in k-ascending order (the micro-kernel's contract), the
+    // scale, the causal mask, then maxSpan, expSpan and floatToHalf
+    // per tileN-wide row segment. m and n are ragged against every
+    // tile; the causal cases include diagonal and fully masked tiles.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    int seed = 1100;
+    for (const int64_t tile_n : {8, 16, 24, 64}) {
+        for (const bool causal : {false, true}) {
+            Rng rng(uint64_t(seed++));
+            GemmDesc desc;
+            desc.m = causal ? 70 : 45;
+            desc.n = 70;
+            desc.k = 24;
+            desc.tiling.tileM = 16;
+            desc.tiling.tileN = tile_n;
+            desc.epilogue.scale = 0.125;
+            desc.epilogue.causalMask = causal;
+            desc.epilogue.localSoftmax = true;
+            Tensor<Half> q(Shape({desc.m, desc.k}));
+            Tensor<Half> k(Shape({desc.n, desc.k}));
+            fillNormal(q, rng, 0.0, 2.0);
+            fillNormal(k, rng, 0.0, 2.0);
+            GemmOperands ops;
+            ops.a = &q;
+            ops.b = &k;
+            ops.transposeB = true;
+            const int64_t nsv = (desc.n + tile_n - 1) / tile_n;
+            for (const SimdBackend backend :
+                 {SimdBackend::Scalar, detectedSimdBackend()}) {
+                std::vector<uint32_t> want;
+                std::vector<uint32_t> want_md(size_t(2 * desc.m * nsv));
+                withBackend(backend, [&] {
+                    std::vector<Half> x(size_t(desc.n));
+                    for (int64_t i = 0; i < desc.m; ++i) {
+                        std::vector<float> row(size_t(desc.n));
+                        for (int64_t j = 0; j < desc.n; ++j) {
+                            float acc = 0.0f;
+                            for (int64_t kk = 0; kk < desc.k; ++kk) {
+                                acc += float(q.at(i, kk)) *
+                                       float(k.at(j, kk));
+                            }
+                            row[size_t(j)] = causal && j > i
+                                ? -kInf
+                                : acc * float(desc.epilogue.scale);
+                        }
+                        for (int64_t tn = 0; tn < nsv; ++tn) {
+                            const int64_t j0 = tn * tile_n;
+                            const int64_t w = std::min(tile_n,
+                                                       desc.n - j0);
+                            float *seg = &row[size_t(j0)];
+                            const float m = maxSpan(backend, seg, w);
+                            const float d =
+                                expSpan(backend, seg, m, seg, w);
+                            floatToHalf(seg, &x[size_t(j0)], w);
+                            want_md[size_t(i * nsv + tn)] = bitsOf(m);
+                            want_md[size_t((desc.m + i) * nsv + tn)] =
+                                bitsOf(d);
+                        }
+                        for (const Half h : x)
+                            want.push_back(h.bits());
+                    }
+                });
+                want.insert(want.end(), want_md.begin(), want_md.end());
+                EXPECT_EQ(gemmBits(backend, desc, ops), want)
+                    << "tileN=" << tile_n << " causal=" << causal << " "
+                    << simdBackendName(backend);
+            }
+        }
+    }
 }
 
 TEST(PackedGemm, ScalarAndSimdKernelsBitIdentical)
@@ -483,14 +569,6 @@ TEST(PackedGemm, FullyMaskedCausalTilesMatchMaskingAfterwards)
             }
         }
     }
-}
-
-uint32_t
-bitsOf(float f)
-{
-    uint32_t u;
-    __builtin_memcpy(&u, &f, sizeof(u));
-    return u;
 }
 
 // --- Causal attention stops at the diagonal, bit for bit -----------
@@ -933,6 +1011,190 @@ TEST(ExpPrimitive, TanhAndGeluAccuracy)
         // form and must give the same bits.
         ASSERT_EQ(bitsOf(g[i]), bitsOf(geluApprox(x[i])))
             << "x=" << x[i];
+    }
+}
+
+// --- The LS tile primitive: one pass per segment, bit for bit --------
+
+/**
+ * Runs localSoftmaxTile on rows x width scores (row stride ld) cut
+ * into sub-vectors of `sub`, and the per-segment sequence it
+ * replaces: maxSpan, expSpan, then floatToHalf, on a copy of each
+ * segment. X', m' and d' (and the untouched padding around them) must
+ * have the same bits, except that a NaN d' need only be NaN on both
+ * sides: the payload a NaN sum carries is not part of the contract.
+ */
+void
+expectLsTileMatchesSegments(SimdBackend backend,
+                            const std::vector<float> &scores,
+                            int64_t rows, int64_t width, int64_t ld,
+                            int64_t sub)
+{
+    const int64_t nsv = (width + sub - 1) / sub;
+    const int64_t x_ld = width + 5;
+    const int64_t md_ld = nsv + 2;
+    const size_t x_size = size_t(rows * x_ld);
+    const size_t md_size = size_t(rows * md_ld);
+    std::vector<Half> got_x(x_size, Half(7.0f)), want_x = got_x;
+    std::vector<float> got_m(md_size, 3.0f), want_m = got_m;
+    std::vector<float> got_d(md_size, 5.0f), want_d = got_d;
+    LsTile tile;
+    tile.x = scores.data();
+    tile.rows = rows;
+    tile.width = width;
+    tile.ld = ld;
+    tile.subVector = sub;
+    tile.xPrime = got_x.data();
+    tile.xPrimeLd = x_ld;
+    tile.localMax = got_m.data();
+    tile.localSum = got_d.data();
+    tile.mdLd = md_ld;
+    withBackend(backend, [&] {
+        localSoftmaxTile(backend, tile);
+        for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t sv = 0; sv < nsv; ++sv) {
+                const int64_t j0 = sv * sub;
+                const int64_t w = std::min(sub, width - j0);
+                const float *src = &scores[size_t(r * ld + j0)];
+                std::vector<float> seg(src, src + w);
+                const float m = maxSpan(backend, seg.data(), w);
+                const float d =
+                    expSpan(backend, seg.data(), m, seg.data(), w);
+                floatToHalf(seg.data(), &want_x[size_t(r * x_ld + j0)],
+                            w);
+                want_m[size_t(r * md_ld + sv)] = m;
+                want_d[size_t(r * md_ld + sv)] = d;
+            }
+        }
+    });
+    const auto half_bits = [](const std::vector<Half> &v) {
+        std::vector<uint16_t> bits;
+        for (const Half h : v)
+            bits.push_back(h.bits());
+        return bits;
+    };
+    const auto float_bits = [](const std::vector<float> &v) {
+        std::vector<uint32_t> bits;
+        for (const float f : v)
+            bits.push_back(bitsOf(f));
+        return bits;
+    };
+    const auto sum_bits = [&](const std::vector<float> &v) {
+        std::vector<uint32_t> bits = float_bits(v);
+        for (size_t i = 0; i < v.size(); ++i) {
+            if (std::isnan(v[i]))
+                bits[i] = 0x7fc00000u;
+        }
+        return bits;
+    };
+    ASSERT_EQ(half_bits(got_x), half_bits(want_x))
+        << "X' rows=" << rows << " width=" << width << " sub=" << sub
+        << " " << simdBackendName(backend);
+    ASSERT_EQ(float_bits(got_m), float_bits(want_m))
+        << "m' rows=" << rows << " width=" << width << " sub=" << sub
+        << " " << simdBackendName(backend);
+    ASSERT_EQ(sum_bits(got_d), sum_bits(want_d))
+        << "d' rows=" << rows << " width=" << width << " sub=" << sub
+        << " " << simdBackendName(backend);
+}
+
+TEST(LsTilePrimitive, MatchesPerSegmentSequenceAtEveryShape)
+{
+    // Widths 1-70 against segments of 8-64 leave ragged last segments
+    // of every length mod 8; 1-17 rows (stride wider than the width)
+    // cover a whole and a partial 16-row strip. Every third row has a
+    // -inf tail, as a causal diagonal tile does, and some segments
+    // are fully masked.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    Rng rng(73);
+    for (const int64_t sub : {8, 16, 24, 64}) {
+        for (int64_t width = 1; width <= 70; ++width) {
+            for (int64_t rows = 1; rows <= 17; rows += (width % 4) + 1) {
+                const int64_t ld = width + 3;
+                std::vector<float> scores(size_t(rows * ld));
+                for (float &v : scores)
+                    v = float(rng.normal(0.0, 3.0));
+                for (int64_t r = 0; r < rows; ++r) {
+                    float *row = &scores[size_t(r * ld)];
+                    if (r % 3 == 1) {
+                        for (int64_t j = (r * 7) % width; j < width; ++j)
+                            row[j] = -kInf;
+                    }
+                    if (r % 5 == 2) {
+                        for (int64_t j = 0; j < std::min(sub, width); ++j)
+                            row[j] = -kInf;
+                    }
+                }
+                for (const SimdBackend backend :
+                     {SimdBackend::Scalar, detectedSimdBackend()}) {
+                    expectLsTileMatchesSegments(backend, scores, rows,
+                                                width, ld, sub);
+                }
+            }
+        }
+    }
+}
+
+TEST(LsTilePrimitive, SignedZeroMaximaAndSpecialScores)
+{
+    // Row 0: segments whose max is -0 or +0 (the lane tree picks the
+    // zero's sign). Row 1: a +inf score, so +inf - +inf is a NaN exp
+    // beside +0 ones. Row 2: NaN scores beside finite ones; a segment
+    // of NaN only has max -inf and is fully masked. Row 3: all -inf.
+    // Every NaN exp must narrow to Half::fromFloat's canonical NaN.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float nan = floatOf(0x7fc01234u);
+    const float neg_nan = floatOf(0xffa00001u);
+    const int64_t width = 45;
+    for (const int64_t sub : {8, 16, 24, 64}) {
+        std::vector<float> scores(size_t(4 * width), -kInf);
+        float *zeros = &scores[0];
+        float *inf_row = &scores[size_t(width)];
+        float *nan_row = &scores[size_t(2 * width)];
+        for (int64_t j = 0; j < width; ++j) {
+            zeros[j] = (j * 5) % 3 == 0 ? -0.0f
+                       : (j % 7 == 3)   ? 0.0f
+                                        : -kInf;
+            inf_row[j] = float(j % 9) - 4.0f;
+            nan_row[j] = j < 16 ? nan : float(j % 5);
+        }
+        inf_row[3] = kInf;
+        inf_row[29] = kInf;
+        nan_row[20] = neg_nan;
+        nan_row[33] = nan;
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            expectLsTileMatchesSegments(backend, scores, 4, width, width,
+                                        sub);
+        }
+    }
+    // The NaN rule itself, on one 8-wide segment holding +inf.
+    std::vector<float> seg = {1.0f, kInf, 2.0f, -kInf,
+                              0.5f, kInf, 3.0f, 4.0f};
+    for (const SimdBackend backend :
+         {SimdBackend::Scalar, detectedSimdBackend()}) {
+        std::vector<Half> x(seg.size());
+        float m = 0.0f, d = 0.0f;
+        LsTile tile;
+        tile.x = seg.data();
+        tile.rows = 1;
+        tile.width = int64_t(seg.size());
+        tile.ld = tile.width;
+        tile.subVector = tile.width;
+        tile.xPrime = x.data();
+        tile.xPrimeLd = tile.width;
+        tile.localMax = &m;
+        tile.localSum = &d;
+        tile.mdLd = 1;
+        localSoftmaxTile(backend, tile);
+        EXPECT_EQ(m, kInf);
+        EXPECT_TRUE(std::isnan(d));
+        for (size_t j = 0; j < seg.size(); ++j) {
+            // +inf - +inf is NaN; Half::fromFloat keeps only its sign.
+            const uint16_t want = seg[j] == kInf ? 0x7e00 : 0x0000;
+            EXPECT_EQ(x[j].bits() & 0x7fff, want)
+                << "j=" << j << " " << simdBackendName(backend);
+        }
     }
 }
 
