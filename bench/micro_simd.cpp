@@ -6,10 +6,11 @@
  * serving tiling) and at the serving projection shape, the exp
  * primitive on its own and row softmax. Both arms run the same code
  * paths — the backend is switched in-process via setSimdBackend(),
- * which selects the conversion paths, the GEMM micro-kernel and the
+ * which selects the conversion paths, the GEMM tile body and the
  * exp path — so the report isolates exactly what the SIMD backend
  * buys. The fused-LS, exp and softmax arms also report ns per
- * element.
+ * element, the plain GEMM and projection arms the SIMD arm's
+ * GFLOP/s.
  * Writes BENCH_micro_simd.json (schema softrec-bench-v1).
  */
 
@@ -103,6 +104,15 @@ addNsPerElem(BenchReport &report, const std::string &stem,
                       t.simd_s * 1e9 / double(elems));
 }
 
+/** The SIMD arm's GEMM rate for `flops` floating-point ops per call. */
+void
+addSimdGflops(BenchReport &report, const std::string &stem,
+              const ArmTimes &t, double flops)
+{
+    report.setDerived(stem + ".simd_gflops",
+                      t.simd_s > 0.0 ? flops / t.simd_s * 1e-9 : 0.0);
+}
+
 } // namespace
 } // namespace softrec
 
@@ -166,6 +176,8 @@ main()
             uint64_t((mn + mn) * dh) * kFp16Bytes;
         addArmRows(report, "gemm.mainloop", t, in_bytes,
                    uint64_t(mn * mn) * kFp16Bytes, ctx.threads());
+        addSimdGflops(report, "gemm.mainloop", t,
+                      2.0 * double(mn) * double(mn) * double(dh));
     }
 
     // --- Fused-LS QK^T at the serving tiling: [L, dHead] x [L, dHead]^T
@@ -229,6 +241,8 @@ main()
             uint64_t(dff) * kFp32Bytes;
         addArmRows(report, "gemm.proj", t, in_bytes,
                    uint64_t(L * dff) * kFp16Bytes, ctx.threads());
+        addSimdGflops(report, "gemm.proj", t,
+                      2.0 * double(L) * double(dm) * double(dff));
     }
 
     // --- The exp primitive alone: 256 attention-width rows through

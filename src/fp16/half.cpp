@@ -253,8 +253,11 @@ SimdBackend
 detectBackend()
 {
 #if defined(SOFTREC_SIMD_X86)
+    // The AVX2 kernels accumulate with FMA; a CPU without it runs the
+    // Scalar backend, which gives the same bits.
     if (__builtin_cpu_supports("avx2") &&
-        __builtin_cpu_supports("f16c")) {
+        __builtin_cpu_supports("f16c") &&
+        __builtin_cpu_supports("fma")) {
         return SimdBackend::F16cAvx2;
     }
 #elif defined(SOFTREC_SIMD_NEON)

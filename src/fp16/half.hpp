@@ -86,23 +86,27 @@ inline bool operator>=(Half a, Half b) { return float(a) >= float(b); }
 
 /**
  * SIMD backend of the kernel substrate: it selects the batch
- * fp16<->fp32 conversions below, the GEMM micro-kernel in
- * kernels/gemm.cpp and the path of the exp primitive (expSpan,
- * maxSpan, tanhSpan in fp16/simd_math.hpp). Every SIMD path is
- * bit-identical to the scalar one by construction (NaN conversion
- * chunks fall back to the scalar conversion; the AVX2 GEMM keeps the
- * scalar kernel's rounding and accumulation order; the scalar exp runs
- * the AVX2 exp's operations and 8-lane sums in the same order), so the
- * choice only affects throughput, never results.
+ * fp16<->fp32 conversions below, the body of every dot-product
+ * primitive in kernels/fma_dot.hpp (GEMM tiles, attention scores and
+ * P.V) and the path of the exp primitive (expSpan, maxSpan, tanhSpan
+ * in fp16/simd_math.hpp). Every SIMD path is bit-identical to the
+ * scalar one by construction (NaN conversion chunks fall back to the
+ * scalar conversion; every dot product, scalar or AVX2, is the same
+ * k-ascending chain of fused multiply-adds, c = fma(a, b, c) from +0;
+ * the scalar exp runs the AVX2 exp's operations and 8-lane sums in
+ * the same order), so the choice only affects throughput, never
+ * results.
  */
 enum class SimdBackend
 {
-    Scalar,   ///< Portable conversion, GEMM and exp, always available.
+    Scalar,   ///< Portable conversion, dot products (std::fma) and
+              ///< exp, always available.
     F16cAvx2, ///< x86-64 VCVTPH2PS/VCVTPS2PH, 8 elements per step,
-              ///< plus the AVX2 register-blocked GEMM micro-kernel
-              ///< and the 8-wide AVX2 exp.
+              ///< plus the AVX2+FMA dot-product bodies (the
+              ///< register-blocked GEMM tile among them) and the
+              ///< 8-wide AVX2 exp. Needs AVX2, F16C and FMA.
     Neon,     ///< AArch64 vcvt_f32_f16/vcvt_f16_f32, 4 per step
-              ///< (the GEMM and exp use the portable paths).
+              ///< (the dot products and exp use the portable paths).
 };
 
 /** Human-readable backend name ("scalar", "f16c-avx2", "neon"). */
@@ -115,7 +119,7 @@ const char *simdBackendName(SimdBackend backend);
 SimdBackend detectedSimdBackend();
 
 /**
- * Active SIMD backend (conversions, GEMM micro-kernel and exp):
+ * Active SIMD backend (conversions, dot products and exp):
  * detectedSimdBackend() unless the environment says SOFTREC_SIMD=off
  * (force scalar). SOFTREC_SIMD=auto or unset means detect; anything
  * else warns and detects.

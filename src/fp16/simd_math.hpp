@@ -19,7 +19,12 @@
  *
  * Multiplies and adds are separate IEEE operations (never FMA), and
  * the scalar path runs the same operations in the same order as the
- * AVX2 path, so both produce the same bits for every input. Against
+ * AVX2 path, so both produce the same bits for every input. This is
+ * the opposite of the dot-product rule (kernels/fma_dot.hpp) on
+ * purpose: there both operands are fp16, every product is exact in
+ * fp32, and an fma rounds where a mul+add does; here the operands
+ * (z, r, p) are fp32 values whose products are not exact, so an fma
+ * would change the bits of every exp. Against
  * std::exp the result is within 1 ulp wherever std::exp's result is
  * a normal float. Special values:
  *

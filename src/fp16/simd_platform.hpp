@@ -1,8 +1,8 @@
 /**
  * @file
  * Compile-time SIMD platform detection shared by every file with a
- * runtime-dispatched SIMD path (the fp16 batch conversions, the GEMM
- * micro-kernel and the exp primitive). Defines SOFTREC_SIMD_X86
+ * runtime-dispatched SIMD path (the fp16 batch conversions, the
+ * dot-product primitives and the exp primitive). Defines SOFTREC_SIMD_X86
  * (x86-64 with GCC/Clang target attributes; includes <immintrin.h>)
  * or SOFTREC_SIMD_NEON (AArch64 with NEON; includes <arm_neon.h>),
  * unless the build configured -DSOFTREC_SIMD=OFF

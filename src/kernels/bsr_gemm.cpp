@@ -13,6 +13,7 @@
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "fp16/simd_math.hpp"
+#include "kernels/fma_dot.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
@@ -136,19 +137,16 @@ bsrSddRun(const ExecContext &ctx, const BsrSddDesc &desc,
         for (int64_t kk = layout.rowBegin(br); kk < layout.rowEnd(br);
              ++kk) {
             const int64_t bc = layout.blockCol(kk);
-            // Dense block GEMM: acc = Q[br] . K[bc]^T, fp32 accumulate.
+            // Dense block GEMM: acc = Q[br] . K[bc]^T, one fma chain
+            // per element, then the scale.
             for (int64_t i = 0; i < bs; ++i) {
-                const float *qrow =
-                    &qf[size_t(br * bs + i) * size_t(desc.dHead)];
-                for (int64_t j = 0; j < bs; ++j) {
-                    const float *krow =
-                        &kf[size_t(bc * bs + j) * size_t(desc.dHead)];
-                    float sum = 0.0f;
-                    for (int64_t d = 0; d < desc.dHead; ++d)
-                        sum += qrow[d] * krow[d];
-                    acc[size_t(i * bs + j)] =
-                        sum * float(desc.scale);
-                }
+                float *arow = &acc[size_t(i * bs)];
+                fmaDotRows(backend,
+                           &qf[size_t(br * bs + i) * size_t(desc.dHead)],
+                           &kf[size_t(bc * bs) * size_t(desc.dHead)],
+                           desc.dHead, bs, desc.dHead, arow);
+                for (int64_t j = 0; j < bs; ++j)
+                    arow[j] *= float(desc.scale);
             }
             // Epilogue: the fused LS tile, one sub-vector per block
             // row, or a plain store through the batch converter.
@@ -253,6 +251,7 @@ bsrDsdRun(const ExecContext &ctx, const BsrDsdDesc &desc,
     halfToFloat(v.data(), vf.data(), layout.cols() * desc.dHead);
 
     // Parallel over block rows: output rows are disjoint per chunk.
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, layout.blockRows(), 1,
                 [&](int64_t br0, int64_t br1) {
     std::vector<float> pbuf(size_t(bs), 0.0f);
@@ -267,26 +266,23 @@ bsrDsdRun(const ExecContext &ctx, const BsrDsdDesc &desc,
                 gs_scope->addRead(row_nnz * uint64_t(bs) * kFp32Bytes);
         }
         for (int64_t i = 0; i < bs; ++i) {
-            // kk outer / j mid / d inner: per output element (i, d)
-            // the (kk, j) accumulation order is unchanged (ascending),
-            // but V rows are swept contiguously and each P block row
-            // widens through the batch converter exactly once.
+            // kk outer / j inner: per output element (i, d) one fma
+            // chain in ascending (kk, j) order, V rows swept
+            // contiguously, and each P block row widened through the
+            // batch converter exactly once.
             std::fill(obuf.begin(), obuf.end(), 0.0f);
             for (int64_t kk = layout.rowBegin(br);
                  kk < layout.rowEnd(br); ++kk) {
                 const int64_t bc = layout.blockCol(kk);
                 halfToFloat(p.blockData(kk) + i * bs, pbuf.data(), bs);
-                const float r = desc.fuseGlobalScale
-                    ? (*recon)[size_t(kk * bs + i)]
-                    : 1.0f;
-                for (int64_t j = 0; j < bs; ++j) {
-                    // Same value as the old (p * r) * v ordering.
-                    const float s = pbuf[size_t(j)] * r;
-                    const float *vrow =
-                        &vf[size_t(bc * bs + j) * size_t(desc.dHead)];
-                    for (int64_t d = 0; d < desc.dHead; ++d)
-                        obuf[size_t(d)] += s * vrow[d];
+                if (desc.fuseGlobalScale) {
+                    const float r = (*recon)[size_t(kk * bs + i)];
+                    for (int64_t j = 0; j < bs; ++j)
+                        pbuf[size_t(j)] *= r;
                 }
+                fmaAccumRows(backend, pbuf.data(),
+                             &vf[size_t(bc * bs) * size_t(desc.dHead)],
+                             desc.dHead, bs, desc.dHead, obuf.data());
             }
             floatToHalf(obuf.data(), o.rowPtr(br * bs + i), desc.dHead);
         }

@@ -5,10 +5,11 @@
  * Bit-identity contract with the prefill path (gemmRun + rowSoftmaxRun
  * + gemmRun on the full prefix):
  *
- *  - scores: fp32 accumulation in ascending d per element, then the
- *    scale epilogue, then an fp16 store — exactly the per-element
- *    order of the packed GEMM micro-kernel (which accumulates
- *    k-ascending whatever the tiling) and its epilogue/store.
+ *  - scores: one d-ascending fma chain from +0 per element
+ *    (fmaDotRows, eight cached positions per vector), then the scale
+ *    epilogue, then an fp16 store - exactly the per-element chain of
+ *    the packed GEMM tile (which accumulates k-ascending whatever the
+ *    tiling) and its epilogue/store.
  *  - softmax: the same staged three-pass safe softmax as
  *    rowSoftmaxRun, through the same maxSpan/expSpan calls. A causal
  *    prefill row stops at the diagonal, so it covers exactly the
@@ -20,11 +21,18 @@
  *    combined by the same fixed tree. So max and denominator, and
  *    with them the probabilities, are bit-identical for any
  *    context % 8.
- *  - output: fp32 accumulation in ascending key order per element —
- *    the micro-kernel's k-ascending order for the P.V GEMM. Causal
- *    P.V (GemmPrologue::causalA) skips the masked tail rather than
- *    adding its +0 terms, so prefill reads the same V rows as decode
- *    and the two agree even when a later V row is not finite.
+ *  - output: one fma chain in ascending key order per element
+ *    (fmaAccumRows) - the GEMM tile's k-ascending chain for the P.V
+ *    GEMM. Causal P.V (GemmPrologue::causalA) skips the masked tail
+ *    rather than adding its +0 terms, so prefill reads the same V rows
+ *    as decode and the two agree even when a later V row is not
+ *    finite.
+ *
+ * Over an fp16 KV cache both products of every chain have fp16
+ * operands (the probabilities are stored through fp16 too), so each
+ * fma gives the bits of a separate multiply and add
+ * (kernels/fma_dot.hpp); over an int8 cache the dequantized rows are
+ * fp32 and the fma rounds once where a mul+add would round twice.
  *
  * All Half<->float conversions use the batch converters, which are
  * bit-identical to scalar conversion on every backend.
@@ -34,17 +42,77 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "fp16/simd_math.hpp"
+#include "kernels/fma_dot.hpp"
 #include "kernels/kernel_common.hpp"
 
 namespace softrec {
+
+namespace {
+
+/**
+ * Calls fn(r0, rows, ld, n) over consecutive batches of the cached
+ * rows [pos0, pos0 + count): `rows` points at the batch's first head slice
+ * (fp16 in place, or int8 dequantized into staging), ld is its row
+ * stride and r0 the batch's offset from pos0. An fp16 batch is one
+ * block's run of rows, an int8 batch up to kDecodeRowChunk rows.
+ */
+template <typename Fn>
+void
+forEachRowBatch(const KvRowsView &view, int64_t col, int64_t width,
+                int64_t pos0, int64_t count, float *staging, Fn &&fn)
+{
+    for (int64_t r0 = 0; r0 < count;) {
+        const int64_t pos = pos0 + r0;
+        if (view.dtype == KvDtype::F16) {
+            const int64_t n = std::min(count - r0,
+                                       view.blockTokens -
+                                           pos % view.blockTokens);
+            fn(r0, view.row(pos) + col, view.rowWidth, n);
+            r0 += n;
+        } else {
+            const int64_t n = std::min(kDecodeRowChunk, count - r0);
+            for (int64_t r = 0; r < n; ++r)
+                view.loadRow(pos + r, col, width, staging + r * width);
+            fn(r0, static_cast<const float *>(staging), width, n);
+            r0 += n;
+        }
+    }
+}
+
+} // namespace
+
+void
+kvDotRows(SimdBackend backend, const float *q, const KvRowsView &view,
+          int64_t col, int64_t width, int64_t pos0, int64_t count,
+          float *staging, float *out)
+{
+    forEachRowBatch(view, col, width, pos0, count, staging,
+                    [&](int64_t r0, const auto *rows, int64_t ld,
+                        int64_t n) {
+                        fmaDotRows(backend, q, rows, ld, n, width,
+                                   out + r0);
+                    });
+}
+
+void
+kvAccumRows(SimdBackend backend, const float *p, const KvRowsView &view,
+            int64_t col, int64_t width, int64_t pos0, int64_t count,
+            float *staging, float *acc)
+{
+    forEachRowBatch(view, col, width, pos0, count, staging,
+                    [&](int64_t r0, const auto *rows, int64_t ld,
+                        int64_t n) {
+                        fmaAccumRows(backend, p + r0, rows, ld, n, width,
+                                     acc);
+                    });
+}
 
 void
 decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
@@ -88,26 +156,23 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
     DecodeAttendWorkspace &w = ws != nullptr ? *ws : local;
     w.prepare(dh, context);
     std::vector<float> &qf = w.qf;
-    std::vector<float> &lane = w.lane;
+    std::vector<float> &staging = w.rows;
     std::vector<float> &row = w.row;
     std::vector<Half> &row_h = w.rowH;
     halfToFloat(q_row, qf.data(), dh);
+    const SimdBackend backend = simdBackend();
 
     // Scores: q . K^T with the scale epilogue, stored through fp16.
-    for (int64_t pos = 0; pos < context; ++pos) {
-        k.loadRow(pos, desc.headOffset, dh, lane.data());
-        float acc = 0.0f;
-        for (int64_t d = 0; d < dh; ++d)
-            acc += qf[size_t(d)] * lane[size_t(d)];
-        if (desc.scale != 1.0)
-            acc *= float(desc.scale);
-        row[size_t(pos)] = acc;
+    kvDotRows(backend, qf.data(), k, desc.headOffset, dh, 0, context,
+              staging.data(), row.data());
+    if (desc.scale != 1.0) {
+        for (int64_t pos = 0; pos < context; ++pos)
+            row[size_t(pos)] *= float(desc.scale);
     }
     floatToHalf(row.data(), row_h.data(), context);
 
     // Safe softmax over the score row (rowSoftmaxRun's three passes).
     halfToFloat(row_h.data(), row.data(), context);
-    const SimdBackend backend = simdBackend();
     const float max_val = maxSpan(backend, row.data(), context);
     const float denom =
         expSpan(backend, row.data(), max_val, row.data(), context);
@@ -123,12 +188,8 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
     halfToFloat(row_h.data(), row.data(), context);
     std::vector<float> &acc = w.acc;
     std::fill(acc.begin(), acc.end(), 0.0f);
-    for (int64_t pos = 0; pos < context; ++pos) {
-        v.loadRow(pos, desc.headOffset, dh, lane.data());
-        const float p = row[size_t(pos)];
-        for (int64_t d = 0; d < dh; ++d)
-            acc[size_t(d)] += p * lane[size_t(d)];
-    }
+    kvAccumRows(backend, row.data(), v, desc.headOffset, dh, 0, context,
+                staging.data(), acc.data());
     floatToHalf(acc.data(), out, dh);
 }
 

@@ -8,8 +8,8 @@
  * recomposition to save here; the kernel's job is to read the cached
  * K/V rows in place (no per-step repacking or reconversion of the
  * whole prefix) while reproducing the prefill path's arithmetic
- * bit for bit: the same k-ascending fp32 accumulation as the packed
- * GEMM micro-kernel, the same three-pass safe softmax as
+ * bit for bit: the same k-ascending fma chains as the packed GEMM
+ * tile (kernels/fma_dot.hpp), the same three-pass safe softmax as
  * rowSoftmaxRun, and the same fp16 storage round-trips between
  * stages. tests/test_decode.cpp proves incremental decode through
  * this kernel is bit-identical to full-prefix recompute at every
@@ -163,6 +163,33 @@ struct DecodeAttendDesc
 };
 
 /**
+ * Int8 cached rows the decode kernels dequantize to fp32 per batch:
+ * the scores and the P.V run over up to this many of them per
+ * fmaDotRows or fmaAccumRows call (fp16 rows are read in place).
+ */
+inline constexpr int64_t kDecodeRowChunk = 64;
+
+/**
+ * Scores of the fp32 query slice q (`width` wide) against the head
+ * slice at column `col` of cached rows [pos0, pos0 + count):
+ * out[r] is one d-ascending fma chain from +0 (fmaDotRows). fp16 rows
+ * are read in place, one block's run of rows per call; int8 rows are
+ * dequantized kDecodeRowChunk at a time into `staging`
+ * (kDecodeRowChunk * width floats).
+ */
+void kvDotRows(SimdBackend backend, const float *q, const KvRowsView &view,
+               int64_t col, int64_t width, int64_t pos0, int64_t count,
+               float *staging, float *out);
+
+/**
+ * P.V over the same rows: acc[d] = fma(p[r], row[d], acc[d]) for r
+ * ascending over [0, count) (fmaAccumRows), continuing acc's chains.
+ */
+void kvAccumRows(SimdBackend backend, const float *p,
+                 const KvRowsView &view, int64_t col, int64_t width,
+                 int64_t pos0, int64_t count, float *staging, float *acc);
+
+/**
  * Reusable staging buffers for decodeAttendRun. The kernel runs once
  * per (request, head) every decode step, so allocating its fp32
  * staging rows inside the call would put ~5 mallocs on the per-token
@@ -175,7 +202,7 @@ struct DecodeAttendDesc
 struct DecodeAttendWorkspace
 {
     std::vector<float> qf;    //!< query row, fp32, dHead
-    std::vector<float> lane;  //!< one cached row's head slice, fp32
+    std::vector<float> rows;  //!< kDecodeRowChunk int8 rows, dequantized
     std::vector<float> row;   //!< score/probability row, fp32
     std::vector<Half> rowH;   //!< fp16 round-trip of the score row
     std::vector<float> acc;   //!< output accumulator, fp32, dHead
@@ -185,7 +212,7 @@ struct DecodeAttendWorkspace
     prepare(int64_t d_head, int64_t context)
     {
         qf.resize(size_t(d_head));
-        lane.resize(size_t(d_head));
+        rows.resize(size_t(kDecodeRowChunk * d_head));
         row.resize(size_t(context));
         rowH.resize(size_t(context));
         acc.resize(size_t(d_head));

@@ -14,6 +14,7 @@
 #include "common/profiler.hpp"
 #include "common/units.hpp"
 #include "fp16/simd_math.hpp"
+#include "kernels/fma_dot.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
@@ -131,15 +132,13 @@ fusedMhaRun(const ExecContext &ctx, const FusedMhaDesc &desc,
         std::vector<float> orow(size_t(dh), 0.0f);
         for (int64_t i = row0; i < row1; ++i) {
             const float *qrow = &qf[size_t(i) * size_t(dh)];
+            fmaDotRows(backend, qrow, kf.data(), dh, L, dh,
+                       scores.data());
             for (int64_t j = 0; j < L; ++j) {
-                const float *krow = &kf[size_t(j) * size_t(dh)];
-                float s = 0.0f;
-                for (int64_t d = 0; d < dh; ++d)
-                    s += qrow[d] * krow[d];
+                float &s = scores[size_t(j)];
                 s *= float(desc.scale);
                 if (desc.causalMask && j > i)
                     s = neg_inf;
-                scores[size_t(j)] = s;
             }
             const float row_max = maxSpan(backend, scores.data(), L);
             const float denom = expSpan(backend, scores.data(), row_max,
@@ -149,16 +148,10 @@ fusedMhaRun(const ExecContext &ctx, const FusedMhaDesc &desc,
                           "be positive for an unmasked row",
                           (long long)i, double(denom));
             const float inv = denom > 0.0f ? 1.0f / denom : 0.0f;
-            // P.V with j outer / d inner: per output element the j
-            // accumulation order is unchanged (ascending), but V rows
-            // are now swept contiguously.
+            // P.V: one j-ascending fma chain per output element.
             std::fill(orow.begin(), orow.end(), 0.0f);
-            for (int64_t j = 0; j < L; ++j) {
-                const float p = scores[size_t(j)];
-                const float *vrow = &vf[size_t(j) * size_t(dh)];
-                for (int64_t d = 0; d < dh; ++d)
-                    orow[size_t(d)] += p * vrow[d];
-            }
+            fmaAccumRows(backend, scores.data(), vf.data(), dh, L, dh,
+                         orow.data());
             for (int64_t d = 0; d < dh; ++d)
                 orow[size_t(d)] *= inv;
             floatToHalf(orow.data(), out.rowPtr(i), dh);

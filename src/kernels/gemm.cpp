@@ -15,204 +15,10 @@
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "fp16/simd_math.hpp"
-#include "fp16/simd_platform.hpp"
+#include "kernels/fma_dot.hpp"
 #include "sim/calibration.hpp"
 
 namespace softrec {
-
-namespace {
-
-/**
- * Portable fp32 micro-kernel over columns [j0, ldn) of one tile:
- * acc[mh, ldn] += A[mh, depth] . panel[depth, ldn], four output rows
- * sharing each panel-row sweep. Row i of a_rows (stride k_depth)
- * reads columns [0, min(k_depth, diag + i + 1)): a causal-A caller
- * passes the strip's first global row as diag, anyone else k_depth,
- * which gives every row the full depth. The accumulators live in
- * memory (acc), so the compiler may vectorize the j loop but not keep
- * the tile in registers. Accumulation is unconditional (no
- * zero-operand skip) and k-ascending per output element, the same
- * order as a scalar triple loop, so tiling is invisible in the result
- * bits.
- */
-void
-microKernelScalar(const float *SOFTREC_RESTRICT a_rows,
-                  const float *SOFTREC_RESTRICT panel,
-                  float *SOFTREC_RESTRICT acc, int64_t mh,
-                  int64_t k_depth, int64_t diag, int64_t ldn,
-                  int64_t j0)
-{
-    int64_t i = 0;
-    for (; i + 4 <= mh; i += 4) {
-        const float *a0 = a_rows + (i + 0) * k_depth;
-        const float *a1 = a_rows + (i + 1) * k_depth;
-        const float *a2 = a_rows + (i + 2) * k_depth;
-        const float *a3 = a_rows + (i + 3) * k_depth;
-        float *c0 = acc + (i + 0) * ldn;
-        float *c1 = acc + (i + 1) * ldn;
-        float *c2 = acc + (i + 2) * ldn;
-        float *c3 = acc + (i + 3) * ldn;
-        const int64_t d0 = std::min(k_depth, diag + i + 1);
-        const int64_t d3 = std::min(k_depth, diag + i + 4);
-        int64_t kk = 0;
-        for (; kk < d0; ++kk) {
-            const float *b = panel + kk * ldn;
-            const float v0 = a0[kk], v1 = a1[kk];
-            const float v2 = a2[kk], v3 = a3[kk];
-            for (int64_t j = j0; j < ldn; ++j) {
-                c0[j] += v0 * b[j];
-                c1[j] += v1 * b[j];
-                c2[j] += v2 * b[j];
-                c3[j] += v3 * b[j];
-            }
-        }
-        // Causal A: rows i + 1..i + 3 read up to three columns more;
-        // row i + r reads column kk once kk <= diag + i + r.
-        for (; kk < d3; ++kk) {
-            const float *b = panel + kk * ldn;
-            for (int64_t r = kk - diag - i; r < 4; ++r) {
-                const float v = a_rows[(i + r) * k_depth + kk];
-                float *cr = acc + (i + r) * ldn;
-                for (int64_t j = j0; j < ldn; ++j)
-                    cr[j] += v * b[j];
-            }
-        }
-    }
-    for (; i < mh; ++i) {
-        const float *ar = a_rows + i * k_depth;
-        float *cr = acc + i * ldn;
-        const int64_t depth = std::min(k_depth, diag + i + 1);
-        for (int64_t kk = 0; kk < depth; ++kk) {
-            const float *b = panel + kk * ldn;
-            const float v = ar[kk];
-            for (int64_t j = j0; j < ldn; ++j)
-                cr[j] += v * b[j];
-        }
-    }
-}
-
-#if defined(SOFTREC_SIMD_X86)
-
-/**
- * AVX2 micro-kernel, bit-identical to microKernelScalar. A 4-row x
- * 16-column block of accumulators stays in eight YMM registers for the
- * whole k loop (one row x 16 columns for the mh % 4 leftover rows):
- * each k step loads two 8-wide panel vectors and broadcasts one A
- * element per row. Multiply and add are separate instructions, never
- * FMA, so each product and each sum rounds exactly where the scalar
- * `c += v * b` does, in the same k-ascending order onto the same acc
- * (zero-filled by the caller, so every sum starts at +0.0f). Row
- * depths follow diag as in microKernelScalar: a block runs the depth
- * of its first row with all four rows, then at most three steps with
- * the rows that read further. Columns past the last full 16
- * (tileN % 16) go through the scalar kernel.
- */
-__attribute__((target("avx2"))) void
-microKernelAvx2(const float *SOFTREC_RESTRICT a_rows,
-                const float *SOFTREC_RESTRICT panel,
-                float *SOFTREC_RESTRICT acc, int64_t mh,
-                int64_t k_depth, int64_t diag, int64_t ldn)
-{
-    const int64_t n16 = ldn - ldn % 16;
-    int64_t i = 0;
-    for (; i + 4 <= mh; i += 4) {
-        const float *a0 = a_rows + (i + 0) * k_depth;
-        const float *a1 = a_rows + (i + 1) * k_depth;
-        const float *a2 = a_rows + (i + 2) * k_depth;
-        const float *a3 = a_rows + (i + 3) * k_depth;
-        const int64_t d0 = std::min(k_depth, diag + i + 1);
-        const int64_t d1 = std::min(k_depth, diag + i + 2);
-        const int64_t d2 = std::min(k_depth, diag + i + 3);
-        const int64_t d3 = std::min(k_depth, diag + i + 4);
-        for (int64_t j = 0; j < n16; j += 16) {
-            float *c0 = acc + (i + 0) * ldn + j;
-            float *c1 = acc + (i + 1) * ldn + j;
-            float *c2 = acc + (i + 2) * ldn + j;
-            float *c3 = acc + (i + 3) * ldn + j;
-            __m256 c00 = _mm256_loadu_ps(c0);
-            __m256 c01 = _mm256_loadu_ps(c0 + 8);
-            __m256 c10 = _mm256_loadu_ps(c1);
-            __m256 c11 = _mm256_loadu_ps(c1 + 8);
-            __m256 c20 = _mm256_loadu_ps(c2);
-            __m256 c21 = _mm256_loadu_ps(c2 + 8);
-            __m256 c30 = _mm256_loadu_ps(c3);
-            __m256 c31 = _mm256_loadu_ps(c3 + 8);
-            const float *b = panel + j;
-            int64_t kk = 0;
-            for (; kk < d0; ++kk, b += ldn) {
-                const __m256 b0 = _mm256_loadu_ps(b);
-                const __m256 b1 = _mm256_loadu_ps(b + 8);
-                __m256 v = _mm256_broadcast_ss(a0 + kk);
-                c00 = _mm256_add_ps(c00, _mm256_mul_ps(v, b0));
-                c01 = _mm256_add_ps(c01, _mm256_mul_ps(v, b1));
-                v = _mm256_broadcast_ss(a1 + kk);
-                c10 = _mm256_add_ps(c10, _mm256_mul_ps(v, b0));
-                c11 = _mm256_add_ps(c11, _mm256_mul_ps(v, b1));
-                v = _mm256_broadcast_ss(a2 + kk);
-                c20 = _mm256_add_ps(c20, _mm256_mul_ps(v, b0));
-                c21 = _mm256_add_ps(c21, _mm256_mul_ps(v, b1));
-                v = _mm256_broadcast_ss(a3 + kk);
-                c30 = _mm256_add_ps(c30, _mm256_mul_ps(v, b0));
-                c31 = _mm256_add_ps(c31, _mm256_mul_ps(v, b1));
-            }
-            for (; kk < d3; ++kk, b += ldn) {
-                const __m256 b0 = _mm256_loadu_ps(b);
-                const __m256 b1 = _mm256_loadu_ps(b + 8);
-                __m256 v;
-                if (kk < d1) {
-                    v = _mm256_broadcast_ss(a1 + kk);
-                    c10 = _mm256_add_ps(c10, _mm256_mul_ps(v, b0));
-                    c11 = _mm256_add_ps(c11, _mm256_mul_ps(v, b1));
-                }
-                if (kk < d2) {
-                    v = _mm256_broadcast_ss(a2 + kk);
-                    c20 = _mm256_add_ps(c20, _mm256_mul_ps(v, b0));
-                    c21 = _mm256_add_ps(c21, _mm256_mul_ps(v, b1));
-                }
-                v = _mm256_broadcast_ss(a3 + kk);
-                c30 = _mm256_add_ps(c30, _mm256_mul_ps(v, b0));
-                c31 = _mm256_add_ps(c31, _mm256_mul_ps(v, b1));
-            }
-            _mm256_storeu_ps(c0, c00);
-            _mm256_storeu_ps(c0 + 8, c01);
-            _mm256_storeu_ps(c1, c10);
-            _mm256_storeu_ps(c1 + 8, c11);
-            _mm256_storeu_ps(c2, c20);
-            _mm256_storeu_ps(c2 + 8, c21);
-            _mm256_storeu_ps(c3, c30);
-            _mm256_storeu_ps(c3 + 8, c31);
-        }
-    }
-    for (; i < mh; ++i) {
-        const float *ar = a_rows + i * k_depth;
-        const int64_t depth = std::min(k_depth, diag + i + 1);
-        for (int64_t j = 0; j < n16; j += 16) {
-            float *cr = acc + i * ldn + j;
-            __m256 c0 = _mm256_loadu_ps(cr);
-            __m256 c1 = _mm256_loadu_ps(cr + 8);
-            const float *b = panel + j;
-            for (int64_t kk = 0; kk < depth; ++kk, b += ldn) {
-                const __m256 b0 = _mm256_loadu_ps(b);
-                const __m256 b1 = _mm256_loadu_ps(b + 8);
-                const __m256 v = _mm256_broadcast_ss(ar + kk);
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(v, b0));
-                c1 = _mm256_add_ps(c1, _mm256_mul_ps(v, b1));
-            }
-            _mm256_storeu_ps(cr, c0);
-            _mm256_storeu_ps(cr + 8, c1);
-        }
-    }
-    // Clear the YMM upper halves before any SSE code runs: see the
-    // note in halfToFloatF16c (src/fp16/half.cpp).
-    _mm256_zeroupper();
-    if (n16 < ldn)
-        microKernelScalar(a_rows, panel, acc, mh, k_depth, diag, ldn,
-                          n16);
-}
-
-#endif // SOFTREC_SIMD_X86
-
-} // namespace
 
 double
 gemmEfficiencyOf(GemmShapeClass shape_class)
@@ -421,7 +227,7 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
     }
 
     // Pack B once per call into one fp32 panel per n-tile, laid out
-    // [k][tileN] so the micro-kernel streams it contiguously. This
+    // [k][tileN] so the GEMM tile streams it contiguously. This
     // hoists the transposeB branch and every B-side conversion out of
     // the mainloop (the old code reconverted each B element once per
     // consuming output row). Ragged tail columns are zero-padded so
@@ -454,26 +260,10 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         }
     }
 
-    // Both micro-kernels, like both exp paths, produce the same bits,
-    // so the backend only changes speed. Read it once so one call
-    // never mixes paths.
+    // Every backend's GEMM tile, like its exp path, produces the same
+    // bits, so the backend only changes speed. Read it once so one
+    // call never mixes paths.
     const SimdBackend backend = simdBackend();
-    [[maybe_unused]] const bool use_avx2 =
-        backend == SimdBackend::F16cAvx2;
-    const auto microKernel = [&](const float *a_rows,
-                                 const float *panel, float *acc,
-                                 int64_t mh, int64_t k_depth,
-                                 int64_t diag) {
-#if defined(SOFTREC_SIMD_X86)
-        if (use_avx2) {
-            microKernelAvx2(a_rows, panel, acc, mh, k_depth, diag,
-                            t.tileN);
-            return;
-        }
-#endif
-        microKernelScalar(a_rows, panel, acc, mh, k_depth, diag,
-                          t.tileN, 0);
-    };
 
     // One m-tile strip of output: all n-tiles for rows [m0, m0 + mh).
     // The strip's A rows are converted (and GS-scaled) once into abuf;
@@ -526,10 +316,15 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                 }
                 continue;
             }
+            // Each element is one k-ascending fma chain from +0. A and
+            // B are widened fp16, so every product is exact in fp32 and
+            // the chain has the bits of a mul+add loop; only the GS
+            // prologue's fp32 A (X'.r') rounds once per step where a
+            // mul+add would round twice.
             std::fill(acc.begin(), acc.end(), 0.0f);
-            microKernel(abuf.data(),
+            fmaGemmTile(backend, abuf.data(),
                         &bpack[size_t(tn) * size_t(k) * size_t(t.tileN)],
-                        acc.data(), mh, kd, diag);
+                        acc.data(), mh, kd, diag, t.tileN);
 
             // Epilogue on the fp32 tile, one plain loop per stage so
             // each can vectorize; every element still goes through

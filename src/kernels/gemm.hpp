@@ -121,9 +121,11 @@ struct GemmOperands
  * (so a fused LS uses sub-vectors of exactly tileN columns), results
  * rounded to fp16 on store. Parallelizes over m-tile strips; each
  * strip owns its accumulator and writes disjoint output rows, so
- * results are bit-identical for any thread count. The micro-kernel
- * follows simdBackend() (AVX2 register blocks under F16cAvx2, the
- * portable kernel otherwise) with identical bits. A causal tile that
+ * results are bit-identical for any thread count. Every output
+ * element is one k-ascending fma chain from +0 (fmaGemmTile in
+ * kernels/fma_dot.hpp, AVX2 register blocks under F16cAvx2, the
+ * portable body otherwise, with identical bits); with fp16 A and B
+ * that equals a mul+add loop bit for bit. A causal tile that
  * is masked everywhere skips the mainloop and stores the bits its
  * epilogue would (-inf, or under LS X' = +0, m' = -inf, d' = +0); a
  * causal-A prologue stops each row's k loop at the diagonal. Profiler

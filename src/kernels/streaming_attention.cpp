@@ -6,15 +6,16 @@
  * tiles of kStreamKeyTile positions in ascending order, and for each
  * tile run the *same* update sequence (onlineTileUpdate below):
  *
- *  - scores: fp32 accumulation in ascending d per element, then the
- *    conditional scale multiply — the per-element order of the packed
- *    GEMM micro-kernel and of decodeAttendRun's score loop;
+ *  - scores: one d-ascending fma chain from +0 per element, then the
+ *    conditional scale multiply - the per-element chain of the packed
+ *    GEMM tile and of decodeAttendRun's scores (kernels/fma_dot.hpp);
  *  - tile max (maxSpan), m_new = max(m, tile_max); a tile whose
  *    running max is still -inf is skipped;
  *  - rescale = exp(m - m_new) applied to d and (when != 1) to the
  *    accumulator, then e_j = exp(s_j - m_new) for the tile in one
  *    expSpan, whose lane-order sum is added to d, and e_j accumulated
- *    j-outer / d-inner into the accumulator;
+ *    into the accumulator by one j-ascending fma chain per element
+ *    (fmaAccumRows);
  *  - epilogue: one reciprocal inv = 1/d multiplied into the fp32
  *    accumulator (division-free inner loop), then the fp16 store.
  *
@@ -24,6 +25,10 @@
  * context i+1 produce identical bits, and incremental decode through
  * decodeAttendStreamRun is bit-identical to full-prefix streaming
  * recompute (tests/test_streaming_attention.cpp).
+ *
+ * q and K are fp16, so the score chains have the bits of a mul+add
+ * loop; e_j is fp32, so the p.V chains round once per step where a
+ * mul+add would round twice (both entry points alike).
  */
 
 #include "kernels/streaming_attention.hpp"
@@ -38,6 +43,7 @@
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "fp16/simd_math.hpp"
+#include "kernels/fma_dot.hpp"
 #include "kernels/kernel_common.hpp"
 
 namespace softrec {
@@ -75,15 +81,16 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 /**
  * Fold one w-wide tile of scaled scores into a row's running
- * (m, d, acc) state. `v_row(j)` returns the fp32 V row of tile
- * position j. Both kernels call exactly this, which is what makes
- * their outputs bit-identical for the same (q, K, V, context).
+ * (m, d, acc) state. `accumulate(e)` adds e_j times the tile's V row
+ * j into acc, one j-ascending fma chain per element (fmaAccumRows).
+ * Both kernels call exactly this, which is what makes their outputs
+ * bit-identical for the same (q, K, V, context).
  */
-template <typename VRowFn>
+template <typename AccumFn>
 inline void
 onlineTileUpdate(SimdBackend backend, float *SOFTREC_RESTRICT s,
                  int64_t w, int64_t dh, float &m, float &d,
-                 float *SOFTREC_RESTRICT acc, VRowFn &&v_row)
+                 float *SOFTREC_RESTRICT acc, AccumFn &&accumulate)
 {
     const float m_new = std::max(m, maxSpan(backend, s, w));
     if (m_new == kNegInf)
@@ -96,12 +103,7 @@ onlineTileUpdate(SimdBackend backend, float *SOFTREC_RESTRICT s,
         for (int64_t dd = 0; dd < dh; ++dd)
             acc[dd] *= rescale;
     }
-    for (int64_t j = 0; j < w; ++j) {
-        const float p = s[j];
-        const float *vr = v_row(j);
-        for (int64_t dd = 0; dd < dh; ++dd)
-            acc[dd] += p * vr[dd];
-    }
+    accumulate(static_cast<const float *>(s));
     m = m_new;
 }
 
@@ -128,53 +130,6 @@ storeRow(float *SOFTREC_RESTRICT acc, int64_t dh, float m, float d,
             acc[dd] = 0.0f;
     }
     floatToHalf(acc, out, dh);
-}
-
-/**
- * Score one key tile for a strip of query rows: s[i, j] += q_i . k_j
- * over the packed fp32 panel, with gemm.cpp's 4-row register blocking.
- * Accumulation is d-ascending per element, so blocking is invisible
- * in the result bits (each element is an independent dot product).
- */
-void
-scoreTile(const float *SOFTREC_RESTRICT q_rows,
-          const float *SOFTREC_RESTRICT panel,
-          float *SOFTREC_RESTRICT s, int64_t rows, int64_t dh)
-{
-    constexpr int64_t ldn = kStreamKeyTile;
-    std::fill(s, s + rows * ldn, 0.0f);
-    int64_t i = 0;
-    for (; i + 4 <= rows; i += 4) {
-        const float *a0 = q_rows + (i + 0) * dh;
-        const float *a1 = q_rows + (i + 1) * dh;
-        const float *a2 = q_rows + (i + 2) * dh;
-        const float *a3 = q_rows + (i + 3) * dh;
-        float *c0 = s + (i + 0) * ldn;
-        float *c1 = s + (i + 1) * ldn;
-        float *c2 = s + (i + 2) * ldn;
-        float *c3 = s + (i + 3) * ldn;
-        for (int64_t kk = 0; kk < dh; ++kk) {
-            const float *b = panel + kk * ldn;
-            const float v0 = a0[kk], v1 = a1[kk];
-            const float v2 = a2[kk], v3 = a3[kk];
-            for (int64_t j = 0; j < ldn; ++j) {
-                c0[j] += v0 * b[j];
-                c1[j] += v1 * b[j];
-                c2[j] += v2 * b[j];
-                c3[j] += v3 * b[j];
-            }
-        }
-    }
-    for (; i < rows; ++i) {
-        const float *ar = q_rows + i * dh;
-        float *cr = s + i * ldn;
-        for (int64_t kk = 0; kk < dh; ++kk) {
-            const float *b = panel + kk * ldn;
-            const float v = ar[kk];
-            for (int64_t j = 0; j < ldn; ++j)
-                cr[j] += v * b[j];
-        }
-    }
 }
 
 /** Query strip height (rows per parallelFor chunk). */
@@ -263,10 +218,14 @@ streamingAttentionRun(const ExecContext &ctx,
             for (int64_t t0 = 0; t0 < strip_kv; t0 += kStreamKeyTile) {
                 const int64_t w_full =
                     std::min(kStreamKeyTile, kv - t0);
-                scoreTile(qf.data(),
-                          &kpack[size_t((t0 / kStreamKeyTile) * dh *
-                                        kStreamKeyTile)],
-                          sbuf.data(), rh, dh);
+                // Scores: the GEMM tile over the packed K panel, every
+                // row at full depth.
+                std::fill(sbuf.begin(),
+                          sbuf.begin() + rh * kStreamKeyTile, 0.0f);
+                fmaGemmTile(backend, qf.data(),
+                            &kpack[size_t((t0 / kStreamKeyTile) * dh *
+                                          kStreamKeyTile)],
+                            sbuf.data(), rh, dh, dh, kStreamKeyTile);
                 if (desc.scale != 1.0) {
                     for (int64_t i = 0; i < rh; ++i) {
                         float *sr = &sbuf[size_t(i * kStreamKeyTile)];
@@ -282,13 +241,14 @@ streamingAttentionRun(const ExecContext &ctx,
                         continue;
                     const int64_t w =
                         std::min(w_full, valid - t0);
-                    const float *vtile = &vpack[size_t(t0 * dh)];
+                    float *acc = &accbuf[size_t(i * dh)];
                     onlineTileUpdate(
                         backend, &sbuf[size_t(i * kStreamKeyTile)], w, dh,
-                        mbuf[size_t(i)], dbuf[size_t(i)],
-                        &accbuf[size_t(i * dh)],
-                        [vtile, dh](int64_t j) {
-                            return vtile + j * dh;
+                        mbuf[size_t(i)], dbuf[size_t(i)], acc,
+                        [&](const float *p) {
+                            fmaAccumRows(backend, p,
+                                         &vpack[size_t(t0 * dh)], dh, w,
+                                         dh, acc);
                         });
                 }
             }
@@ -333,7 +293,7 @@ decodeAttendStreamRun(const ExecContext &ctx,
     // context; rowH stays untouched (no fp16 staging round-trip).
     w.prepare(dh, kStreamKeyTile);
     std::vector<float> &qf = w.qf;
-    std::vector<float> &lane = w.lane;
+    std::vector<float> &staging = w.rows;
     std::vector<float> &tile = w.row;
     std::vector<float> &acc = w.acc;
     halfToFloat(q_row, qf.data(), dh);
@@ -344,26 +304,19 @@ decodeAttendStreamRun(const ExecContext &ctx,
 
     for (int64_t t0 = 0; t0 < context; t0 += kStreamKeyTile) {
         const int64_t tw = std::min(kStreamKeyTile, context - t0);
-        // Scores for this tile: the same d-ascending fp32 dot and
-        // conditional scale as decodeAttendRun, reading cached K rows
-        // in place.
-        for (int64_t j = 0; j < tw; ++j) {
-            k.loadRow(t0 + j, desc.headOffset, dh, lane.data());
-            float s = 0.0f;
-            for (int64_t kk = 0; kk < dh; ++kk)
-                s += qf[size_t(kk)] * lane[size_t(kk)];
-            tile[size_t(j)] = s;
-        }
+        // Scores for this tile: the same d-ascending fma chains and
+        // conditional scale as decodeAttendRun.
+        kvDotRows(backend, qf.data(), k, desc.headOffset, dh, t0, tw,
+                  staging.data(), tile.data());
         if (desc.scale != 1.0) {
             for (int64_t j = 0; j < tw; ++j)
                 tile[size_t(j)] *= float(desc.scale);
         }
-        onlineTileUpdate(backend, tile.data(), tw, dh, m, d,
-                         acc.data(),
-                         [&](int64_t j) {
-                             v.loadRow(t0 + j, desc.headOffset, dh,
-                                       lane.data());
-                             return lane.data();
+        onlineTileUpdate(backend, tile.data(), tw, dh, m, d, acc.data(),
+                         [&](const float *p) {
+                             kvAccumRows(backend, p, v, desc.headOffset,
+                                         dh, t0, tw, staging.data(),
+                                         acc.data());
                          });
     }
     storeRow(acc.data(), dh, m, d, out);

@@ -147,7 +147,10 @@ checkIncrementalMatchesRecompute(const ExecContext &ctx,
  * full-prefix recompute row i carries a causally masked -inf tail of
  * a different length than the prefill row it must equal, so the
  * prompt lengths put every remainder of the context modulo 8 under
- * the lane-order sum, and 2055 spans many tiles.
+ * the lane-order sum, and 2055 spans many tiles. The decode steps'
+ * own contexts (prompt + 1 .. prompt + kSteps) also cover every
+ * remainder modulo 8, so each count of trailing positions that the
+ * eight-per-vector decode scores leave to the one-row chain is met.
  */
 class KvEquivalence
     : public testing::TestWithParam<std::tuple<AttentionBackend, int64_t>>
@@ -272,7 +275,8 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(AttentionBackend::Recomposed,
                                      AttentionBackend::Streaming),
                      testing::Values(int64_t(1), int64_t(7), int64_t(9),
-                                     int64_t(17), int64_t(2055))),
+                                     int64_t(10), int64_t(17),
+                                     int64_t(2055))),
     [](const testing::TestParamInfo<KvEquivalence::ParamType> &info) {
         return std::string(attentionBackendName(std::get<0>(info.param))) +
                "_prompt" + std::to_string(std::get<1>(info.param));

@@ -31,6 +31,7 @@
 #include "core/attention_exec.hpp"
 #include "fp16/half.hpp"
 #include "fp16/simd_math.hpp"
+#include "kernels/fma_dot.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -637,6 +638,242 @@ TEST(PackedGemm, CausalAStopsAtDiagonalBitIdentical)
             }
         }
     }
+}
+
+// --- One accumulation rule: c = fma(a, b, c), k-ascending from +0 ---
+
+TEST(FmaRule, Fp16OperandsGiveTheBitsOfAMulAddTripleLoop)
+{
+    // A product of two fp16 values is exact in fp32, so the fma chain
+    // of every GEMM whose operands are both fp16 equals a plain
+    // `c + a * b` loop bit for bit: here a bias + GeLU projection and
+    // a causal P.V. tileN = 13 leaves columns past the last 8-wide
+    // vector, which the AVX2 tile runs with scalar fma.
+    int seed = 1300;
+    for (const int64_t tile_n : {8, 13, 16, 64}) {
+        for (const bool causal_pv : {false, true}) {
+            Rng rng(uint64_t(seed++));
+            GemmDesc desc;
+            desc.m = causal_pv ? 45 : 37;
+            desc.n = causal_pv ? 24 : 70;
+            desc.k = causal_pv ? desc.m : 40;
+            desc.tiling.tileM = 16;
+            desc.tiling.tileN = tile_n;
+            desc.prologue.causalA = causal_pv;
+            desc.epilogue.bias = !causal_pv;
+            desc.epilogue.gelu = !causal_pv;
+            Tensor<Half> a(Shape({desc.m, desc.k}));
+            Tensor<Half> b(Shape({desc.k, desc.n}));
+            Tensor<float> bias(Shape({desc.n}));
+            fillNormal(b, rng, 0.0, 1.0);
+            fillNormal(bias, rng, 0.0, 0.5);
+            if (causal_pv) {
+                // Probabilities: in [0, 1) up to the diagonal, +0 past it.
+                for (int64_t i = 0; i < desc.m; ++i)
+                    for (int64_t j = 0; j < desc.k; ++j)
+                        a.at(i, j) = Half(j <= i ? float(rng.uniform())
+                                                 : 0.0f);
+            } else {
+                fillNormal(a, rng, 0.0, 1.0);
+            }
+            GemmOperands ops;
+            ops.a = &a;
+            ops.b = &b;
+            ops.bias = &bias;
+            for (const SimdBackend backend :
+                 {SimdBackend::Scalar, detectedSimdBackend()}) {
+                std::vector<uint32_t> want;
+                withBackend(backend, [&] {
+                    std::vector<float> row(size_t(desc.n));
+                    std::vector<Half> out(size_t(desc.n));
+                    for (int64_t i = 0; i < desc.m; ++i) {
+                        const int64_t depth =
+                            causal_pv ? i + 1 : desc.k;
+                        for (int64_t j = 0; j < desc.n; ++j) {
+                            float acc = 0.0f;
+                            for (int64_t kk = 0; kk < depth; ++kk)
+                                acc += float(a.at(i, kk)) *
+                                       float(b.at(kk, j));
+                            row[size_t(j)] = acc;
+                        }
+                        if (!causal_pv) {
+                            for (int64_t j = 0; j < desc.n; ++j)
+                                row[size_t(j)] += bias.at(j);
+                            geluSpan(backend, row.data(), row.data(),
+                                     desc.n);
+                        }
+                        floatToHalf(row.data(), out.data(), desc.n);
+                        for (const Half h : out)
+                            want.push_back(h.bits());
+                    }
+                });
+                EXPECT_EQ(gemmBits(backend, desc, ops), want)
+                    << "tileN=" << tile_n << " causalPV=" << causal_pv
+                    << " " << simdBackendName(backend);
+            }
+        }
+    }
+}
+
+TEST(FmaRule, GsPrologueGemmIsAnFmaChain)
+{
+    // With the GS prologue, A = X'.r' is fp32 and its products with B
+    // are not exact: the GEMM must give the bits of a std::fma chain,
+    // and a mul+add loop must differ. Pairs of equal A columns meet
+    // opposite B rows, so each pair leaves exactly the rounding error
+    // of its product in an fma chain and nothing in a mul+add one.
+    int seed = 1400;
+    for (const int64_t tile_n : {8, 13, 64}) {
+        Rng rng(uint64_t(seed++));
+        GemmDesc desc;
+        desc.m = 21;
+        desc.n = 30;
+        desc.k = 32;
+        desc.tiling.tileM = 16;
+        desc.tiling.tileN = tile_n;
+        desc.prologue.globalScale = true;
+        desc.prologue.gsSubVector = 8;
+        Tensor<Half> a(Shape({desc.m, desc.k}));
+        Tensor<Half> b(Shape({desc.k, desc.n}));
+        fillNormal(a, rng, 0.0, 30.0);
+        fillNormal(b, rng, 0.0, 30.0);
+        for (int64_t kk = 0; kk + 1 < desc.k; kk += 2) {
+            for (int64_t i = 0; i < desc.m; ++i)
+                a.at(i, kk + 1) = a.at(i, kk);
+            for (int64_t j = 0; j < desc.n; ++j)
+                b.at(kk + 1, j) = -b.at(kk, j);
+        }
+        Tensor<float> gs(Shape({desc.m, desc.k / 8}));
+        fillNormal(gs, rng, 1.0, 0.25);
+        GemmOperands ops;
+        ops.a = &a;
+        ops.b = &b;
+        ops.gsFactors = &gs;
+
+        std::vector<uint32_t> want_fma, want_mul_add;
+        for (const bool fused : {true, false}) {
+            std::vector<float> row(size_t(desc.n));
+            std::vector<Half> out(size_t(desc.n));
+            for (int64_t i = 0; i < desc.m; ++i) {
+                for (int64_t j = 0; j < desc.n; ++j) {
+                    float acc = 0.0f;
+                    for (int64_t kk = 0; kk < desc.k; ++kk) {
+                        const float x =
+                            float(a.at(i, kk)) * gs.at(i, kk / 8);
+                        const float y = float(b.at(kk, j));
+                        if (fused) {
+                            acc = std::fma(x, y, acc);
+                        } else {
+                            // volatile keeps the product rounded on its
+                            // own wherever the compiler may contract.
+                            volatile float product = x * y;
+                            acc += product;
+                        }
+                    }
+                    row[size_t(j)] = acc;
+                }
+                floatToHalfScalar(row.data(), out.data(), desc.n);
+                for (const Half h : out)
+                    (fused ? want_fma : want_mul_add).push_back(h.bits());
+            }
+        }
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            EXPECT_EQ(gemmBits(backend, desc, ops), want_fma)
+                << "tileN=" << tile_n << " " << simdBackendName(backend);
+        }
+        int64_t differ = 0;
+        for (size_t e = 0; e < want_fma.size(); ++e)
+            differ += want_fma[e] != want_mul_add[e];
+        EXPECT_GE(differ, 1) << "tileN=" << tile_n;
+    }
+}
+
+TEST(FmaRule, DotRowsAndAccumRowsAreOneChainPerElement)
+{
+    // fmaDotRows runs eight rows per vector and the rest one by one;
+    // fmaAccumRows runs 64-, 8- and 1-column blocks. At every count
+    // and width both must give one std::fma chain per element, on
+    // both backends and for fp32 and fp16 rows alike, and
+    // fmaAccumRows must continue the chains in acc.
+    Rng rng(1500);
+    for (const int64_t n : {1, 7, 8, 9, 23, 64, 65, 72, 130}) {
+        const int64_t ld = n + 3;
+        for (const int64_t count : {0, 1, 7, 8, 9, 16, 19}) {
+            std::vector<float> q(static_cast<size_t>(n));
+            std::vector<float> p(static_cast<size_t>(count));
+            std::vector<float> rows(size_t(std::max<int64_t>(count, 1) *
+                                           ld));
+            std::vector<float> acc0(static_cast<size_t>(n));
+            for (float &x : q)
+                x = float(rng.normal(0.0, 1.0));
+            for (float &x : p)
+                x = float(rng.uniform());
+            std::vector<Half> rows_h(rows.size());
+            for (size_t e = 0; e < rows.size(); ++e) {
+                rows_h[e] = Half(float(rng.normal(0.0, 1.0)));
+                rows[e] = float(rows_h[e]);
+            }
+            for (float &x : acc0)
+                x = float(rng.normal(0.0, 1.0));
+            std::vector<uint32_t> want_dot, want_acc;
+            for (int64_t r = 0; r < count; ++r) {
+                float s = 0.0f;
+                for (int64_t d = 0; d < n; ++d)
+                    s = std::fma(q[size_t(d)], rows[size_t(r * ld + d)], s);
+                want_dot.push_back(bitsOf(s));
+            }
+            for (int64_t d = 0; d < n; ++d) {
+                float c = acc0[size_t(d)];
+                for (int64_t r = 0; r < count; ++r)
+                    c = std::fma(p[size_t(r)], rows[size_t(r * ld + d)], c);
+                want_acc.push_back(bitsOf(c));
+            }
+            for (const SimdBackend backend :
+                 {SimdBackend::Scalar, detectedSimdBackend()}) {
+                for (const bool fp16_rows : {false, true}) {
+                    std::vector<float> out(static_cast<size_t>(count));
+                    std::vector<float> acc = acc0;
+                    if (fp16_rows) {
+                        fmaDotRows(backend, q.data(), rows_h.data(), ld,
+                                   count, n, out.data());
+                        fmaAccumRows(backend, p.data(), rows_h.data(), ld,
+                                     count, n, acc.data());
+                    } else {
+                        fmaDotRows(backend, q.data(), rows.data(), ld,
+                                   count, n, out.data());
+                        fmaAccumRows(backend, p.data(), rows.data(), ld,
+                                     count, n, acc.data());
+                    }
+                    std::vector<uint32_t> got_dot, got_acc;
+                    for (const float x : out)
+                        got_dot.push_back(bitsOf(x));
+                    for (const float x : acc)
+                        got_acc.push_back(bitsOf(x));
+                    EXPECT_EQ(got_dot, want_dot)
+                        << "n=" << n << " count=" << count
+                        << " fp16=" << fp16_rows << " "
+                        << simdBackendName(backend);
+                    EXPECT_EQ(got_acc, want_acc)
+                        << "n=" << n << " count=" << count
+                        << " fp16=" << fp16_rows << " "
+                        << simdBackendName(backend);
+                }
+            }
+        }
+    }
+}
+
+TEST(FmaRule, AvxBackendImpliesFma)
+{
+    // The AVX2 bodies issue FMA instructions, so the backend that runs
+    // them is only ever detected on a CPU that has FMA.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    if (detectedSimdBackend() == SimdBackend::F16cAvx2) {
+        EXPECT_TRUE(__builtin_cpu_supports("fma"));
+    }
+#endif
+    SUCCEED();
 }
 
 TEST(PackedGemm, FullyMaskedLsTilesStoreTheMaskedSegmentBits)

@@ -40,3 +40,24 @@ zeroupperOnlyInComment(float *dst)
     // _mm256_zeroupper();
     _mm256_storeu_ps(dst, _mm256_setzero_ps());
 }
+
+__attribute__((target("fma,avx2"))) void
+avxNamedLaterInTheList(float *dst, const float *src)
+{
+    _mm256_storeu_ps(dst, _mm256_loadu_ps(src));
+}
+
+__attribute__((target("fma,avx2"))) void
+avxNamedLaterAndCleared(float *dst, const float *src)
+{
+    _mm256_storeu_ps(dst, _mm256_loadu_ps(src));
+    _mm256_zeroupper();
+}
+
+// target_clones is exempt: the compiler emits each clone's exit.
+__attribute__((target_clones("avx2", "default"))) void
+clonedForAvx(float *dst, const float *src, int n)
+{
+    for (int i = 0; i < n; ++i)
+        dst[i] = src[i] * 2.0f;
+}

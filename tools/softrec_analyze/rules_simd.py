@@ -15,7 +15,8 @@ from registry import register
 ATTRIBUTE_RE = re.compile(r"\b__attribute__\s*\(\(\s*target\s*\(")
 # Strings are blanked in the code channel, so the target list is read
 # from the raw line once the code channel has confirmed the attribute.
-AVX_TARGET_RE = re.compile(r'\btarget\s*\(\s*"avx')
+# Any feature of the list may be the AVX one: target("fma,avx2") too.
+AVX_TARGET_RE = re.compile(r'\btarget\s*\(\s*"(?:[^"]*,)?\s*avx')
 ZEROUPPER_RE = re.compile(r"\b_mm256_zeroupper\s*\(\s*\)")
 # Lines above a definition that still belong to its declarator: the
 # scan stops at a blank line or the end of the previous statement.
@@ -38,8 +39,8 @@ def _has_avx_target(src, def_line):
 
 @register(
     "avx-zeroupper", "error",
-    "target(\"avx...\") function without _mm256_zeroupper()",
-    "a function whose attribute is target(\"avx...\") must call "
+    "target(\"...avx...\") function without _mm256_zeroupper()",
+    "a function whose target(...) list names an avx feature must call "
     "_mm256_zeroupper() before it returns to baseline-ISA code: "
     "without it the dirty YMM upper state stalls every following "
     "SSE or libm call. Clear it after the last 256-bit instruction.")
