@@ -76,9 +76,28 @@ checkFinite(const TensorT &t, const char *what, bool allow_neg_inf = false)
 }
 
 /**
- * Panic unless every row of a rank-2 probability matrix sums to ~1.
- * Fully masked rows (all-zero) are allowed: safe softmax emits zeros
- * when every logit is -inf.
+ * Panic unless one probability row of `cols` elements sums to ~1
+ * (`row` names it in the message). An all-zero row is allowed: safe
+ * softmax emits zeros when every logit is -inf.
+ */
+template <typename T>
+void
+checkRowSumNearOne(const T *y, int64_t cols, const char *what,
+                   int64_t row)
+{
+    double sum = 0.0;
+    for (int64_t j = 0; j < cols; ++j)
+        sum += double(float(y[j]));
+    if (sum != 0.0 && std::abs(sum - 1.0) > kRowSumTolerance) {
+        panic("%s: row %lld sums to %.6f, expected ~1 "
+              "(or 0 for a fully masked row)",
+              what, (long long)row, sum);
+    }
+}
+
+/**
+ * Panic unless every row of a rank-2 probability matrix sums to ~1
+ * (checkRowSumNearOne per row).
  */
 template <typename TensorT>
 void
@@ -90,16 +109,8 @@ checkRowSumsNearOne(const TensorT &y, const char *what)
     }
     const int64_t rows = y.shape().dim(0);
     const int64_t cols = y.shape().dim(1);
-    for (int64_t i = 0; i < rows; ++i) {
-        double sum = 0.0;
-        for (int64_t j = 0; j < cols; ++j)
-            sum += double(float(y.at(i, j)));
-        if (sum != 0.0 && std::abs(sum - 1.0) > kRowSumTolerance) {
-            panic("%s: row %lld sums to %.6f, expected ~1 "
-                  "(or 0 for a fully masked row)",
-                  what, (long long)i, sum);
-        }
-    }
+    for (int64_t i = 0; i < rows; ++i)
+        checkRowSumNearOne(y.data() + i * cols, cols, what, i);
 }
 
 /**

@@ -84,6 +84,8 @@ Scope::~Scope()
     for (const Slot &slot : slots_) {
         delta.bytesRead += slot.read;
         delta.bytesWritten += slot.written;
+        if (kind_ == Kind::Segmented)
+            delta.seconds = std::max(delta.seconds, slot.seconds);
     }
     delta.calls = 1;
     delta.maxThreads = threads_;

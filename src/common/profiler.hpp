@@ -43,7 +43,9 @@ namespace prof {
 /** Aggregated totals for one named scope. */
 struct ScopeStats
 {
-    double seconds = 0.0;       //!< summed wall time of timed scopes
+    //! summed wall time of Timed scopes (a Segmented scope adds its
+    //! busiest thread's segment time)
+    double seconds = 0.0;
     uint64_t bytesRead = 0;     //!< operand bytes read
     uint64_t bytesWritten = 0;  //!< operand bytes written
     int64_t calls = 0;          //!< scope entries (kernel invocations)
@@ -91,14 +93,19 @@ class Profiler
  * context's profiler. A BytesOnly scope merges traffic and call count
  * but zero seconds — used for the fused-LS/GS byte attribution inside
  * GEMM epilogues/prologues, whose time is already counted by the
- * enclosing GEMM scope.
+ * enclosing GEMM scope. A Segmented scope is entered once around a
+ * loop that interleaves several stages (the strip loop of dense
+ * attention) and times only the Segments run under it, on whichever
+ * threads run them; it reports the busiest thread's summed segment
+ * time, which is the stage's whole time when one thread runs the loop
+ * and its share of the wall time when a pool splits it.
  *
  * `name` must outlive the scope (string literals in practice).
  */
 class Scope
 {
   public:
-    enum class Kind { Timed, BytesOnly };
+    enum class Kind { Timed, BytesOnly, Segmented };
 
     Scope(const ExecContext &ctx, const char *name,
           Kind kind = Kind::Timed);
@@ -124,6 +131,8 @@ class Scope
     }
 
   private:
+    friend class Segment;
+
     /**
      * Padded to a cache line so two threads bumping adjacent slots
      * never false-share.
@@ -132,6 +141,7 @@ class Scope
     {
         uint64_t read = 0;
         uint64_t written = 0;
+        double seconds = 0.0; //!< Segmented scopes only
     };
 
     Profiler *profiler_ = nullptr; //!< nullptr = inert scope
@@ -140,6 +150,40 @@ class Scope
     int threads_ = 1;
     std::chrono::steady_clock::time_point start_;
     std::vector<Slot> slots_;
+};
+
+/**
+ * RAII timer of one piece of work under a Segmented scope: adds its
+ * elapsed time to the calling thread's slot. Inert under a Timed or
+ * BytesOnly scope (which time themselves, or not at all) and when no
+ * profiler is attached, so a kernel body can open one on whatever
+ * scope its caller hands it.
+ */
+class Segment
+{
+  public:
+    explicit Segment(Scope &scope)
+    {
+        if (scope.profiler_ != nullptr &&
+            scope.kind_ == Scope::Kind::Segmented) {
+            scope_ = &scope;
+            start_ = std::chrono::steady_clock::now();
+        }
+    }
+    ~Segment()
+    {
+        if (scope_ != nullptr) {
+            const auto stop = std::chrono::steady_clock::now();
+            scope_->slots_[size_t(currentThreadSlot())].seconds +=
+                std::chrono::duration<double>(stop - start_).count();
+        }
+    }
+    Segment(const Segment &) = delete;
+    Segment &operator=(const Segment &) = delete;
+
+  private:
+    Scope *scope_ = nullptr;
+    std::chrono::steady_clock::time_point start_;
 };
 
 /**

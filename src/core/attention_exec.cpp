@@ -5,8 +5,10 @@
 
 #include "core/attention_exec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
@@ -24,6 +26,22 @@ namespace {
 constexpr double kNegInfD = -std::numeric_limits<double>::infinity();
 
 } // namespace
+
+uint64_t
+AttentionWorkspace::heldBytes() const
+{
+    uint64_t bytes =
+        (kPanels.capacity() + vPanels.capacity()) * sizeof(float);
+    for (const AttentionStrip &strip : strips) {
+        bytes += (strip.scores.capacity() + strip.xPrime.capacity() +
+                  strip.probs.capacity()) * sizeof(Half);
+        bytes += (strip.localMax.capacity() + strip.localSum.capacity() +
+                  strip.recon.capacity() + strip.staging.capacity() +
+                  strip.gemm.a.capacity() + strip.gemm.acc.capacity()) *
+                 sizeof(float);
+    }
+    return bytes;
+}
 
 AttentionInputs
 makeAttentionInputs(const SdaConfig &config)
@@ -46,9 +64,15 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     const int64_t L = config.seqLen;
     const int64_t kv = config.keyLen();
     const int64_t dh = config.dHead;
+    SOFTREC_ASSERT(inputs.q.shape() == Shape({L, dh}),
+                   "Q shape %s != [L, dHead]",
+                   inputs.q.shape().toString().c_str());
+    const bool baseline = strategy == Strategy::Baseline;
+    const bool decomposed = strategy == Strategy::Decomposed;
+    const bool fused = strategy == Strategy::Fused;
 
     GemmTiling tiling = config.attnTiling;
-    if (strategy == Strategy::Fused)
+    if (fused)
         tiling.tileN = config.subVector;
 
     GemmDesc qk;
@@ -59,6 +83,14 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     qk.tiling = tiling;
     qk.epilogue.scale = config.scale();
     qk.epilogue.causalMask = config.causalMask;
+    qk.epilogue.localSoftmax = fused;
+
+    // The softmax stage of one strip; rows and firstRow are per strip.
+    SoftmaxShape sub;
+    sub.cols = kv;
+    sub.subVector = fused ? tiling.tileN : config.subVector;
+    sub.causal = config.causalMask;
+    const int64_t nsv = baseline ? 0 : sub.numSubVectors();
 
     // Every strategy hands P.V a left operand that is +0 past the
     // diagonal of a causal row (probabilities or X'), so P.V stops
@@ -70,72 +102,123 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     av.k = kv;
     av.tiling = config.attnTiling;
     av.prologue.causalA = config.causalMask;
+    av.prologue.globalScale = fused;
+    av.prologue.gsSubVector = sub.subVector;
 
-    GemmOperands qk_ops;
-    qk_ops.a = &inputs.q;
-    qk_ops.b = &inputs.k;
-    qk_ops.transposeB = true;
-
-    SoftmaxShape sub;
-    sub.rows = L;
-    sub.cols = kv;
-    sub.subVector = strategy == Strategy::Fused ? tiling.tileN
-                                                : config.subVector;
-    const Shape md_shape({L, sub.numSubVectors()});
-    const Shape matrix({L, kv});
-
-    switch (strategy) {
-      case Strategy::Baseline: {
-        ws.scores.resize(matrix);
-        gemmRun(ctx, qk, qk_ops, ws.scores);
-        ws.probs.resize(matrix);
-        SoftmaxShape softmax;
-        softmax.rows = L;
-        softmax.cols = kv;
-        softmax.causal = config.causalMask;
-        rowSoftmaxRun(ctx, softmax, ws.scores, ws.probs);
-        GemmOperands av_ops;
-        av_ops.a = &ws.probs;
-        av_ops.b = &inputs.v;
-        gemmRun(ctx, av, av_ops, out);
-        break;
-      }
-      case Strategy::Decomposed: {
-        ws.scores.resize(matrix);
-        gemmRun(ctx, qk, qk_ops, ws.scores);
-        ws.xPrime.resize(matrix);
-        ws.localMax.resize(md_shape);
-        ws.localSum.resize(md_shape);
-        lsRun(ctx, sub, ws.scores, ws.xPrime, ws.localMax, ws.localSum);
-        ws.recon.resize(md_shape);
-        irRun(ctx, sub, ws.localMax, ws.localSum, ws.recon);
-        ws.probs.resize(matrix);
-        gsRun(ctx, sub, ws.xPrime, ws.recon, ws.probs);
-        GemmOperands av_ops;
-        av_ops.a = &ws.probs;
-        av_ops.b = &inputs.v;
-        gemmRun(ctx, av, av_ops, out);
-        break;
-      }
-      case Strategy::Fused: {
-        ws.xPrime.resize(matrix);
-        ws.localMax.resize(md_shape);
-        ws.localSum.resize(md_shape);
-        qk.epilogue.localSoftmax = true;
-        LsOutputs ls{&ws.localMax, &ws.localSum};
-        gemmRun(ctx, qk, qk_ops, ws.xPrime, &ls);
-        ws.recon.resize(md_shape);
-        irRun(ctx, sub, ws.localMax, ws.localSum, ws.recon);
-        av.prologue.globalScale = true;
-        av.prologue.gsSubVector = sub.subVector;
-        GemmOperands av_ops;
-        av_ops.a = &ws.xPrime;
-        av_ops.b = &inputs.v;
-        av_ops.gsFactors = &ws.recon;
-        gemmRun(ctx, av, av_ops, out);
-        break;
-      }
+    // One profiler row per stage, entered once per head; each strip's
+    // stage adds a segment to it.
+    constexpr auto kSegmented = prof::Scope::Kind::Segmented;
+    prof::Scope qk_scope(ctx, qk.name.c_str(), kSegmented);
+    GemmTraffic qk_traffic(ctx, qk, qk_scope);
+    std::optional<prof::Scope> row_scope, ls_scope, ir_scope, gs_scope;
+    if (baseline) {
+        row_scope.emplace(ctx, "softmax.row", kSegmented);
+    } else {
+        if (decomposed)
+            ls_scope.emplace(ctx, "softmax.ls", kSegmented);
+        ir_scope.emplace(ctx, "softmax.ir", kSegmented);
+        if (decomposed)
+            gs_scope.emplace(ctx, "softmax.gs", kSegmented);
     }
+    prof::Scope av_scope(ctx, av.name.c_str(), kSegmented);
+    GemmTraffic av_traffic(ctx, av, av_scope);
+
+    // K and V are packed once per head; every strip streams them.
+    GemmOperands k_op;
+    k_op.b = &inputs.k;
+    k_op.transposeB = true;
+    gemmPackB(qk, k_op, ws.kPanels, qk_traffic);
+    GemmOperands v_op;
+    v_op.b = &inputs.v;
+    gemmPackB(av, v_op, ws.vPanels, av_traffic);
+
+    const SimdBackend backend = simdBackend();
+    const auto runStrip = [&](int64_t m0, int64_t mh, AttentionStrip &buf) {
+        const Shape matrix({mh, kv});
+        SoftmaxShape shape = sub;
+        shape.rows = mh;
+        shape.firstRow = m0;
+        if (buf.staging.size() < size_t(kv))
+            buf.staging.resize(size_t(kv));
+
+        // QK^T: scores, or X' with m'/d' under the fused LS epilogue.
+        Tensor<Half> &qk_out = fused ? buf.xPrime : buf.scores;
+        qk_out.resize(matrix);
+        GemmStrip qs;
+        qs.row0 = m0;
+        qs.rows = mh;
+        qs.a = inputs.q.rowPtr(m0);
+        qs.lda = dh;
+        qs.c = qk_out.data();
+        qs.ldc = kv;
+        if (!baseline) {
+            const Shape md_shape({mh, nsv});
+            buf.localMax.resize(md_shape);
+            buf.localSum.resize(md_shape);
+            buf.recon.resize(md_shape);
+        }
+        if (fused) {
+            qs.localMax = buf.localMax.data();
+            qs.localSum = buf.localSum.data();
+            qs.mdLd = nsv;
+        }
+        gemmRunStrip(backend, qk, ws.kPanels.data(), nullptr, qs,
+                     buf.gemm, qk_traffic);
+
+        // The strip's softmax stage.
+        switch (strategy) {
+          case Strategy::Baseline:
+            buf.probs.resize(matrix);
+            rowSoftmaxRows(backend, shape, buf.scores, buf.probs,
+                           {0, mh, buf.staging.data(), &*row_scope});
+            break;
+          case Strategy::Decomposed:
+            buf.xPrime.resize(matrix);
+            lsRows(backend, shape, buf.scores, buf.xPrime, buf.localMax,
+                   buf.localSum, {0, mh, buf.staging.data(), &*ls_scope});
+            irRows(backend, shape, buf.localMax, buf.localSum, buf.recon,
+                   {0, mh, nullptr, &*ir_scope});
+            buf.probs.resize(matrix);
+            gsRows(shape, buf.xPrime, buf.recon, buf.probs,
+                   {0, mh, buf.staging.data(), &*gs_scope});
+            break;
+          case Strategy::Fused:
+            irRows(backend, shape, buf.localMax, buf.localSum, buf.recon,
+                   {0, mh, nullptr, &*ir_scope});
+            break;
+        }
+
+        // P.V over the strip's probabilities, or X' scaled by r' in
+        // the GS prologue.
+        GemmStrip vs;
+        vs.row0 = m0;
+        vs.rows = mh;
+        vs.a = fused ? buf.xPrime.data() : buf.probs.data();
+        vs.lda = kv;
+        if (fused) {
+            vs.gsFactors = buf.recon.data();
+            vs.gsLd = nsv;
+        }
+        vs.c = out.rowPtr(m0);
+        vs.ldc = dh;
+        gemmRunStrip(backend, av, ws.vPanels.data(), nullptr, vs,
+                     buf.gemm, av_traffic);
+    };
+
+    // Strips write disjoint output rows and each worker slot owns its
+    // strip buffers, so the result is bit-identical for any thread
+    // count.
+    const int64_t tile_m = config.attnTiling.tileM;
+    if (ws.strips.size() < size_t(maxThreadSlots()))
+        ws.strips.resize(size_t(maxThreadSlots()));
+    parallelFor(ctx, 0, ceilDiv(L, tile_m), 1,
+                [&](int64_t strip0, int64_t strip1) {
+        AttentionStrip &buf = ws.strips[size_t(currentThreadSlot())];
+        for (int64_t strip = strip0; strip < strip1; ++strip) {
+            const int64_t m0 = strip * tile_m;
+            runStrip(m0, std::min(tile_m, L - m0), buf);
+        }
+    });
 }
 
 void

@@ -160,10 +160,235 @@ geluApprox(float x)
     return y;
 }
 
+GemmTraffic::GemmTraffic(const ExecContext &ctx, const GemmDesc &desc,
+                         prof::Scope &scope)
+    : scope(scope), desc_(desc)
+{
+    if (!scope.active())
+        return;
+    if (desc.epilogue.localSoftmax)
+        ls_.emplace(ctx, "softmax.ls.fused", prof::Scope::Kind::BytesOnly);
+    if (desc.prologue.globalScale)
+        gs_.emplace(ctx, "softmax.gs.fused", prof::Scope::Kind::BytesOnly);
+}
+
+void
+GemmTraffic::addPacked()
+{
+    if (!scope.active())
+        return;
+    uint64_t reads = uint64_t(desc_.k * desc_.n) * kFp16Bytes;
+    if (desc_.epilogue.bias)
+        reads += uint64_t(desc_.n) * kFp32Bytes;
+    scope.addRead(reads);
+}
+
+void
+GemmTraffic::addStrip(int64_t rows)
+{
+    if (!scope.active())
+        return;
+    const uint64_t mh = uint64_t(rows);
+    scope.addRead(mh * uint64_t(desc_.k) * kFp16Bytes);
+    scope.addWrite(mh * uint64_t(desc_.n) * kFp16Bytes);
+    if (ls_) // m'/d' per (row, sub-vector)
+        ls_->addWrite(mh * uint64_t(ceilDiv(desc_.n, desc_.tiling.tileN)) *
+                      2 * kFp32Bytes);
+    if (gs_) // r' per (row, incoming sub-vector)
+        gs_->addRead(mh *
+                     uint64_t(ceilDiv(desc_.k, desc_.prologue.gsSubVector)) *
+                     kFp32Bytes);
+}
+
+void
+gemmPackB(const GemmDesc &desc, const GemmOperands &ops,
+          std::vector<float> &panels, GemmTraffic &traffic)
+{
+    const int64_t n = desc.n, k = desc.k, tile_n = desc.tiling.tileN;
+    const int64_t tiles_n = ceilDiv(n, tile_n);
+    const Shape expect_b =
+        ops.transposeB ? Shape({n, k}) : Shape({k, n});
+    SOFTREC_ASSERT(ops.b && ops.b->shape() == expect_b,
+                   "B shape %s unexpected (%s)",
+                   ops.b ? ops.b->shape().toString().c_str() : "null",
+                   desc.name.c_str());
+    prof::Segment segment(traffic.scope);
+    traffic.addPacked();
+    // Packing hoists the transposeB branch and every B-side conversion
+    // out of the mainloop: each B element is converted once, not once
+    // per consuming output row.
+    panels.assign(size_t(tiles_n) * size_t(k) * size_t(tile_n), 0.0f);
+    if (!ops.transposeB) {
+        // B is [k, n]: each row feeds one contiguous strip per panel.
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const Half *brow = ops.b->rowPtr(kk);
+            for (int64_t tn = 0; tn < tiles_n; ++tn) {
+                const int64_t n0 = tn * tile_n;
+                halfToFloat(brow + n0,
+                            &panels[size_t((tn * k + kk) * tile_n)],
+                            std::min(tile_n, n - n0));
+            }
+        }
+    } else {
+        // B is [n, k]: convert each row in chunks, scatter each chunk
+        // down its panel column.
+        constexpr int64_t kChunk = 256;
+        float staged[kChunk];
+        for (int64_t j = 0; j < n; ++j) {
+            float *column = &panels[size_t((j / tile_n) * k * tile_n +
+                                           j % tile_n)];
+            for (int64_t k0 = 0; k0 < k; k0 += kChunk) {
+                const int64_t w = std::min(kChunk, k - k0);
+                halfToFloat(ops.b->rowPtr(j) + k0, staged, w);
+                for (int64_t kk = 0; kk < w; ++kk)
+                    column[(k0 + kk) * tile_n] = staged[kk];
+            }
+        }
+    }
+}
+
+void
+gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
+             const float *panels, const float *bias,
+             const GemmStrip &strip, GemmScratch &scratch,
+             GemmTraffic &traffic)
+{
+    const int64_t n = desc.n, k = desc.k;
+    const GemmTiling &t = desc.tiling;
+    const int64_t tiles_n = ceilDiv(n, t.tileN);
+    const int64_t m0 = strip.row0, mh = strip.rows;
+    SOFTREC_ASSERT(mh >= 1 && mh <= t.tileM,
+                   "strip of %lld rows outside [1, tileM] (%s)",
+                   (long long)mh, desc.name.c_str());
+    const int64_t gs_sub = desc.prologue.gsSubVector;
+    const float neg_inf = -std::numeric_limits<float>::infinity();
+    prof::Segment segment(traffic.scope);
+    traffic.addStrip(mh);
+    if (scratch.a.size() < size_t(t.tileM * k))
+        scratch.a.resize(size_t(t.tileM * k));
+    if (scratch.acc.size() < size_t(t.tileM * t.tileN))
+        scratch.acc.resize(size_t(t.tileM * t.tileN));
+    float *abuf = scratch.a.data();
+    float *acc = scratch.acc.data();
+
+    // The strip's A rows are converted (and GS-scaled) once into abuf;
+    // every n-tile below reuses those fp32 rows.
+    // Diagonal stop: with a causal A, row m0 + i is +0 past column
+    // m0 + i, so the strip reads only columns [0, kd) and each row only
+    // its own [0, m0 + i + 1). A skipped term would be +0 times a
+    // finite B, i.e. +-0, which leaves the +0-seeded accumulator's bits
+    // unchanged; the kept terms keep their k-ascending order.
+    const bool causal_a = desc.prologue.causalA;
+    const int64_t kd = causal_a ? std::min(k, m0 + mh) : k;
+    const int64_t diag = causal_a ? m0 : kd;
+    for (int64_t i = 0; i < mh; ++i) {
+        const int64_t depth = std::min(kd, diag + i + 1);
+        float *arow = abuf + i * kd;
+        halfToFloat(strip.a + i * strip.lda, arow, depth);
+        if (desc.prologue.globalScale) {
+            const float *gs = strip.gsFactors + i * strip.gsLd;
+            for (int64_t k0 = 0; k0 < depth; k0 += gs_sub) {
+                const float r = gs[k0 / gs_sub];
+                const int64_t k1 = std::min(depth, k0 + gs_sub);
+                for (int64_t kk = k0; kk < k1; ++kk)
+                    arow[kk] *= r;
+            }
+        }
+    }
+    for (int64_t tn = 0; tn < tiles_n; ++tn) {
+        const int64_t n0 = tn * t.tileN;
+        const int64_t nw = std::min(t.tileN, n - n0);
+        // A causal tile whose first column lies past its last row is
+        // masked everywhere: its epilogue would only write -inf, or
+        // under LS m' = -inf, d' = +0 and X' = +0 (the LS tile's fully
+        // masked segment), so those bits are stored directly and the
+        // mainloop is skipped.
+        if (desc.epilogue.causalMask && n0 > m0 + mh - 1) {
+            const Half fill = desc.epilogue.localSoftmax
+                ? Half()
+                : -Half::infinity();
+            for (int64_t i = 0; i < mh; ++i) {
+                Half *crow = strip.c + i * strip.ldc + n0;
+                std::fill(crow, crow + nw, fill);
+                if (desc.epilogue.localSoftmax) {
+                    strip.localMax[i * strip.mdLd + tn] = neg_inf;
+                    strip.localSum[i * strip.mdLd + tn] = 0.0f;
+                }
+            }
+            continue;
+        }
+        // Each element is one k-ascending fma chain from +0. A and B
+        // are widened fp16, so every product is exact in fp32 and the
+        // chain has the bits of a mul+add loop; only the GS prologue's
+        // fp32 A (X'.r') rounds once per step where a mul+add would
+        // round twice.
+        std::fill(acc, acc + mh * t.tileN, 0.0f);
+        fmaGemmTile(backend, abuf,
+                    panels + size_t(tn) * size_t(k) * size_t(t.tileN),
+                    acc, mh, kd, diag, t.tileN);
+
+        // Epilogue on the fp32 tile, one plain loop per stage so each
+        // can vectorize; every element still goes through scale, mask,
+        // bias and GeLU in that order. GeLU is element-wise, so it runs
+        // once over the whole tile (the zero-padded columns past nw are
+        // never stored). Plain C stores go through the batch converter
+        // per row; LS narrows the whole tile in its one pass.
+        for (int64_t i = 0; i < mh; ++i) {
+            float *row = acc + i * t.tileN;
+            // Columns [live, nw) lie past row m0 + i: the causal mask
+            // overwrites them, so scaling them is wasted.
+            const int64_t live = desc.epilogue.causalMask
+                ? std::clamp<int64_t>(m0 + i + 1 - n0, 0, nw)
+                : nw;
+            if (desc.epilogue.scale != 1.0) {
+                const float scale = float(desc.epilogue.scale);
+                for (int64_t j = 0; j < live; ++j)
+                    row[j] *= scale;
+            }
+            for (int64_t j = live; j < nw; ++j)
+                row[j] = neg_inf;
+            if (desc.epilogue.bias) {
+                for (int64_t j = 0; j < nw; ++j)
+                    row[j] += bias[n0 + j];
+            }
+        }
+        if (desc.epilogue.gelu)
+            geluSpan(backend, acc, acc, mh * t.tileN);
+        if (!desc.epilogue.localSoftmax) {
+            for (int64_t i = 0; i < mh; ++i)
+                floatToHalf(acc + i * t.tileN, strip.c + i * strip.ldc + n0,
+                            nw);
+            continue;
+        }
+        // One sub-vector per row: the tile's row segment.
+        LsTile tile;
+        tile.x = acc;
+        tile.rows = mh;
+        tile.width = nw;
+        tile.ld = t.tileN;
+        tile.subVector = t.tileN;
+        tile.xPrime = strip.c + n0;
+        tile.xPrimeLd = strip.ldc;
+        tile.localMax = strip.localMax + tn;
+        tile.localSum = strip.localSum + tn;
+        tile.mdLd = strip.mdLd;
+        localSoftmaxTile(backend, tile);
+        for (int64_t i = 0; i < mh; ++i) {
+            SOFTREC_CHECK(tile.localSum[i * strip.mdLd] > 0.0f ||
+                          tile.localMax[i * strip.mdLd] == neg_inf,
+                          "fused LS epilogue (%lld, %lld): d' = %f must "
+                          "be positive unless fully masked",
+                          (long long)(m0 + i), (long long)tn,
+                          double(tile.localSum[i * strip.mdLd]));
+        }
+    }
+}
+
 void
 gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         const GemmOperands &ops, Tensor<Half> &c, const LsOutputs *ls)
 {
+    prof::Scope scope(ctx, desc.name.c_str());
     SOFTREC_ASSERT(desc.batch == 1,
                    "functional GEMM handles one batch item; loop "
                    "outside (%s)", desc.name.c_str());
@@ -172,10 +397,6 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
     SOFTREC_ASSERT(ops.a->shape() == Shape({m, k}),
                    "A shape %s != [m, k]",
                    ops.a->shape().toString().c_str());
-    const Shape expect_b =
-        ops.transposeB ? Shape({n, k}) : Shape({k, n});
-    SOFTREC_ASSERT(ops.b->shape() == expect_b, "B shape %s unexpected",
-                   ops.b->shape().toString().c_str());
     SOFTREC_ASSERT(c.shape() == Shape({m, n}), "C shape %s != [m, n]",
                    c.shape().toString().c_str());
     if (desc.epilogue.bias) {
@@ -203,206 +424,44 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                        "LS output shapes must be [m, ceil(n/tileN)]");
     }
 
-    const float neg_inf = -std::numeric_limits<float>::infinity();
-
     // Unique-operand traffic accounting: B (and bias) are credited
-    // once up front on the submitting thread; per-strip A reads and C
-    // writes are credited by whichever thread runs the strip. Fused
-    // LS/GS extras go to byte-only scopes so softmax-layer traffic
-    // can be summed per strategy without double-counting GEMM time.
-    prof::Scope scope(ctx, desc.name.c_str());
-    std::optional<prof::Scope> ls_scope;
-    std::optional<prof::Scope> gs_scope;
-    if (scope.active()) {
-        uint64_t fixed_reads = uint64_t(k * n) * kFp16Bytes;
-        if (desc.epilogue.bias)
-            fixed_reads += uint64_t(n) * kFp32Bytes;
-        scope.addRead(fixed_reads);
-        if (desc.epilogue.localSoftmax)
-            ls_scope.emplace(ctx, "softmax.ls.fused",
-                             prof::Scope::Kind::BytesOnly);
-        if (desc.prologue.globalScale)
-            gs_scope.emplace(ctx, "softmax.gs.fused",
-                             prof::Scope::Kind::BytesOnly);
-    }
-
-    // Pack B once per call into one fp32 panel per n-tile, laid out
-    // [k][tileN] so the GEMM tile streams it contiguously. This
-    // hoists the transposeB branch and every B-side conversion out of
-    // the mainloop (the old code reconverted each B element once per
-    // consuming output row). Ragged tail columns are zero-padded so
-    // the kernel always accumulates a full tileN-wide panel; padding
-    // contributes exact zeros and the epilogue never stores them.
-    std::vector<float> bpack(size_t(tiles_n) * size_t(k) *
-                             size_t(t.tileN), 0.0f);
-    if (!ops.transposeB) {
-        // B is [k, n]: each row feeds one contiguous strip per panel.
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const Half *brow = ops.b->rowPtr(kk);
-            for (int64_t tn = 0; tn < tiles_n; ++tn) {
-                const int64_t n0 = tn * t.tileN;
-                halfToFloat(
-                    brow + n0,
-                    &bpack[size_t((tn * k + kk) * t.tileN)],
-                    std::min(t.tileN, n - n0));
-            }
-        }
-    } else {
-        // B is [n, k]: convert each row once, scatter into panels.
-        std::vector<float> brow(size_t(k), 0.0f);
-        for (int64_t j = 0; j < n; ++j) {
-            halfToFloat(ops.b->rowPtr(j), brow.data(), k);
-            float *panel =
-                &bpack[size_t((j / t.tileN) * k * t.tileN)];
-            const int64_t jj = j % t.tileN;
-            for (int64_t kk = 0; kk < k; ++kk)
-                panel[kk * t.tileN + jj] = brow[kk];
-        }
-    }
+    // once when packed on the submitting thread; per-strip A reads and
+    // C writes are credited by whichever thread runs the strip.
+    GemmTraffic traffic(ctx, desc, scope);
+    std::vector<float> panels;
+    gemmPackB(desc, ops, panels, traffic);
 
     // Every backend's GEMM tile, like its exp path, produces the same
     // bits, so the backend only changes speed. Read it once so one
     // call never mixes paths.
     const SimdBackend backend = simdBackend();
+    const float *bias = desc.epilogue.bias ? ops.bias->data() : nullptr;
 
-    // One m-tile strip of output: all n-tiles for rows [m0, m0 + mh).
-    // The strip's A rows are converted (and GS-scaled) once into abuf;
-    // every n-tile below reuses those fp32 rows.
-    auto runStrip = [&](int64_t m0, std::vector<float> &abuf,
-                        std::vector<float> &acc) {
-        const int64_t mh = std::min(t.tileM, m - m0);
-        // Diagonal stop: with a causal A, row m0 + i is +0 past
-        // column m0 + i, so the strip reads only columns [0, kd) and
-        // each row only its own [0, m0 + i + 1). A skipped term would
-        // be +0 times a finite B, i.e. +-0, which leaves the +0-seeded
-        // accumulator's bits unchanged; the kept terms keep their
-        // k-ascending order.
-        const bool causal_a = desc.prologue.causalA;
-        const int64_t kd = causal_a ? std::min(k, m0 + mh) : k;
-        const int64_t diag = causal_a ? m0 : kd;
-        for (int64_t i = 0; i < mh; ++i) {
-            const int64_t depth = std::min(kd, diag + i + 1);
-            float *arow = &abuf[size_t(i * kd)];
-            halfToFloat(ops.a->rowPtr(m0 + i), arow, depth);
-            if (desc.prologue.globalScale) {
-                const float *gs = ops.gsFactors->rowPtr(m0 + i);
-                for (int64_t k0 = 0; k0 < depth; k0 += gs_sub) {
-                    const float r = gs[k0 / gs_sub];
-                    const int64_t k1 = std::min(depth, k0 + gs_sub);
-                    for (int64_t kk = k0; kk < k1; ++kk)
-                        arow[kk] *= r;
-                }
-            }
-        }
-        for (int64_t tn = 0; tn < tiles_n; ++tn) {
-            const int64_t n0 = tn * t.tileN;
-            const int64_t nw = std::min(t.tileN, n - n0);
-            // A causal tile whose first column lies past its last row
-            // is masked everywhere: its epilogue would only write -inf,
-            // or under LS m' = -inf, d' = +0 and X' = +0 (the LS
-            // tile's fully masked segment), so those bits are
-            // stored directly and the mainloop is skipped.
-            if (desc.epilogue.causalMask && n0 > m0 + mh - 1) {
-                const Half fill = desc.epilogue.localSoftmax
-                    ? Half()
-                    : -Half::infinity();
-                for (int64_t i = 0; i < mh; ++i) {
-                    Half *crow = c.rowPtr(m0 + i) + n0;
-                    std::fill(crow, crow + nw, fill);
-                    if (desc.epilogue.localSoftmax) {
-                        ls->localMax->at(m0 + i, tn) = neg_inf;
-                        ls->localSum->at(m0 + i, tn) = 0.0f;
-                    }
-                }
-                continue;
-            }
-            // Each element is one k-ascending fma chain from +0. A and
-            // B are widened fp16, so every product is exact in fp32 and
-            // the chain has the bits of a mul+add loop; only the GS
-            // prologue's fp32 A (X'.r') rounds once per step where a
-            // mul+add would round twice.
-            std::fill(acc.begin(), acc.end(), 0.0f);
-            fmaGemmTile(backend, abuf.data(),
-                        &bpack[size_t(tn) * size_t(k) * size_t(t.tileN)],
-                        acc.data(), mh, kd, diag, t.tileN);
-
-            // Epilogue on the fp32 tile, one plain loop per stage so
-            // each can vectorize; every element still goes through
-            // scale, mask, bias and GeLU in that order. Plain C stores
-            // go through the batch converter per row; LS narrows the
-            // whole tile in its one pass.
-            for (int64_t i = 0; i < mh; ++i) {
-                float *row = &acc[size_t(i * t.tileN)];
-                // Columns [live, nw) lie past row m0 + i: the causal
-                // mask overwrites them, so scaling them is wasted.
-                const int64_t live = desc.epilogue.causalMask
-                    ? std::clamp<int64_t>(m0 + i + 1 - n0, 0, nw)
-                    : nw;
-                if (desc.epilogue.scale != 1.0) {
-                    const float scale = float(desc.epilogue.scale);
-                    for (int64_t j = 0; j < live; ++j)
-                        row[j] *= scale;
-                }
-                for (int64_t j = live; j < nw; ++j)
-                    row[j] = neg_inf;
-                if (desc.epilogue.bias) {
-                    const float *bias = ops.bias->data() + n0;
-                    for (int64_t j = 0; j < nw; ++j)
-                        row[j] += bias[j];
-                }
-                if (desc.epilogue.gelu)
-                    geluSpan(backend, row, row, nw);
-                if (!desc.epilogue.localSoftmax)
-                    floatToHalf(row, c.rowPtr(m0 + i) + n0, nw);
-            }
-            if (desc.epilogue.localSoftmax) {
-                // One sub-vector per row: the tile's row segment.
-                LsTile tile;
-                tile.x = acc.data();
-                tile.rows = mh;
-                tile.width = nw;
-                tile.ld = t.tileN;
-                tile.subVector = t.tileN;
-                tile.xPrime = c.rowPtr(m0) + n0;
-                tile.xPrimeLd = n;
-                tile.localMax = &ls->localMax->at(m0, tn);
-                tile.localSum = &ls->localSum->at(m0, tn);
-                tile.mdLd = tiles_n;
-                localSoftmaxTile(backend, tile);
-                for (int64_t i = 0; i < mh; ++i) {
-                    SOFTREC_CHECK(tile.localSum[i * tiles_n] > 0.0f ||
-                                  tile.localMax[i * tiles_n] == neg_inf,
-                                  "fused LS epilogue (%lld, %lld): "
-                                  "d' = %f must be positive unless "
-                                  "fully masked",
-                                  (long long)(m0 + i), (long long)tn,
-                                  double(tile.localSum[i * tiles_n]));
-                }
-            }
-        }
-    };
-
-    // Parallel over m-tile strips: each strip owns its buffers and
+    // Parallel over m-tile strips: each strip owns its scratch and
     // writes disjoint output rows (and disjoint LS rows), so the
     // result is bit-identical for any thread count.
     const int64_t strips = ceilDiv(m, t.tileM);
     parallelFor(ctx, 0, strips, 1, [&](int64_t strip0, int64_t strip1) {
-        std::vector<float> abuf(size_t(t.tileM) * size_t(k));
-        std::vector<float> acc(size_t(t.tileM * t.tileN));
-        for (int64_t strip = strip0; strip < strip1; ++strip) {
-            const int64_t m0 = strip * t.tileM;
-            if (scope.active()) {
-                const uint64_t mh = uint64_t(std::min(t.tileM, m - m0));
-                scope.addRead(mh * uint64_t(k) * kFp16Bytes);
-                scope.addWrite(mh * uint64_t(n) * kFp16Bytes);
-                if (ls_scope) // m'/d' per (row, sub-vector)
-                    ls_scope->addWrite(mh * uint64_t(tiles_n) * 2 *
-                                       kFp32Bytes);
-                if (gs_scope) // r' per (row, incoming sub-vector)
-                    gs_scope->addRead(
-                        mh * uint64_t(ceilDiv(k, gs_sub)) * kFp32Bytes);
+        GemmScratch scratch;
+        for (int64_t s = strip0; s < strip1; ++s) {
+            GemmStrip strip;
+            strip.row0 = s * t.tileM;
+            strip.rows = std::min(t.tileM, m - strip.row0);
+            strip.a = ops.a->rowPtr(strip.row0);
+            strip.lda = k;
+            if (desc.prologue.globalScale) {
+                strip.gsFactors = ops.gsFactors->rowPtr(strip.row0);
+                strip.gsLd = ceilDiv(k, gs_sub);
             }
-            runStrip(m0, abuf, acc);
+            strip.c = c.rowPtr(strip.row0);
+            strip.ldc = n;
+            if (desc.epilogue.localSoftmax) {
+                strip.localMax = ls->localMax->rowPtr(strip.row0);
+                strip.localSum = ls->localSum->rowPtr(strip.row0);
+                strip.mdLd = tiles_n;
+            }
+            gemmRunStrip(backend, desc, panels.data(), bias, strip,
+                         scratch, traffic);
         }
     });
 }

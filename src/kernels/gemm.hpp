@@ -19,9 +19,12 @@
 #ifndef SOFTREC_KERNELS_GEMM_HPP
 #define SOFTREC_KERNELS_GEMM_HPP
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/exec_context.hpp"
+#include "common/profiler.hpp"
 #include "fp16/half.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/kernel_profile.hpp"
@@ -116,6 +119,93 @@ struct GemmOperands
 };
 
 /**
+ * The profiler accounting of one GEMM: its unique operand bytes go to
+ * `scope` (B and the bias once per packing, A rows in and C rows out
+ * per strip), and the fused LS/GS extras to the BytesOnly scopes
+ * "softmax.ls.fused" (m'/d') and "softmax.gs.fused" (r'), so the
+ * softmax layer's traffic sums per strategy without counting GEMM time
+ * twice. Inert when no profiler is attached.
+ */
+class GemmTraffic
+{
+  public:
+    GemmTraffic(const ExecContext &ctx, const GemmDesc &desc,
+                prof::Scope &scope);
+    GemmTraffic(const GemmTraffic &) = delete;
+    GemmTraffic &operator=(const GemmTraffic &) = delete;
+
+    /** Credit B (and the bias), once per packed B. */
+    void addPacked();
+    /** Credit one strip of `rows` output rows. */
+    void addStrip(int64_t rows);
+
+    prof::Scope &scope; //!< the GEMM's own row
+
+  private:
+    const GemmDesc &desc_;
+    std::optional<prof::Scope> ls_, gs_;
+};
+
+/**
+ * Pack B (ops.b, honouring ops.transposeB) into the layout
+ * gemmRunStrip streams: one fp32 panel per n-tile, [k][tileN], tail
+ * columns of a ragged last tile zero-padded (they contribute exact
+ * zeros and are never stored). `panels` is resized, reusing its
+ * capacity, to ceil(n / tileN) * k * tileN floats. Credits B to
+ * `traffic` and times itself as a segment of its scope.
+ */
+void gemmPackB(const GemmDesc &desc, const GemmOperands &ops,
+               std::vector<float> &panels, GemmTraffic &traffic);
+
+/**
+ * One m-tile strip of a GEMM's output, addressed strip-relative: row i
+ * of the strip is global output row row0 + i, read from a + i * lda
+ * and written to c + i * ldc (and its GS factors, m' and d' likewise).
+ */
+struct GemmStrip
+{
+    /**
+     * Global index of the strip's first row. The causal mask and the
+     * causal-A diagonal count from it, so a strip buffer holding rows
+     * row0.. gets the bits of those rows of the whole GEMM.
+     */
+    int64_t row0 = 0;
+    int64_t rows = 0; //!< 1 .. tiling.tileM
+    const Half *a = nullptr; //!< first A row, k elements used
+    int64_t lda = 0;
+    /** First row of the GS factors r' (GS prologue only). */
+    const float *gsFactors = nullptr;
+    int64_t gsLd = 0;
+    Half *c = nullptr; //!< first C row, n elements written
+    int64_t ldc = 0;
+    /** First row of m' and d' (LS epilogue only). */
+    float *localMax = nullptr;
+    float *localSum = nullptr;
+    int64_t mdLd = 0;
+};
+
+/** Per-caller scratch of gemmRunStrip; it only ever grows. */
+struct GemmScratch
+{
+    std::vector<float> a;   //!< the strip's fp32 A rows
+    std::vector<float> acc; //!< one fp32 output tile
+};
+
+/**
+ * Run one strip of a GEMM: the mainloop and epilogue of every n-tile
+ * of rows [row0, row0 + rows), over B panels from gemmPackB of the
+ * same desc. This is the only GEMM body; gemmRun is gemmPackB plus
+ * this over parallel strips, and attention runs it strip by strip
+ * between its softmax stages. `bias` is the [n] fp32 bias when
+ * epilogue.bias is set. Credits the strip to `traffic` and times
+ * itself as a segment of its scope.
+ */
+void gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
+                  const float *panels, const float *bias,
+                  const GemmStrip &strip, GemmScratch &scratch,
+                  GemmTraffic &traffic);
+
+/**
  * Functional tiled GEMM, faithful to the modeled dataflow: fp16
  * operands, fp32 tile accumulators, epilogue applied per output tile
  * (so a fused LS uses sub-vectors of exactly tileN columns), results
@@ -129,7 +219,8 @@ struct GemmOperands
  * is masked everywhere skips the mainloop and stores the bits its
  * epilogue would (-inf, or under LS X' = +0, m' = -inf, d' = +0); a
  * causal-A prologue stops each row's k loop at the diagonal. Profiler
- * byte counters report the full modeled operands either way.
+ * byte counters report the full modeled operands either way. It is
+ * gemmPackB followed by gemmRunStrip over each m-tile strip.
  *
  * @param ctx execution context (serial when default-constructed)
  * @param desc launch description (batch must be 1)

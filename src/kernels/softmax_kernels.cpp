@@ -71,6 +71,47 @@ rowSoftmaxProfile(const GpuSpec &spec, const SoftmaxShape &desc)
 }
 
 void
+rowSoftmaxRows(SimdBackend backend, const SoftmaxShape &desc,
+               const Tensor<Half> &in, Tensor<Half> &out,
+               const SoftmaxRows &rows)
+{
+    prof::Segment segment(*rows.scope);
+    if (rows.scope->active()) {
+        const uint64_t matrix = uint64_t(rows.end - rows.begin) *
+                                uint64_t(desc.cols) * kFp16Bytes;
+        rows.scope->addRead(matrix);
+        rows.scope->addWrite(matrix);
+    }
+    // Row staged once in fp32; exp(x - m) is stored back into the
+    // staging row during the normalizer pass and reused by the scale
+    // pass, so each element pays for one exp, not two.
+    float *row = rows.staging;
+    for (int64_t i = rows.begin; i < rows.end; ++i) {
+        if constexpr (kCheckedBuild)
+            checkFinite(SpanView<Half>{in.rowPtr(i), desc.cols},
+                        "rowSoftmax input", /*allow_neg_inf=*/true);
+        const int64_t live = desc.causal
+            ? std::clamp<int64_t>(desc.firstRow + i + 1, 0, desc.cols)
+            : desc.cols;
+        halfToFloat(in.rowPtr(i), row, live);
+        const float max_val = maxSpan(backend, row, live);
+        const float denom = expSpan(backend, row, max_val, row, live);
+        for (int64_t j = 0; j < live; ++j)
+            row[j] = denom > 0.0f ? row[j] / denom : 0.0f;
+        floatToHalf(row, out.rowPtr(i), live);
+        std::fill(out.rowPtr(i) + live, out.rowPtr(i) + desc.cols,
+                  Half());
+        SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
+                      "row %lld normalizer d = %f must be positive "
+                      "for an unmasked row",
+                      (long long)i, double(denom));
+        if constexpr (kCheckedBuild)
+            checkRowSumNearOne(out.rowPtr(i), desc.cols,
+                               "rowSoftmax output", i);
+    }
+}
+
+void
 rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
               const Tensor<Half> &in, Tensor<Half> &out)
 {
@@ -79,44 +120,14 @@ rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
     const Shape expect({desc.rows, desc.cols});
     SOFTREC_ASSERT(in.shape() == expect && out.shape() == expect,
                    "softmax shapes must be [rows, cols]");
-    if constexpr (kCheckedBuild)
-        checkFinite(in, "rowSoftmax input", /*allow_neg_inf=*/true);
     prof::Scope scope(ctx, "softmax.row");
     const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t matrix =
-                uint64_t(row1 - row0) * uint64_t(desc.cols) * kFp16Bytes;
-            scope.addRead(matrix);
-            scope.addWrite(matrix);
-        }
-        // Row staged once in fp32; exp(x - m) is stored back into the
-        // staging row during the normalizer pass and reused by the
-        // scale pass, so each element pays for one exp, not two.
         std::vector<float> row(size_t(desc.cols));
-        for (int64_t i = row0; i < row1; ++i) {
-            const int64_t live =
-                desc.causal ? std::min(desc.cols, i + 1) : desc.cols;
-            halfToFloat(in.rowPtr(i), row.data(), live);
-            const float max_val = maxSpan(backend, row.data(), live);
-            const float denom = expSpan(backend, row.data(), max_val,
-                                        row.data(), live);
-            for (int64_t j = 0; j < live; ++j) {
-                row[size_t(j)] =
-                    denom > 0.0f ? row[size_t(j)] / denom : 0.0f;
-            }
-            floatToHalf(row.data(), out.rowPtr(i), live);
-            std::fill(out.rowPtr(i) + live, out.rowPtr(i) + desc.cols,
-                      Half());
-            SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
-                          "row %lld normalizer d = %f must be positive "
-                          "for an unmasked row",
-                          (long long)i, double(denom));
-        }
+        rowSoftmaxRows(backend, desc, in, out,
+                       SoftmaxRows{row0, row1, row.data(), &scope});
     });
-    if constexpr (kCheckedBuild)
-        checkRowSumsNearOne(out, "rowSoftmax output");
 }
 
 KernelProfile
@@ -227,6 +238,55 @@ lsProfile(const GpuSpec &spec, const SoftmaxShape &desc)
 }
 
 void
+lsRows(SimdBackend backend, const SoftmaxShape &desc,
+       const Tensor<Half> &in, Tensor<Half> &x_prime,
+       Tensor<float> &local_max, Tensor<float> &local_sum,
+       const SoftmaxRows &rows)
+{
+    prof::Segment segment(*rows.scope);
+    const int64_t nsv = desc.numSubVectors();
+    if (rows.scope->active()) {
+        const uint64_t chunk_rows = uint64_t(rows.end - rows.begin);
+        const uint64_t matrix =
+            chunk_rows * uint64_t(desc.cols) * kFp16Bytes;
+        const uint64_t md = chunk_rows * uint64_t(nsv) * 2 * kFp32Bytes;
+        rows.scope->addRead(matrix);
+        rows.scope->addWrite(matrix + md); // X' plus m'/d'
+    }
+    // Whole row staged in fp32 once; the LS tile narrows each
+    // sub-vector's exp values straight into X'.
+    LsTile tile;
+    tile.x = rows.staging;
+    tile.rows = 1;
+    tile.width = desc.cols;
+    tile.ld = desc.cols;
+    tile.subVector = desc.subVector;
+    tile.xPrimeLd = desc.cols;
+    tile.mdLd = nsv;
+    for (int64_t i = rows.begin; i < rows.end; ++i) {
+        if constexpr (kCheckedBuild)
+            checkFinite(SpanView<Half>{in.rowPtr(i), desc.cols},
+                        "LS input", /*allow_neg_inf=*/true);
+        halfToFloat(in.rowPtr(i), rows.staging, desc.cols);
+        tile.xPrime = x_prime.rowPtr(i);
+        tile.localMax = local_max.rowPtr(i);
+        tile.localSum = local_sum.rowPtr(i);
+        localSoftmaxTile(backend, tile);
+        for (int64_t sv = 0; sv < nsv; ++sv) {
+            SOFTREC_CHECK(tile.localSum[sv] > 0.0f ||
+                          tile.localMax[sv] == kNegInf,
+                          "LS sub-vector (%lld, %lld): d' = %f must "
+                          "be positive unless fully masked",
+                          (long long)i, (long long)sv,
+                          double(tile.localSum[sv]));
+        }
+        if constexpr (kCheckedBuild)
+            checkFinite(SpanView<float>{tile.localSum, nsv},
+                        "LS d' output");
+    }
+}
+
+void
 lsRun(const ExecContext &ctx, const SoftmaxShape &desc,
       const Tensor<Half> &in, Tensor<Half> &x_prime,
       Tensor<float> &local_max, Tensor<float> &local_sum)
@@ -240,50 +300,14 @@ lsRun(const ExecContext &ctx, const SoftmaxShape &desc,
     SOFTREC_ASSERT(local_max.shape() == md_shape &&
                    local_sum.shape() == md_shape,
                    "LS m'/d' shapes must be [rows, N_sv]");
-    if constexpr (kCheckedBuild)
-        checkFinite(in, "LS input", /*allow_neg_inf=*/true);
     prof::Scope scope(ctx, "softmax.ls");
     const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t chunk_rows = uint64_t(row1 - row0);
-            const uint64_t matrix =
-                chunk_rows * uint64_t(desc.cols) * kFp16Bytes;
-            const uint64_t md = chunk_rows *
-                uint64_t(desc.numSubVectors()) * 2 * kFp32Bytes;
-            scope.addRead(matrix);
-            scope.addWrite(matrix + md); // X' plus m'/d'
-        }
-        // Whole row staged in fp32 once; the LS tile narrows each
-        // sub-vector's exp values straight into X'.
         std::vector<float> row(size_t(desc.cols));
-        LsTile tile;
-        tile.x = row.data();
-        tile.rows = 1;
-        tile.width = desc.cols;
-        tile.ld = desc.cols;
-        tile.subVector = desc.subVector;
-        tile.xPrimeLd = desc.cols;
-        tile.mdLd = desc.numSubVectors();
-        for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            tile.xPrime = x_prime.rowPtr(i);
-            tile.localMax = local_max.rowPtr(i);
-            tile.localSum = local_sum.rowPtr(i);
-            localSoftmaxTile(backend, tile);
-            for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv) {
-                SOFTREC_CHECK(tile.localSum[sv] > 0.0f ||
-                              tile.localMax[sv] == kNegInf,
-                              "LS sub-vector (%lld, %lld): d' = %f must "
-                              "be positive unless fully masked",
-                              (long long)i, (long long)sv,
-                              double(tile.localSum[sv]));
-            }
-        }
+        lsRows(backend, desc, in, x_prime, local_max, local_sum,
+               SoftmaxRows{row0, row1, row.data(), &scope});
     });
-    if constexpr (kCheckedBuild)
-        checkFinite(local_sum, "LS d' output");
 }
 
 KernelProfile
@@ -310,6 +334,42 @@ irProfile(const GpuSpec &spec, const SoftmaxShape &desc)
 }
 
 void
+irRows(SimdBackend backend, const SoftmaxShape &desc,
+       const Tensor<float> &local_max, const Tensor<float> &local_sum,
+       Tensor<float> &recon, const SoftmaxRows &rows)
+{
+    prof::Segment segment(*rows.scope);
+    const int64_t nsv = desc.numSubVectors();
+    if (rows.scope->active()) {
+        const uint64_t md_count =
+            uint64_t(rows.end - rows.begin) * uint64_t(nsv);
+        rows.scope->addRead(md_count * 2 * kFp32Bytes); // m', d'
+        rows.scope->addWrite(md_count * kFp32Bytes);    // r'
+    }
+    for (int64_t i = rows.begin; i < rows.end; ++i) {
+        const float *md_max = local_max.rowPtr(i);
+        const float *md_sum = local_sum.rowPtr(i);
+        float *r = recon.rowPtr(i);
+        // r' starts as exp(m' - m); a fully masked sub-vector
+        // (m' = -inf, d' = 0) gets exp = +0 and contributes nothing
+        // to d.
+        const float m_global = maxSpan(backend, md_max, nsv);
+        expSpan(backend, md_max, m_global, r, nsv);
+        float d_global = 0.0f;
+        for (int64_t sv = 0; sv < nsv; ++sv)
+            d_global += r[sv] * md_sum[sv];
+        SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
+                      "IR row %lld: global normalizer d = %f must "
+                      "be positive for an unmasked row",
+                      (long long)i, double(d_global));
+        for (int64_t sv = 0; sv < nsv; ++sv)
+            r[sv] = d_global > 0.0f ? r[sv] / d_global : 0.0f;
+        if constexpr (kCheckedBuild)
+            checkReconFactors(SpanView<float>{r, nsv}, "IR r' output");
+    }
+}
+
+void
 irRun(const ExecContext &ctx, const SoftmaxShape &desc,
       const Tensor<float> &local_max, const Tensor<float> &local_sum,
       Tensor<float> &recon)
@@ -323,37 +383,11 @@ irRun(const ExecContext &ctx, const SoftmaxShape &desc,
                    "IR shapes must be [rows, N_sv]");
     prof::Scope scope(ctx, "softmax.ir");
     const SimdBackend backend = simdBackend();
-    const int64_t nsv = desc.numSubVectors();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t md_count = uint64_t(row1 - row0) *
-                                      uint64_t(desc.numSubVectors());
-            scope.addRead(md_count * 2 * kFp32Bytes); // m', d'
-            scope.addWrite(md_count * kFp32Bytes);    // r'
-        }
-        for (int64_t i = row0; i < row1; ++i) {
-            const float *md_max = local_max.rowPtr(i);
-            const float *md_sum = local_sum.rowPtr(i);
-            float *r = recon.rowPtr(i);
-            // r' starts as exp(m' - m); a fully masked sub-vector
-            // (m' = -inf, d' = 0) gets exp = +0 and contributes
-            // nothing to d.
-            const float m_global = maxSpan(backend, md_max, nsv);
-            expSpan(backend, md_max, m_global, r, nsv);
-            float d_global = 0.0f;
-            for (int64_t sv = 0; sv < nsv; ++sv)
-                d_global += r[sv] * md_sum[sv];
-            SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
-                          "IR row %lld: global normalizer d = %f must "
-                          "be positive for an unmasked row",
-                          (long long)i, double(d_global));
-            for (int64_t sv = 0; sv < nsv; ++sv)
-                r[sv] = d_global > 0.0f ? r[sv] / d_global : 0.0f;
-        }
+        irRows(backend, desc, local_max, local_sum, recon,
+               SoftmaxRows{row0, row1, nullptr, &scope});
     });
-    if constexpr (kCheckedBuild)
-        checkReconFactors(recon, "IR r' output");
 }
 
 KernelProfile
@@ -381,6 +415,42 @@ gsProfile(const GpuSpec &spec, const SoftmaxShape &desc)
 }
 
 void
+gsRows(const SoftmaxShape &desc, const Tensor<Half> &x_prime,
+       const Tensor<float> &recon, Tensor<Half> &y,
+       const SoftmaxRows &rows)
+{
+    prof::Segment segment(*rows.scope);
+    if (rows.scope->active()) {
+        const uint64_t chunk_rows = uint64_t(rows.end - rows.begin);
+        const uint64_t matrix =
+            chunk_rows * uint64_t(desc.cols) * kFp16Bytes;
+        const uint64_t r_bytes = chunk_rows *
+            uint64_t(desc.numSubVectors()) * kFp32Bytes;
+        rows.scope->addRead(matrix + r_bytes); // X' plus r'
+        rows.scope->addWrite(matrix);
+    }
+    // Widen the row once, apply each sub-vector's r' to its contiguous
+    // segment, narrow once.
+    float *row = rows.staging;
+    for (int64_t i = rows.begin; i < rows.end; ++i) {
+        halfToFloat(x_prime.rowPtr(i), row, desc.cols);
+        const float *r = recon.rowPtr(i);
+        for (int64_t j0 = 0; j0 < desc.cols; j0 += desc.subVector) {
+            const float scale = r[j0 / desc.subVector];
+            const int64_t j1 = std::min(desc.cols, j0 + desc.subVector);
+            for (int64_t j = j0; j < j1; ++j)
+                row[j] *= scale;
+        }
+        floatToHalf(row, y.rowPtr(i), desc.cols);
+        // The recomposition identity (Eq. (2)): after GS the
+        // decomposed pipeline must reproduce safe-softmax rows exactly,
+        // so each unmasked row sums to ~1.
+        if constexpr (kCheckedBuild)
+            checkRowSumNearOne(y.rowPtr(i), desc.cols, "GS output", i);
+    }
+}
+
+void
 gsRun(const ExecContext &ctx, const SoftmaxShape &desc,
       const Tensor<Half> &x_prime, const Tensor<float> &recon,
       Tensor<Half> &y)
@@ -396,36 +466,10 @@ gsRun(const ExecContext &ctx, const SoftmaxShape &desc,
     prof::Scope scope(ctx, "softmax.gs");
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t chunk_rows = uint64_t(row1 - row0);
-            const uint64_t matrix =
-                chunk_rows * uint64_t(desc.cols) * kFp16Bytes;
-            const uint64_t r_bytes = chunk_rows *
-                uint64_t(desc.numSubVectors()) * kFp32Bytes;
-            scope.addRead(matrix + r_bytes); // X' plus r'
-            scope.addWrite(matrix);
-        }
-        // Widen the row once, apply each sub-vector's r' to its
-        // contiguous segment, narrow once.
         std::vector<float> row(size_t(desc.cols));
-        for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(x_prime.rowPtr(i), row.data(), desc.cols);
-            const float *r = recon.rowPtr(i);
-            for (int64_t j0 = 0; j0 < desc.cols; j0 += desc.subVector) {
-                const float scale = r[j0 / desc.subVector];
-                const int64_t j1 =
-                    std::min(desc.cols, j0 + desc.subVector);
-                for (int64_t j = j0; j < j1; ++j)
-                    row[size_t(j)] *= scale;
-            }
-            floatToHalf(row.data(), y.rowPtr(i), desc.cols);
-        }
+        gsRows(desc, x_prime, recon, y,
+               SoftmaxRows{row0, row1, row.data(), &scope});
     });
-    // The recomposition identity (Eq. (2)): after GS the decomposed
-    // pipeline must reproduce safe-softmax rows exactly, so each
-    // unmasked row sums to ~1.
-    if constexpr (kCheckedBuild)
-        checkRowSumsNearOne(y, "GS output");
 }
 
 } // namespace softrec

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "common/exec_context.hpp"
+#include "common/profiler.hpp"
 #include "fp16/half.hpp"
 #include "sim/kernel_profile.hpp"
 #include "tensor/tensor.hpp"
@@ -40,15 +41,37 @@ struct SoftmaxShape
     int64_t cols = 0;       //!< attention columns (L)
     int64_t subVector = 0;  //!< sub-vector width T; 0 = whole-row
     /**
-     * Causal rows: row i covers columns [0, min(cols, i + 1)) and the
-     * rest of the row is stored as +0 without being read. Only
-     * rowSoftmaxRun honours it; the analytical profiles stay
+     * Causal rows: row i covers columns [0, min(cols, firstRow + i +
+     * 1)) and the rest of the row is stored as +0 without being read.
+     * Only the row softmax honours it; the analytical profiles stay
      * causal-oblivious, like the paper's kernels.
      */
     bool causal = false;
+    /**
+     * Sequence position of row 0, for the causal bound: a strip of
+     * rows [r0, r0 + rows) of a larger matrix sets r0 and gets the
+     * bits of those rows of the whole-matrix kernel.
+     */
+    int64_t firstRow = 0;
 
     /** Number of sub-vectors per row (N_sv = ceil(L / T)). */
     int64_t numSubVectors() const;
+};
+
+/**
+ * A row range of a softmax kernel's matrices, for the row-range bodies
+ * below. Each xxxRun kernel is its xxxRows body over parallel row
+ * chunks; a caller that runs its own row loop (the strip loop of
+ * runAttention) calls the body directly, with no parallelFor and no
+ * allocation. The body credits its rows' operand bytes to `scope`,
+ * the kernel's counters exactly, and times itself as a segment of it.
+ */
+struct SoftmaxRows
+{
+    int64_t begin = 0;
+    int64_t end = 0;
+    float *staging = nullptr; //!< desc.cols floats (not used by IR)
+    prof::Scope *scope = nullptr;
 };
 
 /** Baseline row-softmax launch profile (one row per TB). */
@@ -64,6 +87,11 @@ KernelProfile rowSoftmaxProfile(const GpuSpec &spec,
  */
 void rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
                    const Tensor<Half> &in, Tensor<Half> &out);
+
+/** rowSoftmaxRun's body over one row range (scope "softmax.row"). */
+void rowSoftmaxRows(SimdBackend backend, const SoftmaxShape &desc,
+                    const Tensor<Half> &in, Tensor<Half> &out,
+                    const SoftmaxRows &rows);
 
 /**
  * Online-normalizer row softmax (Milakov & Gimelshein, related work
@@ -96,6 +124,12 @@ void lsRun(const ExecContext &ctx, const SoftmaxShape &desc,
            const Tensor<Half> &in, Tensor<Half> &x_prime,
            Tensor<float> &local_max, Tensor<float> &local_sum);
 
+/** lsRun's body over one row range (scope "softmax.ls"). */
+void lsRows(SimdBackend backend, const SoftmaxShape &desc,
+            const Tensor<Half> &in, Tensor<Half> &x_prime,
+            Tensor<float> &local_max, Tensor<float> &local_sum,
+            const SoftmaxRows &rows);
+
 /** IR kernel profile: one row's (m', d') pairs per thread. */
 KernelProfile irProfile(const GpuSpec &spec, const SoftmaxShape &desc);
 
@@ -110,6 +144,12 @@ void irRun(const ExecContext &ctx, const SoftmaxShape &desc,
            const Tensor<float> &local_max,
            const Tensor<float> &local_sum, Tensor<float> &recon);
 
+/** irRun's body over one row range (scope "softmax.ir"). */
+void irRows(SimdBackend backend, const SoftmaxShape &desc,
+            const Tensor<float> &local_max,
+            const Tensor<float> &local_sum, Tensor<float> &recon,
+            const SoftmaxRows &rows);
+
 /** GS kernel profile: element-wise streaming. */
 KernelProfile gsProfile(const GpuSpec &spec, const SoftmaxShape &desc);
 
@@ -117,6 +157,11 @@ KernelProfile gsProfile(const GpuSpec &spec, const SoftmaxShape &desc);
 void gsRun(const ExecContext &ctx, const SoftmaxShape &desc,
            const Tensor<Half> &x_prime, const Tensor<float> &recon,
            Tensor<Half> &y);
+
+/** gsRun's body over one row range (scope "softmax.gs"). */
+void gsRows(const SoftmaxShape &desc, const Tensor<Half> &x_prime,
+            const Tensor<float> &recon, Tensor<Half> &y,
+            const SoftmaxRows &rows);
 
 } // namespace softrec
 

@@ -284,6 +284,17 @@ runEncoderLayer(const ExecContext &ctx,
                 const EncoderLayerWeights &weights,
                 const Tensor<Half> &input)
 {
+    DecodeStepWorkspace ws;
+    runEncoderLayer(ctx, config, weights, input, ws);
+    return std::move(ws.x);
+}
+
+void
+runEncoderLayer(const ExecContext &ctx,
+                const FunctionalLayerConfig &config,
+                const EncoderLayerWeights &weights,
+                const Tensor<Half> &input, DecodeStepWorkspace &ws)
+{
     SOFTREC_ASSERT(input.shape().rank() == 2 &&
                    input.shape().dim(1) == config.dModel,
                    "input must be [L, dModel]");
@@ -292,14 +303,12 @@ runEncoderLayer(const ExecContext &ctx,
 
     // Time-only summary scope around the whole layer.
     prof::Scope scope(ctx, "layer.encoder");
-    DecodeStepWorkspace ws;
     ws.prepare(config, input.shape().dim(0));
     std::copy(input.data(), input.data() + input.numel(), ws.x.data());
     // The rows are the whole sequence and no K/V outlives the call.
     runLayer(ctx, config, weights, /*start=*/0, ws,
              [](const Tensor<Half> &, const Tensor<Half> &) {},
              [](int64_t, KvRowsView &, KvRowsView &) {});
-    return std::move(ws.x);
 }
 
 void

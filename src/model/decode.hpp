@@ -176,8 +176,12 @@ struct PrefillState
 
 /**
  * One worker slot's buffers for a head whose rows start at position 0
- * (attendOwnRows): the head's Q/K/V slices, its output and the L x L
- * intermediates runAttention writes.
+ * (attendOwnRows): the head's Q/K/V slices, its output and the
+ * runAttention workspace. That workspace holds no L x L matrix: the
+ * head's strips run serially on this slot, so it holds K and V packed
+ * once (~R x dHead x 4 bytes each) and one strip of attnTiling.tileM
+ * rows of scores/probabilities or X' plus m'/d'/r' (64 KiB per fp16
+ * strip matrix at R = 2048 and 16-row strips).
  */
 struct OwnRowsSlot
 {
@@ -191,16 +195,18 @@ struct OwnRowsSlot
  * projections, the attention output and the FF hidden activations,
  * plus, per worker slot, one DecodeAttendWorkspace (rows past
  * position 0) and one OwnRowsSlot (rows at position 0: a head's
- * Q/K/V slices, output and L x L intermediates). A stage's output
- * goes to a buffer whose contents are dead by then, so the workspace
- * holds only what attention needs live; sizing it up front then
- * costs an encoder call no more peak memory than allocating each
- * stage on use, and the per-slot attention buffers are the ones the
- * concurrently running heads would hold anyway. A serving loop keeps
- * one of these across its whole drain, for prefill chunks and decode
- * steps alike; after the buffers reach their high-water shape (max
- * rows, max context), stepping allocates no activation or L x L
- * buffer.
+ * Q/K/V slices, output, packed K/V and one attention strip). A
+ * stage's output goes to a buffer whose contents are dead by then, so
+ * the workspace holds only what attention needs live; sizing it up
+ * front then costs an encoder call no more peak memory than
+ * allocating each stage on use. The attention buffers of all slots
+ * together stay below one R x R fp16 matrix at serving shapes (a
+ * runtime gate in tests/test_decode.cpp checks a 2048-row causal
+ * prefill and a non-causal SDF encoder layer on four threads). A
+ * serving loop keeps one of these across its whole drain, for prefill
+ * chunks and decode steps alike; after the buffers reach their
+ * high-water shape (max rows, max context), stepping allocates no
+ * activation or attention buffer.
  */
 struct DecodeStepWorkspace
 {
@@ -223,6 +229,16 @@ struct DecodeStepWorkspace
     /** Size every buffer for an R-row layer of `config`. */
     void prepare(const FunctionalLayerConfig &config, int64_t rows);
 };
+
+/**
+ * runEncoderLayer through a caller-kept workspace: the layer's output
+ * is left in ws.x ([L, dModel]). The returning overload in
+ * functional_layer.hpp wraps this with a fresh workspace.
+ */
+void runEncoderLayer(const ExecContext &ctx,
+                     const FunctionalLayerConfig &config,
+                     const EncoderLayerWeights &weights,
+                     const Tensor<Half> &input, DecodeStepWorkspace &ws);
 
 /**
  * Process the next `rows` prompt rows of a resumable prefill:

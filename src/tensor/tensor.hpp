@@ -92,6 +92,9 @@ class Tensor
     /** Total elements. */
     int64_t numel() const { return shape_.numel(); }
 
+    /** Elements of storage held, which resize() never gives back. */
+    size_t capacity() const { return data_.capacity(); }
+
     /** Raw storage. */
     T *data() { return data_.data(); }
     /** Raw storage (const). */

@@ -4,9 +4,11 @@
  * block-sparse attention must produce the same output under Baseline,
  * SD, and SDF (up to fp16 rounding), and match a double-precision
  * reference; a reused AttentionWorkspace gives the bits of a fresh
- * run.
+ * run; and the strip loop of dense attention gives the bits of the
+ * whole-matrix kernel composition it is built from.
  */
 
+#include <algorithm>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
+#include "kernels/gemm.hpp"
+#include "kernels/softmax_kernels.hpp"
 #include "sparse/patterns.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -152,6 +156,307 @@ TEST(DenseStrategies, ReusedWorkspaceMatchesFreshRuns)
                         << strategyName(strategy) << " L=" << L
                         << " causal=" << causal << " elem=" << i;
             }
+        }
+    }
+}
+
+/**
+ * Dense attention as whole-matrix kernels, each stage over all L rows
+ * before the next: gemmRun -> rowSoftmaxRun -> gemmRun (Baseline),
+ * gemmRun -> lsRun -> irRun -> gsRun -> gemmRun (SD), and gemmRun with
+ * the LS epilogue -> irRun -> gemmRun with the GS prologue (SDF).
+ * runAttention runs the same stages strip by strip.
+ */
+Tensor<Half>
+wholeMatrixAttention(const ExecContext &ctx, const SdaConfig &config,
+                     const AttentionInputs &inputs, Strategy strategy)
+{
+    const int64_t L = config.seqLen, kv = config.keyLen();
+    const bool fused = strategy == Strategy::Fused;
+    GemmDesc qk;
+    qk.m = L;
+    qk.n = kv;
+    qk.k = config.dHead;
+    qk.tiling = config.attnTiling;
+    if (fused)
+        qk.tiling.tileN = config.subVector;
+    qk.epilogue.scale = config.scale();
+    qk.epilogue.causalMask = config.causalMask;
+    qk.epilogue.localSoftmax = fused;
+    GemmOperands qk_ops;
+    qk_ops.a = &inputs.q;
+    qk_ops.b = &inputs.k;
+    qk_ops.transposeB = true;
+
+    SoftmaxShape sub;
+    sub.rows = L;
+    sub.cols = kv;
+    sub.subVector = config.subVector;
+    sub.causal = config.causalMask;
+    const Shape md({L, ceilDiv(kv, config.subVector)});
+
+    GemmDesc av;
+    av.m = L;
+    av.n = config.dHead;
+    av.k = kv;
+    av.tiling = config.attnTiling;
+    av.prologue.causalA = config.causalMask;
+    av.prologue.globalScale = fused;
+    av.prologue.gsSubVector = config.subVector;
+    GemmOperands av_ops;
+    av_ops.b = &inputs.v;
+
+    Tensor<Half> scores(Shape({L, kv})), probs(Shape({L, kv}));
+    Tensor<Half> x_prime(Shape({L, kv}));
+    Tensor<float> local_max(md), local_sum(md), recon(md);
+    switch (strategy) {
+      case Strategy::Baseline:
+        gemmRun(ctx, qk, qk_ops, scores);
+        rowSoftmaxRun(ctx, sub, scores, probs);
+        av_ops.a = &probs;
+        break;
+      case Strategy::Decomposed:
+        gemmRun(ctx, qk, qk_ops, scores);
+        lsRun(ctx, sub, scores, x_prime, local_max, local_sum);
+        irRun(ctx, sub, local_max, local_sum, recon);
+        gsRun(ctx, sub, x_prime, recon, probs);
+        av_ops.a = &probs;
+        break;
+      case Strategy::Fused: {
+        LsOutputs ls{&local_max, &local_sum};
+        gemmRun(ctx, qk, qk_ops, x_prime, &ls);
+        irRun(ctx, sub, local_max, local_sum, recon);
+        av_ops.a = &x_prime;
+        av_ops.gsFactors = &recon;
+        break;
+      }
+    }
+    Tensor<Half> out(Shape({L, config.dHead}));
+    gemmRun(ctx, av, av_ops, out);
+    return out;
+}
+
+void
+expectSameBits(const Tensor<Half> &got, const Tensor<Half> &want,
+               const std::string &what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (int64_t i = 0; i < want.numel(); ++i)
+        ASSERT_EQ(got.data()[i].bits(), want.data()[i].bits())
+            << what << " elem=" << i;
+}
+
+class StripLoop
+    : public ::testing::TestWithParam<std::tuple<int64_t, bool>>
+{};
+
+TEST_P(StripLoop, EqualsWholeMatrixComposition)
+{
+    const auto [L, causal] = GetParam();
+    SdaConfig config;
+    config.seqLen = L;
+    config.dHead = 32;
+    config.subVector = 32;
+    config.causalMask = causal;
+    config.attnTiling.tileM = 16;
+    config.attnTiling.tileN = 16;
+    const AttentionInputs inputs =
+        randomInputs(config, uint64_t(L * 5 + causal));
+    ThreadPool pool(4);
+    ExecContext pooled;
+    pooled.pool = &pool;
+    const SimdBackend initial = simdBackend();
+    for (Strategy strategy : allStrategies()) {
+        const Tensor<Half> want =
+            wholeMatrixAttention(ExecContext(), config, inputs, strategy);
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            setSimdBackend(backend);
+            for (const ExecContext &ctx : {ExecContext(), pooled}) {
+                expectSameBits(
+                    runAttention(ctx, config, inputs, strategy), want,
+                    std::string(strategyName(strategy)) +
+                        " threads=" + std::to_string(ctx.threads()) +
+                        " simd=" + std::to_string(int(backend)));
+            }
+        }
+        setSimdBackend(initial);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lengths, StripLoop,
+    ::testing::Combine(::testing::Values(1, 15, 16, 17, 77, 1000),
+                       ::testing::Bool()));
+
+TEST(StripLoop, GemmStripFromAnyFirstRowMatchesWholeGemm)
+{
+    // Three GEMMs of the layer: causal QK^T with the fused LS
+    // epilogue, causal P.V with the GS prologue, and a projection with
+    // bias and GeLU. A strip whose A/C/m'/d'/r' buffers start at
+    // global row r0 must reproduce rows r0.. of gemmRun bit for bit,
+    // aligned to tileM or not.
+    const int64_t m = 45, n = 40, k = 24;
+    Rng rng(21);
+    Tensor<Half> a(Shape({m, k})), bt(Shape({n, k})), b(Shape({k, n}));
+    fillNormal(a, rng, 0.0, 0.8);
+    fillNormal(bt, rng, 0.0, 0.8);
+    fillNormal(b, rng, 0.0, 0.8);
+    Tensor<float> bias(Shape({n}));
+    fillNormal(bias, rng);
+    GemmDesc qk;
+    qk.m = m;
+    qk.n = n;
+    qk.k = k;
+    qk.tiling.tileM = 16;
+    qk.tiling.tileN = 8;
+    qk.epilogue.scale = 0.25;
+    qk.epilogue.causalMask = true;
+    qk.epilogue.localSoftmax = true;
+    // P.V-shaped: A is [m, m] with +0 past the diagonal.
+    Tensor<Half> p(Shape({m, m}));
+    fillNormal(p, rng, 0.0, 0.5);
+    for (int64_t i = 0; i < m; ++i)
+        std::fill(p.rowPtr(i) + i + 1, p.rowPtr(i) + m, Half());
+    Tensor<Half> v(Shape({m, n}));
+    fillNormal(v, rng);
+    const int64_t gs_sub = 8;
+    Tensor<float> gs(Shape({m, ceilDiv(m, gs_sub)}));
+    fillNormal(gs, rng, 0.5, 0.1);
+    GemmDesc av;
+    av.m = m;
+    av.n = n;
+    av.k = m;
+    av.tiling.tileM = 16;
+    av.tiling.tileN = 16;
+    av.prologue.causalA = true;
+    av.prologue.globalScale = true;
+    av.prologue.gsSubVector = gs_sub;
+    GemmDesc fc;
+    fc.m = m;
+    fc.n = n;
+    fc.k = k;
+    fc.tiling.tileM = 16;
+    fc.tiling.tileN = 16;
+    fc.epilogue.bias = true;
+    fc.epilogue.gelu = true;
+
+    struct Case
+    {
+        const GemmDesc *desc;
+        GemmOperands ops;
+    } cases[3];
+    cases[0] = {&qk, {}};
+    cases[0].ops.a = &a;
+    cases[0].ops.b = &bt;
+    cases[0].ops.transposeB = true;
+    cases[1] = {&av, {}};
+    cases[1].ops.a = &p;
+    cases[1].ops.b = &v;
+    cases[1].ops.gsFactors = &gs;
+    cases[2] = {&fc, {}};
+    cases[2].ops.a = &a;
+    cases[2].ops.b = &b;
+    cases[2].ops.bias = &bias;
+
+    for (const Case &c : cases) {
+        const GemmDesc &desc = *c.desc;
+        const int64_t tiles_n = ceilDiv(desc.n, desc.tiling.tileN);
+        Tensor<Half> whole(Shape({desc.m, desc.n}));
+        Tensor<float> lmax(Shape({desc.m, tiles_n}));
+        Tensor<float> lsum(Shape({desc.m, tiles_n}));
+        LsOutputs ls{&lmax, &lsum};
+        gemmRun(ExecContext(), desc, c.ops, whole, &ls);
+
+        prof::Scope scope(ExecContext(), "test.strip");
+        GemmTraffic traffic(ExecContext(), desc, scope);
+        std::vector<float> panels;
+        gemmPackB(desc, c.ops, panels, traffic);
+        GemmScratch scratch;
+        for (const int64_t r0 : {int64_t(0), int64_t(5), int64_t(16),
+                                 int64_t(29), int64_t(40)}) {
+            const int64_t rows = std::min(desc.tiling.tileM, desc.m - r0);
+            // Strip-local copies, so the strip reads nothing but its
+            // own rows.
+            std::vector<Half> a_rows(c.ops.a->rowPtr(r0),
+                                     c.ops.a->rowPtr(r0) + rows * desc.k);
+            std::vector<float> gs_rows;
+            GemmStrip strip;
+            strip.row0 = r0;
+            strip.rows = rows;
+            strip.a = a_rows.data();
+            strip.lda = desc.k;
+            if (desc.prologue.globalScale) {
+                const int64_t w = c.ops.gsFactors->shape().dim(1);
+                gs_rows.assign(c.ops.gsFactors->rowPtr(r0),
+                               c.ops.gsFactors->rowPtr(r0) + rows * w);
+                strip.gsFactors = gs_rows.data();
+                strip.gsLd = w;
+            }
+            std::vector<Half> c_rows(size_t(rows * desc.n));
+            std::vector<float> m_rows(size_t(rows * tiles_n));
+            std::vector<float> d_rows(size_t(rows * tiles_n));
+            strip.c = c_rows.data();
+            strip.ldc = desc.n;
+            strip.localMax = m_rows.data();
+            strip.localSum = d_rows.data();
+            strip.mdLd = tiles_n;
+            gemmRunStrip(simdBackend(), desc, panels.data(),
+                         c.ops.bias ? c.ops.bias->data() : nullptr,
+                         strip, scratch, traffic);
+            for (int64_t i = 0; i < rows; ++i) {
+                for (int64_t j = 0; j < desc.n; ++j)
+                    ASSERT_EQ(c_rows[size_t(i * desc.n + j)].bits(),
+                              whole.at(r0 + i, j).bits())
+                        << desc.name << " r0=" << r0 << " row=" << i
+                        << " col=" << j;
+                if (!desc.epilogue.localSoftmax)
+                    continue;
+                for (int64_t t = 0; t < tiles_n; ++t) {
+                    ASSERT_EQ(m_rows[size_t(i * tiles_n + t)],
+                              lmax.at(r0 + i, t)) << "r0=" << r0;
+                    ASSERT_EQ(d_rows[size_t(i * tiles_n + t)],
+                              lsum.at(r0 + i, t)) << "r0=" << r0;
+                }
+            }
+        }
+    }
+}
+
+TEST(StripLoop, RowSoftmaxFromAnyFirstRowMatchesWholeMatrix)
+{
+    // Causal scores with -inf past the diagonal, as QK^T stores them:
+    // a strip of rows r0.. with firstRow = r0 must give the bits of
+    // those rows of the whole-matrix kernel.
+    const int64_t rows = 50, cols = 50;
+    Rng rng(31);
+    Tensor<Half> scores(Shape({rows, cols}));
+    fillNormal(scores, rng, 0.0, 2.0);
+    for (int64_t i = 0; i < rows; ++i)
+        std::fill(scores.rowPtr(i) + i + 1, scores.rowPtr(i) + cols,
+                  -Half::infinity());
+    for (const bool causal : {false, true}) {
+        SoftmaxShape whole;
+        whole.rows = rows;
+        whole.cols = cols;
+        whole.causal = causal;
+        Tensor<Half> want(scores.shape());
+        rowSoftmaxRun(ExecContext(), whole, scores, want);
+        for (const int64_t r0 : {int64_t(0), int64_t(7), int64_t(16),
+                                 int64_t(33), int64_t(49)}) {
+            const int64_t n = std::min<int64_t>(16, rows - r0);
+            Tensor<Half> in(Shape({n, cols})), out(Shape({n, cols}));
+            std::copy(scores.rowPtr(r0), scores.rowPtr(r0) + n * cols,
+                      in.data());
+            SoftmaxShape strip = whole;
+            strip.rows = n;
+            strip.firstRow = r0;
+            rowSoftmaxRun(ExecContext(), strip, in, out);
+            for (int64_t i = 0; i < n; ++i)
+                for (int64_t j = 0; j < cols; ++j)
+                    ASSERT_EQ(out.at(i, j).bits(), want.at(r0 + i, j).bits())
+                        << "causal=" << causal << " r0=" << r0
+                        << " row=" << i << " col=" << j;
         }
     }
 }

@@ -371,5 +371,53 @@ TEST(Generation, PerTokenLatencyGrowsWithContext)
     EXPECT_GT(step_seconds(8192), step_seconds(1024));
 }
 
+/** Attention bytes held by every worker slot of a step workspace. */
+uint64_t
+attentionBytes(const DecodeStepWorkspace &ws)
+{
+    uint64_t bytes = 0;
+    for (const OwnRowsSlot &slot : ws.ownRows)
+        bytes += slot.attn.heldBytes();
+    return bytes;
+}
+
+TEST(AttentionMemory, StripBuffersStayBelowOneScoreMatrix)
+{
+    // Dense attention runs strip by strip, so the attention buffers of
+    // all worker slots together (packed K/V plus one strip each) stay
+    // below a single L x L fp16 matrix at the serving shape, for a
+    // causal Baseline prefill and a non-causal SDF encoder layer.
+    constexpr int64_t kL = 2048, kModel = 256, kModelHeads = 4;
+    const uint64_t score_matrix = uint64_t(kL * kL) * sizeof(Half);
+    ThreadPool pool(4);
+    ExecContext ctx;
+    ctx.pool = &pool;
+    Rng rng(91);
+    DecoderStack stack =
+        DecoderStack::random(kModel, kModelHeads, kModel, 1, rng);
+    stack.config.attention = AttentionBackend::Recomposed;
+    Tensor<Half> prompt(Shape({kL, kModel}));
+    for (int64_t i = 0; i < prompt.numel(); ++i)
+        prompt.data()[i] = Half(float(rng.normal(0.0, 0.5)));
+
+    DecodeStepWorkspace prefill_ws;
+    KvSlab slab(/*block_tokens=*/16, kModel);
+    KvCache cache(slab, 1);
+    PrefillState state;
+    state.prepare(stack, kL);
+    Tensor<Half> outputs;
+    runPrefill(ctx, stack, prompt, kL, cache, state, prefill_ws, outputs);
+    EXPECT_GT(attentionBytes(prefill_ws), 0u);
+    EXPECT_LT(attentionBytes(prefill_ws), score_matrix);
+
+    FunctionalLayerConfig encoder = stack.config;
+    encoder.causalMask = false;
+    encoder.strategy = Strategy::Fused;
+    DecodeStepWorkspace encoder_ws;
+    runEncoderLayer(ctx, encoder, stack.layers[0], prompt, encoder_ws);
+    EXPECT_GT(attentionBytes(encoder_ws), 0u);
+    EXPECT_LT(attentionBytes(encoder_ws), score_matrix);
+}
+
 } // namespace
 } // namespace softrec

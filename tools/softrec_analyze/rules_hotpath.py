@@ -16,7 +16,7 @@ from registry import register
 KERNEL_DIRS = ("src/kernels/",)
 
 # Functions on the per-token decode path, plus attendOwnRows, whose
-# per-head L x L buffers come from the step workspace: their whole
+# per-head attention buffers come from the step workspace: their whole
 # bodies must be allocation-free (setup that genuinely runs once per
 # step is annotated allow() at the site, with the reason). The prefill and
 # finish helpers around
