@@ -3,7 +3,7 @@
  * google-benchmark micro-benchmarks of the functional CPU kernels:
  * the recomposition math itself (safe vs decomposed softmax), the
  * kernel-level LS/IR/GS pipeline, GEMM epilogues, and block-sparse
- * kernels. These measure the *reference implementations*, not the
+ * attention. These measure the *reference implementations*, not the
  * modeled GPU; they exist to keep the functional substrate honest
  * (e.g. decomposition must not change asymptotic cost).
  */
@@ -24,8 +24,6 @@
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
 #include "core/softmax_math.hpp"
-#include "kernels/bsr_gemm.hpp"
-#include "kernels/bsr_softmax.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
 #include "sparse/patterns.hpp"
@@ -158,52 +156,41 @@ BM_GemmFusedLs(benchmark::State &state)
 }
 BENCHMARK(BM_GemmFusedLs)->Arg(128)->Arg(256);
 
+/**
+ * One block-sparse attention head (BigBird, block 32, d_head 64)
+ * through runAttention on a reused workspace; the argument selects
+ * the strategy (0 Baseline, 1 SD, 2 SDF).
+ */
 void
-BM_BsrSdd(benchmark::State &state)
+BM_SparseAttention(benchmark::State &state)
 {
     BigBirdParams params;
     params.blockSize = 32;
-    const int64_t seq_len = state.range(0);
-    const BsrLayout layout = bigBirdPattern(seq_len, params);
+    const BsrLayout layout = bigBirdPattern(1024, params);
+    SdaConfig config;
+    config.seqLen = layout.rows();
+    config.dHead = 64;
+    config.layout = &layout;
+    config.subVector = params.blockSize;
+    const Strategy strategy = Strategy(state.range(0));
+    AttentionInputs inputs = makeAttentionInputs(config);
     Rng rng(7);
-    Tensor<Half> q(Shape({seq_len, 64})), k(Shape({seq_len, 64}));
-    fillNormal(q, rng);
-    fillNormal(k, rng);
-    BsrSddDesc desc;
-    desc.layout = &layout;
-    desc.dHead = 64;
-    desc.scale = 0.125;
-    BsrMatrix s(layout);
-    for (auto _ : state)
-        bsrSddRun(execCtx(), desc, q, k, s);
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            layout.nnzElements());
-}
-BENCHMARK(BM_BsrSdd)->Arg(256)->Arg(512);
-
-void
-BM_BsrSoftmaxPipeline(benchmark::State &state)
-{
-    BigBirdParams params;
-    params.blockSize = 32;
-    const int64_t seq_len = state.range(0);
-    const BsrLayout layout = bigBirdPattern(seq_len, params);
-    Rng rng(8);
-    const BsrMatrix in = BsrMatrix::fromDense(
-        layout, makeAttentionScores(rng, seq_len, seq_len));
-    BsrSoftmaxDesc desc;
-    desc.layout = &layout;
-    BsrMatrix x_prime(layout), out(layout);
-    std::vector<float> lmax, lsum, recon;
+    fillNormal(inputs.q, rng);
+    fillNormal(inputs.k, rng);
+    fillNormal(inputs.v, rng);
+    const ExecContext ctx = execCtx();
+    AttentionWorkspace ws;
+    Tensor<Half> out;
     for (auto _ : state) {
-        bsrLsRun(execCtx(), desc, in, x_prime, lmax, lsum);
-        bsrIrRun(execCtx(), desc, lmax, lsum, recon);
-        bsrGsRun(execCtx(), desc, x_prime, recon, out);
+        runAttention(ctx, config, inputs, strategy, ws, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
+    state.SetLabel(strategyName(strategy));
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             layout.nnzElements());
 }
-BENCHMARK(BM_BsrSoftmaxPipeline)->Arg(256)->Arg(512);
+BENCHMARK(BM_SparseAttention)->DenseRange(0, 2);
 
 void
 BM_HalfConversion(benchmark::State &state)

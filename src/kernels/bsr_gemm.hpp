@@ -1,25 +1,26 @@
 /**
  * @file
- * Block-sparse attention GEMMs (DeepSpeed/Triton style, Section 3.4):
+ * Launch profiles of the block-sparse attention GEMMs (DeepSpeed/
+ * Triton style, Section 3.4), for the GPU cost model:
  *
  *  - SDD (sampled dense-dense): S = Q . K^T evaluated only at the
  *    layout's non-zero blocks, optionally with scale and a fused LS
  *    epilogue (SDF);
  *  - DSD (dense = sparse . dense): O = P . V where P is block-sparse,
  *    optionally with a fused GS prologue applied as P blocks load.
+ *
+ * The functional CPU path has no block-sparse kernels of its own:
+ * runAttention (core/attention_exec.hpp) runs a sparse head through
+ * the dense strip loop, each strip over its block row's column blocks.
  */
 
 #ifndef SOFTREC_KERNELS_BSR_GEMM_HPP
 #define SOFTREC_KERNELS_BSR_GEMM_HPP
 
 #include <string>
-#include <vector>
-
-#include "common/exec_context.hpp"
 
 #include "sim/kernel_profile.hpp"
-#include "sparse/bsr_matrix.hpp"
-#include "tensor/tensor.hpp"
+#include "sparse/bsr.hpp"
 
 namespace softrec {
 
@@ -37,23 +38,6 @@ struct BsrSddDesc
 /** SDD launch profile (one TB per non-zero output block). */
 KernelProfile bsrSddProfile(const GpuSpec &spec, const BsrSddDesc &desc);
 
-/**
- * Functional SDD: for every non-zero block (br, bc) of the layout,
- * S_block = scale * Q[br rows] . K[bc rows]^T. With fuseLocalSoftmax,
- * additionally runs LS per block row segment (sub-vector = block
- * width) and stores X' = exp(s - m') instead of s.
- *
- * @param q [L, dHead] fp16
- * @param k_mat [L, dHead] fp16 (rows are keys; used transposed)
- * @param s out, values on desc.layout
- * @param local_max out (fused LS only), size nnzBlocks * blockSize
- * @param local_sum out (fused LS only), size nnzBlocks * blockSize
- */
-void bsrSddRun(const ExecContext &ctx, const BsrSddDesc &desc,
-               const Tensor<Half> &q, const Tensor<Half> &k_mat,
-               BsrMatrix &s, std::vector<float> *local_max = nullptr,
-               std::vector<float> *local_sum = nullptr);
-
 /** Description of a DSD launch (sparse P times dense V). */
 struct BsrDsdDesc
 {
@@ -66,21 +50,6 @@ struct BsrDsdDesc
 
 /** DSD launch profile (one TB per output block row). */
 KernelProfile bsrDsdProfile(const GpuSpec &spec, const BsrDsdDesc &desc);
-
-/**
- * Functional DSD: O = P . V over the non-zero blocks of P. With
- * fuseGlobalScale, each loaded P element is multiplied by its
- * sub-vector's reconstruction factor r' first.
- *
- * @param p block-sparse attention probabilities (or X' under fusion)
- * @param v [L, dHead] fp16
- * @param o out, [L, dHead] fp16
- * @param recon r' (fused GS only), size nnzBlocks * blockSize
- */
-void bsrDsdRun(const ExecContext &ctx, const BsrDsdDesc &desc,
-               const BsrMatrix &p, const Tensor<Half> &v,
-               Tensor<Half> &o,
-               const std::vector<float> *recon = nullptr);
 
 } // namespace softrec
 

@@ -1,18 +1,13 @@
 /**
  * @file
- * Block-sparse softmax kernel implementations.
+ * Block-sparse softmax launch profiles.
  */
 
 #include "kernels/bsr_softmax.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <vector>
 
-#include "common/check.hpp"
 #include "common/logging.hpp"
-#include "common/profiler.hpp"
-#include "fp16/simd_math.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
 #include "sim/cost_model.hpp"
@@ -20,8 +15,6 @@
 namespace softrec {
 
 namespace {
-
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 const BsrLayout &
 checkedLayout(const BsrSoftmaxDesc &desc)
@@ -44,34 +37,6 @@ uint64_t
 subVectorCount(const BsrLayout &layout)
 {
     return uint64_t(layout.nnzBlocks() * layout.blockSize());
-}
-
-/**
- * Checked-build invariant: every unmasked logical row of a BSR
- * probability matrix sums to ~1 over its stored blocks.
- */
-void
-checkBsrRowSums(const BsrLayout &layout, const BsrMatrix &m,
-                const char *what)
-{
-    const int64_t bs = layout.blockSize();
-    for (int64_t br = 0; br < layout.blockRows(); ++br) {
-        for (int64_t i = 0; i < bs; ++i) {
-            double sum = 0.0;
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                for (int64_t j = 0; j < bs; ++j)
-                    // softrec-lint: allow(half-loop-conv) --
-                    // checked-build diagnostic, not a hot path
-                    sum += double(float(m.at(k, i, j)));
-            }
-            if (sum != 0.0 && std::abs(sum - 1.0) > kRowSumTolerance) {
-                panic("%s: row %lld sums to %.6f, expected ~1 "
-                      "(or 0 for a fully masked row)",
-                      what, (long long)(br * bs + i), sum);
-            }
-        }
-    }
 }
 
 } // namespace
@@ -109,70 +74,6 @@ bsrRowSoftmaxProfile(const GpuSpec &spec, const BsrSoftmaxDesc &desc)
     return prof;
 }
 
-void
-bsrRowSoftmaxRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
-                 const BsrMatrix &in, BsrMatrix &out)
-{
-    SOFTREC_ASSERT(desc.batch == 1,
-                   "functional BSR softmax handles one matrix");
-    const BsrLayout &layout = checkedLayout(desc);
-    const int64_t bs = layout.blockSize();
-    prof::Scope scope(ctx, "softmax.bsr.row");
-    const SimdBackend backend = simdBackend();
-    // Parallel over block rows: each chunk writes disjoint blocks.
-    parallelFor(ctx, 0, layout.blockRows(), 1,
-                [&](int64_t br0, int64_t br1) {
-    // One logical row's stored segments staged contiguously in fp32:
-    // segment s of the row holds block rowBegin+s's bs elements. exp
-    // values overwrite the staging row during the normalizer pass and
-    // are reused by the scale pass (one exp per element, not two).
-    // Sized once per chunk to the widest block row (not re-resized
-    // per row, which would put the allocator inside the row loop);
-    // only the current row's row_len prefix is live.
-    int64_t max_nnz = 0;
-    for (int64_t br = br0; br < br1; ++br)
-        max_nnz = std::max(max_nnz,
-                           layout.rowEnd(br) - layout.rowBegin(br));
-    std::vector<float> row(size_t(max_nnz * bs));
-    for (int64_t br = br0; br < br1; ++br) {
-        const int64_t row_nnz = layout.rowEnd(br) - layout.rowBegin(br);
-        const size_t row_len = size_t(row_nnz * bs);
-        if (scope.active()) {
-            const uint64_t row_bytes =
-                uint64_t(row_nnz) * uint64_t(bs * bs) * kFp16Bytes;
-            scope.addRead(row_bytes);
-            scope.addWrite(row_bytes);
-        }
-        for (int64_t i = 0; i < bs; ++i) {
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                const int64_t s = k - layout.rowBegin(br);
-                halfToFloat(in.blockData(k) + i * bs,
-                            &row[size_t(s * bs)], bs);
-            }
-            const float max_val =
-                maxSpan(backend, row.data(), int64_t(row_len));
-            const float denom = expSpan(backend, row.data(), max_val,
-                                        row.data(), int64_t(row_len));
-            for (size_t x = 0; x < row_len; ++x)
-                row[x] = denom > 0.0f ? row[x] / denom : 0.0f;
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                const int64_t s = k - layout.rowBegin(br);
-                floatToHalf(&row[size_t(s * bs)],
-                            out.blockData(k) + i * bs, bs);
-            }
-            SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
-                          "BSR softmax row %lld: d = %f must be "
-                          "positive for an unmasked row",
-                          (long long)(br * bs + i), double(denom));
-        }
-    }
-    });
-    if constexpr (kCheckedBuild)
-        checkBsrRowSums(layout, out, "bsrRowSoftmax output");
-}
-
 KernelProfile
 bsrLsProfile(const GpuSpec &spec, const BsrSoftmaxDesc &desc)
 {
@@ -200,62 +101,6 @@ bsrLsProfile(const GpuSpec &spec, const BsrSoftmaxDesc &desc)
     return prof;
 }
 
-void
-bsrLsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
-         const BsrMatrix &in, BsrMatrix &x_prime,
-         std::vector<float> &local_max, std::vector<float> &local_sum)
-{
-    SOFTREC_ASSERT(desc.batch == 1,
-                   "functional BSR LS handles one matrix");
-    const BsrLayout &layout = checkedLayout(desc);
-    const int64_t bs = layout.blockSize();
-    const size_t count = size_t(subVectorCount(layout));
-    local_max.assign(count, kNegInf);
-    local_sum.assign(count, 0.0f);
-    prof::Scope scope(ctx, "softmax.bsr.ls");
-    const SimdBackend backend = simdBackend();
-    // Parallel over stored blocks: each block owns its rows of
-    // x_prime and its m'/d' slots.
-    parallelFor(ctx, 0, layout.nnzBlocks(), 4,
-                [&](int64_t blk0, int64_t blk1) {
-    if (scope.active()) {
-        const uint64_t blocks = uint64_t(blk1 - blk0);
-        const uint64_t matrix = blocks * uint64_t(bs * bs) * kFp16Bytes;
-        const uint64_t md = blocks * uint64_t(bs) * 2 * kFp32Bytes;
-        scope.addRead(matrix);
-        scope.addWrite(matrix + md); // X' plus m'/d'
-    }
-    // One block row (bs contiguous halves) staged in fp32 at a time,
-    // one sub-vector wide.
-    std::vector<float> row(size_t(bs), 0.0f);
-    LsTile tile;
-    tile.x = row.data();
-    tile.rows = 1;
-    tile.width = bs;
-    tile.ld = bs;
-    tile.subVector = bs;
-    tile.xPrimeLd = bs;
-    tile.mdLd = 1;
-    for (int64_t k = blk0; k < blk1; ++k) {
-        for (int64_t i = 0; i < bs; ++i) {
-            halfToFloat(in.blockData(k) + i * bs, row.data(), bs);
-            tile.xPrime = x_prime.blockData(k) + i * bs;
-            tile.localMax = &local_max[size_t(k * bs + i)];
-            tile.localSum = &local_sum[size_t(k * bs + i)];
-            localSoftmaxTile(backend, tile);
-            SOFTREC_CHECK(*tile.localSum > 0.0f ||
-                          *tile.localMax == kNegInf,
-                          "BSR LS block %lld row %lld: d' = %f must be "
-                          "positive unless fully masked",
-                          (long long)k, (long long)i,
-                          double(*tile.localSum));
-        }
-    }
-    });
-    if constexpr (kCheckedBuild)
-        checkFinite(spanOf(local_sum), "BSR LS d' output");
-}
-
 KernelProfile
 bsrIrProfile(const GpuSpec &spec, const BsrSoftmaxDesc &desc)
 {
@@ -280,63 +125,6 @@ bsrIrProfile(const GpuSpec &spec, const BsrSoftmaxDesc &desc)
     return prof;
 }
 
-void
-bsrIrRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
-         const std::vector<float> &local_max,
-         const std::vector<float> &local_sum, std::vector<float> &recon)
-{
-    SOFTREC_ASSERT(desc.batch == 1,
-                   "functional BSR IR handles one matrix");
-    const BsrLayout &layout = checkedLayout(desc);
-    const int64_t bs = layout.blockSize();
-    const size_t count = size_t(subVectorCount(layout));
-    SOFTREC_ASSERT(local_max.size() == count &&
-                   local_sum.size() == count,
-                   "BSR IR input size mismatch");
-    recon.assign(count, 0.0f);
-    // A row's m' values are strided by bs across its blocks; each row
-    // gathers them into its own contiguous slice of `factors`, which
-    // then holds exp(m' - m) and finally r'. A fully masked sub-vector
-    // (m' = -inf, d' = 0) gets exp = +0 and contributes nothing to d.
-    std::vector<float> factors(count);
-    prof::Scope scope(ctx, "softmax.bsr.ir");
-    const SimdBackend backend = simdBackend();
-    // Parallel over block rows: each row's r' slots are disjoint.
-    parallelFor(ctx, 0, layout.blockRows(), 1,
-                [&](int64_t br0, int64_t br1) {
-    for (int64_t br = br0; br < br1; ++br) {
-        const int64_t k0 = layout.rowBegin(br);
-        const int64_t row_nnz = layout.rowEnd(br) - k0;
-        if (scope.active()) {
-            const uint64_t md_count = uint64_t(row_nnz) * uint64_t(bs);
-            scope.addRead(md_count * 2 * kFp32Bytes); // m', d'
-            scope.addWrite(md_count * kFp32Bytes);    // r'
-        }
-        for (int64_t i = 0; i < bs; ++i) {
-            float *factor = &factors[size_t((k0 * bs) + i * row_nnz)];
-            for (int64_t s = 0; s < row_nnz; ++s)
-                factor[s] = local_max[size_t((k0 + s) * bs + i)];
-            const float m_global = maxSpan(backend, factor, row_nnz);
-            expSpan(backend, factor, m_global, factor, row_nnz);
-            float d_global = 0.0f;
-            for (int64_t s = 0; s < row_nnz; ++s)
-                d_global +=
-                    factor[s] * local_sum[size_t((k0 + s) * bs + i)];
-            SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
-                          "BSR IR row %lld: global normalizer d = %f "
-                          "must be positive for an unmasked row",
-                          (long long)(br * bs + i), double(d_global));
-            for (int64_t s = 0; s < row_nnz; ++s) {
-                recon[size_t((k0 + s) * bs + i)] =
-                    d_global > 0.0f ? factor[s] / d_global : 0.0f;
-            }
-        }
-    }
-    });
-    if constexpr (kCheckedBuild)
-        checkReconFactors(spanOf(recon), "BSR IR r' output");
-}
-
 KernelProfile
 bsrGsProfile(const GpuSpec &spec, const BsrSoftmaxDesc &desc)
 {
@@ -357,48 +145,6 @@ bsrGsProfile(const GpuSpec &spec, const BsrSoftmaxDesc &desc)
     prof.cudaFlops =
         double(desc.batch) * double(layout.nnzElements());
     return prof;
-}
-
-void
-bsrGsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
-         const BsrMatrix &x_prime, const std::vector<float> &recon,
-         BsrMatrix &y)
-{
-    SOFTREC_ASSERT(desc.batch == 1,
-                   "functional BSR GS handles one matrix");
-    const BsrLayout &layout = checkedLayout(desc);
-    const int64_t bs = layout.blockSize();
-    SOFTREC_ASSERT(recon.size() == size_t(subVectorCount(layout)),
-                   "BSR GS r' size mismatch");
-    prof::Scope scope(ctx, "softmax.bsr.gs");
-    // Element-wise streaming: parallel over stored blocks.
-    parallelFor(ctx, 0, layout.nnzBlocks(), 4,
-                [&](int64_t blk0, int64_t blk1) {
-        if (scope.active()) {
-            const uint64_t blocks = uint64_t(blk1 - blk0);
-            const uint64_t matrix =
-                blocks * uint64_t(bs * bs) * kFp16Bytes;
-            scope.addRead(matrix +
-                          blocks * uint64_t(bs) * kFp32Bytes); // X', r'
-            scope.addWrite(matrix);
-        }
-        std::vector<float> row(size_t(bs), 0.0f);
-        for (int64_t k = blk0; k < blk1; ++k) {
-            for (int64_t i = 0; i < bs; ++i) {
-                const float r = recon[size_t(k * bs + i)];
-                halfToFloat(x_prime.blockData(k) + i * bs, row.data(),
-                            bs);
-                for (int64_t j = 0; j < bs; ++j)
-                    row[size_t(j)] *= r;
-                floatToHalf(row.data(), y.blockData(k) + i * bs, bs);
-            }
-        }
-    });
-    // No row-sum check here: GS is a plain linear scaling, and the
-    // sum-to-one identity only holds when (x_prime, recon) come from
-    // a genuine LS -> IR chain. Callers composing the full pipeline
-    // are covered by the bsrRowSoftmaxRun check, which the
-    // decomposed-vs-baseline tests compare against elementwise.
 }
 
 } // namespace softrec

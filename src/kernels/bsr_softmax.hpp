@@ -1,6 +1,7 @@
 /**
  * @file
- * Block-sparse softmax kernels (Section 3.4).
+ * Launch profiles of the block-sparse softmax kernels (Section 3.4),
+ * for the GPU cost model.
  *
  * The baseline kernel mirrors DeepSpeed's sparse softmax: one thread
  * block per attention row with *worst-case* (full row length) resource
@@ -8,20 +9,18 @@
  * (paper Section 5.1). The decomposed LS/IR/GS variants allocate per
  * sub-vector (= per non-zero block) instead.
  *
- * Intermediate m'/d'/r' values are indexed per (stored block, row
- * within block): index = block_idx * block_size + local_row.
+ * The functional CPU path has no block-sparse softmax of its own:
+ * runAttention (core/attention_exec.hpp) runs a sparse head's softmax
+ * stage through the dense row bodies, one block-row strip at a time.
  */
 
 #ifndef SOFTREC_KERNELS_BSR_SOFTMAX_HPP
 #define SOFTREC_KERNELS_BSR_SOFTMAX_HPP
 
 #include <string>
-#include <vector>
-
-#include "common/exec_context.hpp"
 
 #include "sim/kernel_profile.hpp"
-#include "sparse/bsr_matrix.hpp"
+#include "sparse/bsr.hpp"
 
 namespace softrec {
 
@@ -37,49 +36,17 @@ struct BsrSoftmaxDesc
 KernelProfile bsrRowSoftmaxProfile(const GpuSpec &spec,
                                    const BsrSoftmaxDesc &desc);
 
-/** Functional block-sparse safe softmax along rows (batch must be 1). */
-void bsrRowSoftmaxRun(const ExecContext &ctx,
-                      const BsrSoftmaxDesc &desc, const BsrMatrix &in,
-                      BsrMatrix &out);
-
 /** Decomposed block-sparse LS profile (one TB per non-zero block). */
 KernelProfile bsrLsProfile(const GpuSpec &spec,
                            const BsrSoftmaxDesc &desc);
-
-/**
- * Functional block-sparse Local Softmax. Sub-vectors are the rows of
- * each non-zero block (T = block size).
- *
- * @param local_max out, size nnzBlocks * blockSize
- * @param local_sum out, size nnzBlocks * blockSize
- */
-void bsrLsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
-              const BsrMatrix &in, BsrMatrix &x_prime,
-              std::vector<float> &local_max,
-              std::vector<float> &local_sum);
 
 /** Decomposed block-sparse IR profile. */
 KernelProfile bsrIrProfile(const GpuSpec &spec,
                            const BsrSoftmaxDesc &desc);
 
-/**
- * Functional block-sparse Inter-sub-vector Reduction: reduces each
- * row's (m', d') pairs across that row's non-zero blocks and emits
- * reconstruction factors r' (size nnzBlocks * blockSize).
- */
-void bsrIrRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
-              const std::vector<float> &local_max,
-              const std::vector<float> &local_sum,
-              std::vector<float> &recon);
-
 /** Decomposed block-sparse GS profile. */
 KernelProfile bsrGsProfile(const GpuSpec &spec,
                            const BsrSoftmaxDesc &desc);
-
-/** Functional block-sparse Global Scaling: y = x' * r'. */
-void bsrGsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
-              const BsrMatrix &x_prime,
-              const std::vector<float> &recon, BsrMatrix &y);
 
 } // namespace softrec
 

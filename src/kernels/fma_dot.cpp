@@ -23,17 +23,17 @@ namespace {
  * k-ascending fma chain whatever the blocking.
  */
 inline __attribute__((always_inline)) void
-gemmTileScalar(const float *SOFTREC_RESTRICT a_rows,
+gemmTileScalar(const float *SOFTREC_RESTRICT a_rows, int64_t lda,
                const float *SOFTREC_RESTRICT panel,
                float *SOFTREC_RESTRICT acc, int64_t mh, int64_t k_depth,
                int64_t diag, int64_t ldn)
 {
     int64_t i = 0;
     for (; i + 4 <= mh; i += 4) {
-        const float *a0 = a_rows + (i + 0) * k_depth;
-        const float *a1 = a_rows + (i + 1) * k_depth;
-        const float *a2 = a_rows + (i + 2) * k_depth;
-        const float *a3 = a_rows + (i + 3) * k_depth;
+        const float *a0 = a_rows + (i + 0) * lda;
+        const float *a1 = a_rows + (i + 1) * lda;
+        const float *a2 = a_rows + (i + 2) * lda;
+        const float *a3 = a_rows + (i + 3) * lda;
         float *c0 = acc + (i + 0) * ldn;
         float *c1 = acc + (i + 1) * ldn;
         float *c2 = acc + (i + 2) * ldn;
@@ -57,7 +57,7 @@ gemmTileScalar(const float *SOFTREC_RESTRICT a_rows,
         for (; kk < d3; ++kk) {
             const float *b = panel + kk * ldn;
             for (int64_t r = kk - diag - i; r < 4; ++r) {
-                const float v = a_rows[(i + r) * k_depth + kk];
+                const float v = a_rows[(i + r) * lda + kk];
                 float *cr = acc + (i + r) * ldn;
                 for (int64_t j = 0; j < ldn; ++j)
                     cr[j] = std::fma(v, b[j], cr[j]);
@@ -65,7 +65,7 @@ gemmTileScalar(const float *SOFTREC_RESTRICT a_rows,
         }
     }
     for (; i < mh; ++i) {
-        const float *ar = a_rows + i * k_depth;
+        const float *ar = a_rows + i * lda;
         float *cr = acc + i * ldn;
         const int64_t depth = std::min(k_depth, diag + i + 1);
         for (int64_t kk = 0; kk < depth; ++kk) {
@@ -114,10 +114,11 @@ accumRowsScalar(const float *SOFTREC_RESTRICT p,
 // ISA implies AVX, so each clears the upper YMM state on exit.
 
 __attribute__((target("fma"))) void
-gemmTileFmaIsa(const float *a_rows, const float *panel, float *acc,
-               int64_t mh, int64_t k_depth, int64_t diag, int64_t ldn)
+gemmTileFmaIsa(const float *a_rows, int64_t lda, const float *panel,
+               float *acc, int64_t mh, int64_t k_depth, int64_t diag,
+               int64_t ldn)
 {
-    gemmTileScalar(a_rows, panel, acc, mh, k_depth, diag, ldn);
+    gemmTileScalar(a_rows, lda, panel, acc, mh, k_depth, diag, ldn);
     _mm256_zeroupper();
 }
 
@@ -161,7 +162,7 @@ hostHasFma()
  */
 template <int kRows, int kVecs>
 inline __attribute__((always_inline, target("avx2,fma"))) void
-gemmBlockAvx2(const float *SOFTREC_RESTRICT a_rows,
+gemmBlockAvx2(const float *SOFTREC_RESTRICT a_rows, int64_t lda,
               const float *SOFTREC_RESTRICT panel,
               float *SOFTREC_RESTRICT acc, int64_t i, int64_t k_depth,
               int64_t diag, int64_t ldn, int64_t j)
@@ -171,7 +172,7 @@ gemmBlockAvx2(const float *SOFTREC_RESTRICT a_rows,
     __m256 c[kRows][kVecs];
 #pragma GCC unroll 4
     for (int r = 0; r < kRows; ++r) {
-        a[r] = a_rows + (i + r) * k_depth;
+        a[r] = a_rows + (i + r) * lda;
         depth[r] = std::min(k_depth, diag + i + r + 1);
 #pragma GCC unroll 2
         for (int v = 0; v < kVecs; ++v)
@@ -222,7 +223,7 @@ gemmBlockAvx2(const float *SOFTREC_RESTRICT a_rows,
  * mh % 4 leftover rows, and scalar fma for the last ldn % 8 columns.
  */
 __attribute__((target("avx2,fma"))) void
-gemmTileAvx2(const float *SOFTREC_RESTRICT a_rows,
+gemmTileAvx2(const float *SOFTREC_RESTRICT a_rows, int64_t lda,
              const float *SOFTREC_RESTRICT panel,
              float *SOFTREC_RESTRICT acc, int64_t mh, int64_t k_depth,
              int64_t diag, int64_t ldn)
@@ -232,23 +233,23 @@ gemmTileAvx2(const float *SOFTREC_RESTRICT a_rows,
     int64_t i = 0;
     for (; i + 4 <= mh; i += 4) {
         for (int64_t j = 0; j < n16; j += 16)
-            gemmBlockAvx2<4, 2>(a_rows, panel, acc, i, k_depth, diag,
-                                ldn, j);
+            gemmBlockAvx2<4, 2>(a_rows, lda, panel, acc, i, k_depth,
+                                diag, ldn, j);
         if (n16 < n8)
-            gemmBlockAvx2<4, 1>(a_rows, panel, acc, i, k_depth, diag,
-                                ldn, n16);
+            gemmBlockAvx2<4, 1>(a_rows, lda, panel, acc, i, k_depth,
+                                diag, ldn, n16);
     }
     for (; i < mh; ++i) {
         for (int64_t j = 0; j < n16; j += 16)
-            gemmBlockAvx2<1, 2>(a_rows, panel, acc, i, k_depth, diag,
-                                ldn, j);
+            gemmBlockAvx2<1, 2>(a_rows, lda, panel, acc, i, k_depth,
+                                diag, ldn, j);
         if (n16 < n8)
-            gemmBlockAvx2<1, 1>(a_rows, panel, acc, i, k_depth, diag,
-                                ldn, n16);
+            gemmBlockAvx2<1, 1>(a_rows, lda, panel, acc, i, k_depth,
+                                diag, ldn, n16);
     }
     if (n8 < ldn) {
         for (i = 0; i < mh; ++i) {
-            const float *ar = a_rows + i * k_depth;
+            const float *ar = a_rows + i * lda;
             float *cr = acc + i * ldn;
             const int64_t depth = std::min(k_depth, diag + i + 1);
             for (int64_t kk = 0; kk < depth; ++kk) {
@@ -406,20 +407,20 @@ accumRowsAvx2(const float *SOFTREC_RESTRICT p,
 
 void
 fmaGemmTile([[maybe_unused]] SimdBackend backend, const float *a_rows,
-            const float *panel, float *acc, int64_t mh, int64_t k_depth,
-            int64_t diag, int64_t ldn)
+            int64_t lda, const float *panel, float *acc, int64_t mh,
+            int64_t k_depth, int64_t diag, int64_t ldn)
 {
 #if defined(SOFTREC_SIMD_X86)
     if (backend == SimdBackend::F16cAvx2) {
-        gemmTileAvx2(a_rows, panel, acc, mh, k_depth, diag, ldn);
+        gemmTileAvx2(a_rows, lda, panel, acc, mh, k_depth, diag, ldn);
         return;
     }
     if (hostHasFma()) {
-        gemmTileFmaIsa(a_rows, panel, acc, mh, k_depth, diag, ldn);
+        gemmTileFmaIsa(a_rows, lda, panel, acc, mh, k_depth, diag, ldn);
         return;
     }
 #endif
-    gemmTileScalar(a_rows, panel, acc, mh, k_depth, diag, ldn);
+    gemmTileScalar(a_rows, lda, panel, acc, mh, k_depth, diag, ldn);
 }
 
 template <typename Row>

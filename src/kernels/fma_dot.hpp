@@ -1,8 +1,8 @@
 /**
  * @file
  * The dot-product primitives of the kernel library. Every dot product
- * in src/kernels/ (GEMM tiles, decode and streaming attention, the BSR
- * SDD/DSD kernels and fused MHA) goes through these calls, and every
+ * in src/kernels/ (GEMM tiles, decode and streaming attention, and
+ * fused MHA) goes through these calls, and every
  * one of them follows one accumulation rule:
  *
  *     c = fma(a, b, c), k-ascending per output element, from c = +0
@@ -25,9 +25,9 @@
  * exactly the place where c + a * b rounds. The projections, Baseline
  * QK^T and P.V, and decode over an fp16 KV cache have only such
  * products. Products with an fp32 operand do round differently from
- * a mul+add: SDF's GS-scaled P.V (A = X'.r'), the BSR DSD with fused
- * GS, the streaming kernels' and fused MHA's fp32 p.V, and decode
- * over an int8 KV cache (dequantized rows are fp32).
+ * a mul+add: SDF's GS-scaled P.V (A = X'.r'), the streaming kernels'
+ * and fused MHA's fp32 p.V, and decode over an int8 KV cache
+ * (dequantized rows are fp32).
  */
 
 #ifndef SOFTREC_KERNELS_FMA_DOT_HPP
@@ -41,14 +41,16 @@ namespace softrec {
 
 /**
  * GEMM tile: acc[mh, ldn] += A[mh, depth] . panel[depth, ldn]. Row i
- * of a_rows (stride k_depth) reads columns [0, min(k_depth, diag + i
- * + 1)): a causal-A caller passes its first row's global index as
- * diag, anyone else k_depth, which gives every row the full depth.
- * panel is row-major [k_depth][ldn]. The AVX2 body keeps 4 rows x 16
- * columns of accumulators in registers (4 x 8 and one row at the
- * edges) and handles the last ldn % 8 columns itself.
+ * of a_rows (stride lda) reads columns [0, min(k_depth, diag + i +
+ * 1)): a causal-A caller passes its first row's global index as diag,
+ * anyone else k_depth, which gives every row the full depth. panel is
+ * row-major [k_depth][ldn]. A caller that splits the depth into
+ * column ranges of wider A rows (lda > k_depth) and calls once per
+ * range, ascending, continues the same chains. The AVX2 body keeps 4
+ * rows x 16 columns of accumulators in registers (4 x 8 and one row
+ * at the edges) and handles the last ldn % 8 columns itself.
  */
-void fmaGemmTile(SimdBackend backend, const float *a_rows,
+void fmaGemmTile(SimdBackend backend, const float *a_rows, int64_t lda,
                  const float *panel, float *acc, int64_t mh,
                  int64_t k_depth, int64_t diag, int64_t ldn);
 

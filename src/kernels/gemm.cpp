@@ -184,19 +184,18 @@ GemmTraffic::addPacked()
 }
 
 void
-GemmTraffic::addStrip(int64_t rows)
+GemmTraffic::addStrip(int64_t rows, int64_t n, int64_t k)
 {
     if (!scope.active())
         return;
     const uint64_t mh = uint64_t(rows);
-    scope.addRead(mh * uint64_t(desc_.k) * kFp16Bytes);
-    scope.addWrite(mh * uint64_t(desc_.n) * kFp16Bytes);
+    scope.addRead(mh * uint64_t(k) * kFp16Bytes);
+    scope.addWrite(mh * uint64_t(n) * kFp16Bytes);
     if (ls_) // m'/d' per (row, sub-vector)
-        ls_->addWrite(mh * uint64_t(ceilDiv(desc_.n, desc_.tiling.tileN)) *
-                      2 * kFp32Bytes);
+        ls_->addWrite(mh * uint64_t(ceilDiv(n, desc_.tiling.tileN)) * 2 *
+                      kFp32Bytes);
     if (gs_) // r' per (row, incoming sub-vector)
-        gs_->addRead(mh *
-                     uint64_t(ceilDiv(desc_.k, desc_.prologue.gsSubVector)) *
+        gs_->addRead(mh * uint64_t(ceilDiv(k, desc_.prologue.gsSubVector)) *
                      kFp32Bytes);
 }
 
@@ -248,6 +247,16 @@ gemmPackB(const GemmDesc &desc, const GemmOperands &ops,
 }
 
 void
+GemmScratch::reserve(const GemmDesc &desc)
+{
+    const GemmTiling &t = desc.tiling;
+    if (a.size() < size_t(t.tileM * desc.k))
+        a.resize(size_t(t.tileM * desc.k));
+    if (acc.size() < size_t(t.tileM * t.tileN))
+        acc.resize(size_t(t.tileM * t.tileN));
+}
+
+void
 gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
              const float *panels, const float *bias,
              const GemmStrip &strip, GemmScratch &scratch,
@@ -255,19 +264,25 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
 {
     const int64_t n = desc.n, k = desc.k;
     const GemmTiling &t = desc.tiling;
-    const int64_t tiles_n = ceilDiv(n, t.tileN);
     const int64_t m0 = strip.row0, mh = strip.rows;
     SOFTREC_ASSERT(mh >= 1 && mh <= t.tileM,
                    "strip of %lld rows outside [1, tileM] (%s)",
                    (long long)mh, desc.name.c_str());
+    // A block-sparse strip runs only its listed n-tiles, or reads only
+    // its listed k blocks, packed one after another.
+    const bool n_blocks = strip.blocks != nullptr && strip.kBlock == 0;
+    const bool k_blocks = strip.blocks != nullptr && strip.kBlock > 0;
+    SOFTREC_ASSERT(strip.blocks == nullptr ||
+                       (!desc.epilogue.causalMask && !desc.prologue.causalA),
+                   "block-sparse strips take no causal mask (%s)",
+                   desc.name.c_str());
+    const int64_t tiles_n = n_blocks ? strip.blockCount : ceilDiv(n, t.tileN);
+    const int64_t k_live = k_blocks ? strip.blockCount * strip.kBlock : k;
     const int64_t gs_sub = desc.prologue.gsSubVector;
     const float neg_inf = -std::numeric_limits<float>::infinity();
     prof::Segment segment(traffic.scope);
-    traffic.addStrip(mh);
-    if (scratch.a.size() < size_t(t.tileM * k))
-        scratch.a.resize(size_t(t.tileM * k));
-    if (scratch.acc.size() < size_t(t.tileM * t.tileN))
-        scratch.acc.resize(size_t(t.tileM * t.tileN));
+    traffic.addStrip(mh, n_blocks ? tiles_n * t.tileN : n, k_live);
+    scratch.reserve(desc);
     float *abuf = scratch.a.data();
     float *acc = scratch.acc.data();
 
@@ -279,7 +294,7 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
     // finite B, i.e. +-0, which leaves the +0-seeded accumulator's bits
     // unchanged; the kept terms keep their k-ascending order.
     const bool causal_a = desc.prologue.causalA;
-    const int64_t kd = causal_a ? std::min(k, m0 + mh) : k;
+    const int64_t kd = causal_a ? std::min(k, m0 + mh) : k_live;
     const int64_t diag = causal_a ? m0 : kd;
     for (int64_t i = 0; i < mh; ++i) {
         const int64_t depth = std::min(kd, diag + i + 1);
@@ -295,8 +310,11 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
             }
         }
     }
-    for (int64_t tn = 0; tn < tiles_n; ++tn) {
-        const int64_t n0 = tn * t.tileN;
+    for (int64_t j = 0; j < tiles_n; ++j) {
+        // n-tile tn covers columns [n0, n0 + nw) of the GEMM; C, m'
+        // and d' store it at column c0 and sub-vector j.
+        const int64_t tn = n_blocks ? strip.blocks[j] : j;
+        const int64_t n0 = tn * t.tileN, c0 = j * t.tileN;
         const int64_t nw = std::min(t.tileN, n - n0);
         // A causal tile whose first column lies past its last row is
         // masked everywhere: its epilogue would only write -inf, or
@@ -308,11 +326,11 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
                 ? Half()
                 : -Half::infinity();
             for (int64_t i = 0; i < mh; ++i) {
-                Half *crow = strip.c + i * strip.ldc + n0;
+                Half *crow = strip.c + i * strip.ldc + c0;
                 std::fill(crow, crow + nw, fill);
                 if (desc.epilogue.localSoftmax) {
-                    strip.localMax[i * strip.mdLd + tn] = neg_inf;
-                    strip.localSum[i * strip.mdLd + tn] = 0.0f;
+                    strip.localMax[i * strip.mdLd + j] = neg_inf;
+                    strip.localSum[i * strip.mdLd + j] = 0.0f;
                 }
             }
             continue;
@@ -323,9 +341,20 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
         // fp32 A (X'.r') rounds once per step where a mul+add would
         // round twice.
         std::fill(acc, acc + mh * t.tileN, 0.0f);
-        fmaGemmTile(backend, abuf,
-                    panels + size_t(tn) * size_t(k) * size_t(t.tileN),
-                    acc, mh, kd, diag, t.tileN);
+        const float *panel =
+            panels + size_t(tn) * size_t(k) * size_t(t.tileN);
+        if (k_blocks) {
+            // One call per listed block continues the chains, so they
+            // stay k-ascending over the strip's packed A columns.
+            const int64_t kb = strip.kBlock;
+            for (int64_t b = 0; b < strip.blockCount; ++b)
+                fmaGemmTile(backend, abuf + b * kb, kd,
+                            panel + size_t(strip.blocks[b] * kb * t.tileN),
+                            acc, mh, kb, kb, t.tileN);
+        } else {
+            fmaGemmTile(backend, abuf, kd, panel, acc, mh, kd, diag,
+                        t.tileN);
+        }
 
         // Epilogue on the fp32 tile, one plain loop per stage so each
         // can vectorize; every element still goes through scale, mask,
@@ -356,7 +385,7 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
             geluSpan(backend, acc, acc, mh * t.tileN);
         if (!desc.epilogue.localSoftmax) {
             for (int64_t i = 0; i < mh; ++i)
-                floatToHalf(acc + i * t.tileN, strip.c + i * strip.ldc + n0,
+                floatToHalf(acc + i * t.tileN, strip.c + i * strip.ldc + c0,
                             nw);
             continue;
         }
@@ -367,10 +396,10 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
         tile.width = nw;
         tile.ld = t.tileN;
         tile.subVector = t.tileN;
-        tile.xPrime = strip.c + n0;
+        tile.xPrime = strip.c + c0;
         tile.xPrimeLd = strip.ldc;
-        tile.localMax = strip.localMax + tn;
-        tile.localSum = strip.localSum + tn;
+        tile.localMax = strip.localMax + j;
+        tile.localSum = strip.localSum + j;
         tile.mdLd = strip.mdLd;
         localSoftmaxTile(backend, tile);
         for (int64_t i = 0; i < mh; ++i) {

@@ -136,8 +136,12 @@ class GemmTraffic
 
     /** Credit B (and the bias), once per packed B. */
     void addPacked();
-    /** Credit one strip of `rows` output rows. */
-    void addStrip(int64_t rows);
+    /**
+     * Credit one strip of `rows` output rows over n output columns
+     * and k inner columns (fewer than the desc's on a block-sparse
+     * strip).
+     */
+    void addStrip(int64_t rows, int64_t n, int64_t k);
 
     prof::Scope &scope; //!< the GEMM's own row
 
@@ -182,6 +186,19 @@ struct GemmStrip
     float *localMax = nullptr;
     float *localSum = nullptr;
     int64_t mdLd = 0;
+    /**
+     * Block-sparse strip: when set, the strip multiplies only the
+     * blockCount blocks of B listed here (ascending), packed one after
+     * another. With kBlock == 0 block b is n-tile b, and the j-th
+     * listed one fills C columns [j * tileN, (j + 1) * tileN) and m'/d'
+     * column j. With kBlock > 0 block b is B rows [b * kBlock,
+     * (b + 1) * kBlock), read by A columns [j * kBlock, (j + 1) *
+     * kBlock); each output element stays one chain, ascending over the
+     * listed blocks. No causal mask or causal A applies.
+     */
+    const int64_t *blocks = nullptr;
+    int64_t blockCount = 0;
+    int64_t kBlock = 0;
 };
 
 /** Per-caller scratch of gemmRunStrip; it only ever grows. */
@@ -189,6 +206,9 @@ struct GemmScratch
 {
     std::vector<float> a;   //!< the strip's fp32 A rows
     std::vector<float> acc; //!< one fp32 output tile
+
+    /** Grow to what gemmRunStrip needs for any strip of `desc`. */
+    void reserve(const GemmDesc &desc);
 };
 
 /**

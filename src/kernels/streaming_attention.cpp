@@ -222,7 +222,7 @@ streamingAttentionRun(const ExecContext &ctx,
                 // row at full depth.
                 std::fill(sbuf.begin(),
                           sbuf.begin() + rh * kStreamKeyTile, 0.0f);
-                fmaGemmTile(backend, qf.data(),
+                fmaGemmTile(backend, qf.data(), dh,
                             &kpack[size_t((t0 / kStreamKeyTile) * dh *
                                           kStreamKeyTile)],
                             sbuf.data(), rh, dh, dh, kStreamKeyTile);

@@ -71,6 +71,12 @@ class BsrLayout
     /** Block-column index of the k-th stored block. */
     int64_t blockCol(int64_t k) const { return colIdx_[size_t(k)]; }
 
+    /** A block row's rowNnzBlocks sorted block-column indices. */
+    const int64_t *rowBlockCols(int64_t block_row) const
+    {
+        return colIdx_.data() + rowBegin(block_row);
+    }
+
     /** True if block (block_row, block_col) is non-zero. */
     bool hasBlock(int64_t block_row, int64_t block_col) const;
 

@@ -4,12 +4,16 @@
  * block-sparse attention must produce the same output under Baseline,
  * SD, and SDF (up to fp16 rounding), and match a double-precision
  * reference; a reused AttentionWorkspace gives the bits of a fresh
- * run; and the strip loop of dense attention gives the bits of the
- * whole-matrix kernel composition it is built from.
+ * run; the strip loop of dense attention gives the bits of the
+ * whole-matrix kernel composition it is built from; and each block row
+ * of a sparse head gives the bits of dense attention over its gathered
+ * keys.
  */
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -522,7 +526,7 @@ TEST(SparseStrategies, LongformerLayoutToo)
 
 TEST(SparseStrategies, DenseLayoutReproducesDenseAttention)
 {
-    // A fully dense "sparse" layout must agree with the dense path.
+    // A fully dense "sparse" layout gives the dense path's bits.
     const BsrLayout layout = densePattern(64, 16);
     SdaConfig sparse;
     sparse.seqLen = 64;
@@ -535,11 +539,128 @@ TEST(SparseStrategies, DenseLayoutReproducesDenseAttention)
     dense.attnTiling.tileN = 16;
     dense.attnTiling.tileK = 16;
     const AttentionInputs inputs = randomInputs(sparse, 77);
-    const auto from_sparse = toFloat(
-        runAttention(execCtx(), sparse, inputs, Strategy::Fused));
-    const auto from_dense =
-        toFloat(runAttention(execCtx(), dense, inputs, Strategy::Fused));
-    EXPECT_LT(maxAbsDiff(from_sparse, from_dense), kTol);
+    for (Strategy strategy : allStrategies()) {
+        const Tensor<Half> from_sparse =
+            runAttention(execCtx(), sparse, inputs, strategy);
+        const Tensor<Half> from_dense =
+            runAttention(execCtx(), dense, inputs, strategy);
+        for (int64_t i = 0; i < from_dense.numel(); ++i)
+            ASSERT_EQ(from_sparse.data()[i].bits(),
+                      from_dense.data()[i].bits())
+                << strategyName(strategy) << " elem=" << i;
+    }
+}
+
+TEST(SparseStrategies, CausalMaskWithLayoutIsFatal)
+{
+    // A layout encodes its own mask (causalWindowPattern); a causal
+    // mask on top of one is rejected, not silently ignored.
+    const BsrLayout layout = causalWindowPattern(64, 16, 1);
+    SdaConfig config;
+    config.seqLen = 64;
+    config.dHead = 16;
+    config.layout = &layout;
+    config.subVector = 16;
+    config.causalMask = true;
+    const AttentionInputs inputs = randomInputs(config, 78);
+    for (Strategy strategy : allStrategies())
+        EXPECT_THROW(runAttention(execCtx(), config, inputs, strategy),
+                     std::runtime_error)
+            << strategyName(strategy);
+}
+
+/**
+ * Dense attention of one block row: its bs query rows against the
+ * keys and values of its column blocks, gathered in layout order.
+ */
+Tensor<Half>
+gatheredBlockRow(const ExecContext &ctx, const SdaConfig &config,
+                 const AttentionInputs &inputs, Strategy strategy,
+                 int64_t block_row)
+{
+    const BsrLayout &layout = *config.layout;
+    const int64_t bs = layout.blockSize(), dh = config.dHead;
+    const int64_t count = layout.rowNnzBlocks(block_row);
+    SdaConfig dense = config;
+    dense.layout = nullptr;
+    dense.seqLen = bs;
+    dense.kvLen = count * bs;
+    dense.subVector = bs;
+    AttentionInputs gathered = makeAttentionInputs(dense);
+    std::copy(inputs.q.rowPtr(block_row * bs),
+              inputs.q.rowPtr(block_row * bs) + bs * dh,
+              gathered.q.data());
+    for (int64_t j = 0; j < count; ++j) {
+        const int64_t key0 = layout.rowBlockCols(block_row)[j] * bs;
+        std::copy(inputs.k.rowPtr(key0), inputs.k.rowPtr(key0) + bs * dh,
+                  gathered.k.rowPtr(j * bs));
+        std::copy(inputs.v.rowPtr(key0), inputs.v.rowPtr(key0) + bs * dh,
+                  gathered.v.rowPtr(j * bs));
+    }
+    return runAttention(ctx, dense, gathered, strategy);
+}
+
+TEST(SparseStrip, EqualsGatheredDense)
+{
+    // A block-sparse head runs the dense strip loop over each block
+    // row's column blocks, so every block row has the bits of dense
+    // attention over its gathered keys: for every strategy, layout
+    // family and block size, with strips as tall as a block row or
+    // shorter than one (ragged), serial and on a pool, on the scalar
+    // and the detected SIMD backend.
+    ThreadPool pool(4);
+    ExecContext pooled;
+    pooled.pool = &pool;
+    const SimdBackend detected = simdBackend();
+    for (const int64_t bs : {16, 32, 64}) {
+        const std::pair<const char *, BsrLayout> layouts[] = {
+            {"bigbird", bigBirdPattern(8 * bs, BigBirdParams{bs, 3, 1, 2,
+                                                             uint64_t(bs)})},
+            {"longformer",
+             longformerPattern(10 * bs, LongformerParams{bs, 2 * bs, 1})},
+            {"causal-window", causalWindowPattern(8 * bs, bs, 2)},
+        };
+        for (const auto &[name, layout] : layouts) {
+            SdaConfig config;
+            config.seqLen = layout.rows();
+            config.dHead = 32;
+            config.layout = &layout;
+            config.subVector = bs;
+            const AttentionInputs inputs = randomInputs(config, uint64_t(bs));
+            const std::pair<int64_t, int64_t> tilings[] = {{128, 64},
+                                                           {24, 16}};
+            for (const auto &[tile_m, tile_n] : tilings) {
+                config.attnTiling.tileM = tile_m;
+                config.attnTiling.tileN = tile_n;
+                for (const SimdBackend backend :
+                     {SimdBackend::Scalar, detected}) {
+                    const SimdBackend saved = setSimdBackend(backend);
+                    for (Strategy strategy : allStrategies()) {
+                        for (const ExecContext &ctx : {ExecContext(), pooled}) {
+                            const Tensor<Half> out =
+                                runAttention(ctx, config, inputs, strategy);
+                            for (int64_t br = 0; br < layout.blockRows();
+                                 ++br) {
+                                const Tensor<Half> want = gatheredBlockRow(
+                                    ctx, config, inputs, strategy, br);
+                                for (int64_t i = 0; i < want.numel(); ++i)
+                                    ASSERT_EQ(out.rowPtr(br * bs)[i].bits(),
+                                              want.data()[i].bits())
+                                        << name << " bs=" << bs << " "
+                                        << strategyName(strategy)
+                                        << " tileM=" << tile_m
+                                        << " backend=" << int(backend)
+                                        << " pooled=" << (ctx.pool != nullptr)
+                                        << " block row " << br
+                                        << " elem " << i;
+                            }
+                        }
+                    }
+                    setSimdBackend(saved);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -7,7 +7,7 @@
  * every build configuration verifies that out-of-bounds accesses, NaN
  * poison, and recomposition-invariant violations trip SOFTREC_CHECK
  * rather than silently corrupting results. The header-level checks
- * (Tensor/BsrMatrix accessors, the checkXxx helpers) instantiate in
+ * (Tensor accessors, the checkXxx helpers) instantiate in
  * this translation unit with checks active; library-internal call
  * sites are exercised by running the full suite under the `checked`
  * and `asan-ubsan` presets (scripts/ci.sh).
@@ -23,8 +23,6 @@
 #include "common/check.hpp"
 #include "common/exec_context.hpp"
 #include "kernels/softmax_kernels.hpp"
-#include "sparse/bsr.hpp"
-#include "sparse/bsr_matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace softrec {
@@ -60,20 +58,6 @@ TEST(CheckedBuild, TensorBoundsFire)
     // In-range access stays untouched.
     t.at(1, 2) = 7.0f;
     EXPECT_EQ(t.at(5), 7.0f);
-}
-
-TEST(CheckedBuild, BsrMatrixBoundsFire)
-{
-    // 2x2 block grid, diagonal blocks of edge 4 stored.
-    const BsrLayout layout =
-        BsrLayout::fromMask(4, 2, 2, {true, false, false, true});
-    BsrMatrix m(layout);
-    EXPECT_THROW(m.at(2, 0, 0), std::logic_error);
-    EXPECT_THROW(m.at(0, 4, 0), std::logic_error);
-    EXPECT_THROW(m.at(0, 0, -1), std::logic_error);
-    EXPECT_THROW(m.blockData(2), std::logic_error);
-    m.at(1, 3, 3) = Half(2.0f);
-    EXPECT_EQ(float(m.at(1, 3, 3)), 2.0f);
 }
 
 TEST(CheckedBuild, NanPoisonFires)
