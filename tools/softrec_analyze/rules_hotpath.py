@@ -42,7 +42,7 @@ ALLOC_RE = re.compile(
     r"|\.(?:resize|reserve|push_back|emplace_back|insert|emplace)"
     r"\s*\("
     r"|\b(?:std::vector|std::string|std::deque|std::map|"
-    r"std::unordered_map|Tensor|BsrMatrix)\s*<[^;=()]*>\s+"
+    r"std::unordered_map|Tensor)\s*<[^;=()]*>\s+"
     r"[A-Za-z_]\w*\s*[({]"
     r"|=\s*(?:std::vector|Tensor)\s*<[^;>]*>\s*\(\s*[^)\s]")
 
