@@ -4,19 +4,26 @@
  * substrate: batch fp16<->fp32 conversion throughput, the packed-panel
  * GEMM at an attention shape (plain, and as SDF's fused-LS QK^T at the
  * serving tiling) and at the serving projection shape, the exp
- * primitive on its own and row softmax. Both arms run the same code
- * paths — the backend is switched in-process via setSimdBackend(),
- * which selects the conversion paths, the GEMM tile body and the
- * exp path — so the report isolates exactly what the SIMD backend
- * buys. The fused-LS, exp and softmax arms also report ns per
- * element, the plain GEMM and projection arms the SIMD arm's
- * GFLOP/s.
+ * primitive on its own and row softmax. Every arm runs the same code
+ * paths on every backend in availableSimdBackends() — the backend is
+ * switched in-process via setSimdBackend(), which selects the
+ * conversion paths, the GEMM tile body and the exp path — so the
+ * report isolates exactly what each SIMD backend buys (rows
+ * <stem>.<backend name>, e.g. gemm.proj.f16c-avx2 and
+ * gemm.proj.f16c-avx512 on an AVX-512 host, where only the GEMM arms
+ * run different bodies). The fused-LS, exp and softmax arms also
+ * report ns per element; the plain GEMM and projection arms report
+ * each backend's GFLOP/s and, for the AVX2 and AVX-512 tiles, its
+ * share of an in-process FMA-peak loop of the same vector width
+ * (derived fma_peak.<backend>_gflops).
  * Writes BENCH_micro_simd.json (schema softrec-bench-v1).
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -27,6 +34,7 @@
 #include "common/units.hpp"
 #include "fp16/half.hpp"
 #include "fp16/simd_math.hpp"
+#include "fp16/simd_platform.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
 #include "model/functional_layer.hpp"
@@ -58,59 +66,141 @@ randomHalf(Rng &rng, const Shape &shape)
     return t;
 }
 
-struct ArmTimes
-{
-    double scalar_s = 0.0;
-    double simd_s = 0.0;
-};
+#if defined(SOFTREC_SIMD_X86)
 
-template <typename Fn>
-ArmTimes
-runArms(Fn &&body)
+// Twelve independent FMA chains, more than the eight that two FMA
+// ports with a 4-cycle latency keep in flight, so each loop runs at
+// the core's FMA peak for its vector width. The file is built for the
+// baseline ISA; fmaPeakGflops enters a loop only for an available
+// backend, whose detection checked the ISA.
+
+constexpr int kPeakChains = 12;
+constexpr int64_t kPeakSteps = 2000000;
+constexpr int kPeakReps = 11;
+
+__attribute__((noinline, target("avx2,fma"))) float
+fmaPeakYmm(int64_t steps)
 {
-    ArmTimes t;
-    t.scalar_s = timedWithBackend(SimdBackend::Scalar, body);
-    t.simd_s = timedWithBackend(detectedSimdBackend(), body);
-    return t;
+    __m256 c[kPeakChains];
+    for (__m256 &v : c)
+        v = _mm256_setzero_ps();
+    const __m256 a = _mm256_set1_ps(1.0f);
+    const __m256 b = _mm256_set1_ps(1e-7f);
+    for (int64_t s = 0; s < steps; ++s) {
+#pragma GCC unroll 12
+        for (__m256 &v : c)
+            v = _mm256_fmadd_ps(a, b, v);
+    }
+    float sum = 0.0f;
+    for (const __m256 &v : c)
+        sum += _mm256_cvtss_f32(v);
+    _mm256_zeroupper();
+    return sum;
 }
 
-void
-addArmRows(BenchReport &report, const std::string &stem,
-           const ArmTimes &t, uint64_t bytes_read,
-           uint64_t bytes_written, int threads)
+__attribute__((noinline, target("avx512f"))) float
+fmaPeakZmm(int64_t steps)
 {
-    for (const char *arm : {"scalar", "simd"}) {
+    __m512 c[kPeakChains];
+    for (__m512 &v : c)
+        v = _mm512_setzero_ps();
+    const __m512 a = _mm512_set1_ps(1.0f);
+    const __m512 b = _mm512_set1_ps(1e-7f);
+    for (int64_t s = 0; s < steps; ++s) {
+#pragma GCC unroll 12
+        for (__m512 &v : c)
+            v = _mm512_fmadd_ps(a, b, v);
+    }
+    float sum = 0.0f;
+    for (const __m512 &v : c)
+        sum += _mm512_cvtss_f32(v);
+    _mm256_zeroupper();
+    return sum;
+}
+
+#endif // SOFTREC_SIMD_X86
+
+/**
+ * One core's FMA peak in GFLOP/s at the vector width of `backend`'s
+ * GEMM tile (8 lanes for F16cAvx2, 16 for Avx512), or 0 for a backend
+ * without one. It is the fastest of kPeakReps calls, not the median:
+ * other load on the host only ever slows a call down.
+ */
+double
+fmaPeakGflops(SimdBackend backend)
+{
+#if defined(SOFTREC_SIMD_X86)
+    int lanes = 0;
+    float (*loop)(int64_t) = nullptr;
+    if (backend == SimdBackend::F16cAvx2) {
+        lanes = 8;
+        loop = fmaPeakYmm;
+    } else if (backend == SimdBackend::Avx512) {
+        lanes = 16;
+        loop = fmaPeakZmm;
+    }
+    if (loop == nullptr)
+        return 0.0;
+    float sink = loop(kPeakSteps);
+    double best = 0.0;
+    for (int rep = 0; rep < kPeakReps; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        sink += loop(kPeakSteps);
+        const std::chrono::duration<double> s =
+            std::chrono::steady_clock::now() - start;
+        best = rep == 0 ? s.count() : std::min(best, s.count());
+    }
+    if (!(sink > 0.0f))
+        fatal("micro_simd: FMA peak loop sums must be positive");
+    return 2.0 * lanes * kPeakChains * double(kPeakSteps) / best * 1e-9;
+#else
+    (void)backend;
+    return 0.0;
+#endif
+}
+
+/**
+ * One arm on each backend of `peaks` (every available one, with its
+ * one-core FMA peak): a row per backend named <stem>.<backend name>
+ * and the scalar-over-detected speedup. With `flops` > 0 it adds each
+ * backend's <stem>.<name>_gflops and, against its peak times the
+ * thread count, <stem>.<name>_pct_of_peak; with `elems` > 0 each
+ * backend's <stem>.<name>_ns_per_elem.
+ */
+template <typename Fn>
+void
+addArm(BenchReport &report, const std::string &stem,
+       const std::vector<std::pair<SimdBackend, double>> &peaks,
+       uint64_t bytes_read, uint64_t bytes_written, int threads,
+       double flops, int64_t elems, Fn &&body)
+{
+    double scalar_s = 0.0;
+    for (const auto &[backend, peak] : peaks) {
+        const double s = timedWithBackend(backend, body);
         BenchKernelRow row;
-        row.name = stem + "." + arm;
-        row.ms = (arm[1] == 'c' ? t.scalar_s : t.simd_s) * 1e3;
+        row.name = stem + "." + simdBackendName(backend);
+        row.ms = s * 1e3;
         row.bytesRead = bytes_read;
         row.bytesWritten = bytes_written;
         row.calls = kReps;
         row.threads = threads;
         report.addKernel(row);
+        if (backend == SimdBackend::Scalar)
+            scalar_s = s;
+        if (backend == detectedSimdBackend())
+            report.setDerived(stem + "_speedup",
+                              s > 0.0 ? scalar_s / s : 0.0);
+        const double gflops = s > 0.0 ? flops / s * 1e-9 : 0.0;
+        if (flops > 0.0)
+            report.setDerived(row.name + "_gflops", gflops);
+        if (flops > 0.0 && peak > 0.0) {
+            report.setDerived(row.name + "_pct_of_peak",
+                              100.0 * gflops / (peak * threads));
+        }
+        if (elems > 0)
+            report.setDerived(row.name + "_ns_per_elem",
+                              s * 1e9 / double(elems));
     }
-    report.setDerived(stem + "_speedup",
-                      t.simd_s > 0.0 ? t.scalar_s / t.simd_s : 0.0);
-}
-
-/** Per-element cost of both arms over `elems` elements per call. */
-void
-addNsPerElem(BenchReport &report, const std::string &stem,
-             const ArmTimes &t, int64_t elems)
-{
-    report.setDerived(stem + ".scalar_ns_per_elem",
-                      t.scalar_s * 1e9 / double(elems));
-    report.setDerived(stem + ".simd_ns_per_elem",
-                      t.simd_s * 1e9 / double(elems));
-}
-
-/** The SIMD arm's GEMM rate for `flops` floating-point ops per call. */
-void
-addSimdGflops(BenchReport &report, const std::string &stem,
-              const ArmTimes &t, double flops)
-{
-    report.setDerived(stem + ".simd_gflops",
-                      t.simd_s > 0.0 ? flops / t.simd_s * 1e-9 : 0.0);
 }
 
 } // namespace
@@ -132,6 +222,20 @@ main()
     report.setConfig("simd_backend",
                      simdBackendName(detectedSimdBackend()));
 
+    // Each available backend with its one-core FMA peak (0 for
+    // Scalar): every arm runs on each, and the GEMM arms quote their
+    // share of its peak.
+    std::vector<std::pair<SimdBackend, double>> peaks;
+    for (const SimdBackend backend : availableSimdBackends()) {
+        const double peak = fmaPeakGflops(backend);
+        peaks.emplace_back(backend, peak);
+        if (peak > 0.0) {
+            report.setDerived(std::string("fma_peak.") +
+                                  simdBackendName(backend) + "_gflops",
+                              peak);
+        }
+    }
+
     Rng rng(7);
 
     // --- Batch conversion throughput at attention scale (L x dHead).
@@ -141,19 +245,12 @@ main()
         std::vector<float> wide(size_t(n), 0.0f);
         Tensor<Half> narrow(Shape({L, dh}));
 
-        const ArmTimes h2f = runArms([&] {
-            halfToFloat(src.data(), wide.data(), n);
-        });
-        addArmRows(report, "conv.h2f", h2f,
-                   uint64_t(n) * kFp16Bytes, uint64_t(n) * kFp32Bytes,
-                   1);
-
-        const ArmTimes f2h = runArms([&] {
-            floatToHalf(wide.data(), narrow.data(), n);
-        });
-        addArmRows(report, "conv.f2h", f2h,
-                   uint64_t(n) * kFp32Bytes, uint64_t(n) * kFp16Bytes,
-                   1);
+        addArm(report, "conv.h2f", peaks, uint64_t(n) * kFp16Bytes,
+               uint64_t(n) * kFp32Bytes, 1, 0.0, 0,
+               [&] { halfToFloat(src.data(), wide.data(), n); });
+        addArm(report, "conv.f2h", peaks, uint64_t(n) * kFp32Bytes,
+               uint64_t(n) * kFp16Bytes, 1, 0.0, 0,
+               [&] { floatToHalf(wide.data(), narrow.data(), n); });
     }
 
     // --- Packed-panel GEMM mainloop (attention-shaped: k = dHead).
@@ -171,13 +268,12 @@ main()
         ops.a = &a;
         ops.b = &b;
 
-        const ArmTimes t = runArms([&] { gemmRun(ctx, desc, ops, c); });
         const uint64_t in_bytes =
             uint64_t((mn + mn) * dh) * kFp16Bytes;
-        addArmRows(report, "gemm.mainloop", t, in_bytes,
-                   uint64_t(mn * mn) * kFp16Bytes, ctx.threads());
-        addSimdGflops(report, "gemm.mainloop", t,
-                      2.0 * double(mn) * double(mn) * double(dh));
+        addArm(report, "gemm.mainloop", peaks, in_bytes,
+               uint64_t(mn * mn) * kFp16Bytes, ctx.threads(),
+               2.0 * double(mn) * double(mn) * double(dh), 0,
+               [&] { gemmRun(ctx, desc, ops, c); });
     }
 
     // --- Fused-LS QK^T at the serving tiling: [L, dHead] x [L, dHead]^T
@@ -209,15 +305,12 @@ main()
         ls.localMax = &local_max;
         ls.localSum = &local_sum;
 
-        const ArmTimes t = runArms([&] {
-            gemmRun(ctx, desc, ops, x_prime, &ls);
-        });
         const uint64_t in_bytes = uint64_t(2 * L * dh) * kFp16Bytes;
         const uint64_t out_bytes = uint64_t(L * L) * kFp16Bytes +
                                    uint64_t(2 * L * nsv) * kFp32Bytes;
-        addArmRows(report, "gemm.qk_ls", t, in_bytes, out_bytes,
-                   ctx.threads());
-        addNsPerElem(report, "gemm.qk_ls", t, L * L);
+        addArm(report, "gemm.qk_ls", peaks, in_bytes, out_bytes,
+               ctx.threads(), 0.0, L * L,
+               [&] { gemmRun(ctx, desc, ops, x_prime, &ls); });
     }
 
     // --- Serving projection GEMM: [L, 256] x [256, 1024] with bias,
@@ -232,17 +325,15 @@ main()
             bias.at(j) = float(rng.normal(0.0, 0.02));
         Tensor<Half> out(Shape({L, dff}));
 
-        const ArmTimes t = runArms([&] {
-            projectRowsInto(ctx, "bench.proj", x, w, bias,
-                            /*gelu=*/false, out);
-        });
         const uint64_t in_bytes =
             uint64_t((L + dff) * dm) * kFp16Bytes +
             uint64_t(dff) * kFp32Bytes;
-        addArmRows(report, "gemm.proj", t, in_bytes,
-                   uint64_t(L * dff) * kFp16Bytes, ctx.threads());
-        addSimdGflops(report, "gemm.proj", t,
-                      2.0 * double(L) * double(dm) * double(dff));
+        addArm(report, "gemm.proj", peaks, in_bytes,
+               uint64_t(L * dff) * kFp16Bytes, ctx.threads(),
+               2.0 * double(L) * double(dm) * double(dff), 0, [&] {
+                   projectRowsInto(ctx, "bench.proj", x, w, bias,
+                                   /*gelu=*/false, out);
+               });
     }
 
     // --- The exp primitive alone: 256 attention-width rows through
@@ -256,16 +347,16 @@ main()
             v = float(rng.normal(0.0, 2.0));
         const float shift = maxSpan(SimdBackend::Scalar, src.data(), L);
         float sink = 0.0f;
-        const ArmTimes t = runArms([&] {
-            const SimdBackend backend = simdBackend();
-            for (int64_t r = 0; r < rows; ++r)
-                sink += expSpan(backend, src.data(), shift, dst.data(), L);
-        });
+        const uint64_t bytes = uint64_t(rows * L) * kFp32Bytes;
+        addArm(report, "exp.span", peaks, bytes, bytes, 1, 0.0, rows * L,
+               [&] {
+                   const SimdBackend backend = simdBackend();
+                   for (int64_t r = 0; r < rows; ++r)
+                       sink += expSpan(backend, src.data(), shift,
+                                       dst.data(), L);
+               });
         if (!(sink > 0.0f))
             fatal("micro_simd: exp.span sums must be positive");
-        const uint64_t bytes = uint64_t(rows * L) * kFp32Bytes;
-        addArmRows(report, "exp.span", t, bytes, bytes, 1);
-        addNsPerElem(report, "exp.span", t, rows * L);
     }
 
     // --- Row softmax over attention-width rows.
@@ -278,12 +369,10 @@ main()
         Tensor<Half> in = randomHalf(rng, Shape({rows, L}));
         Tensor<Half> out(Shape({rows, L}));
 
-        const ArmTimes t =
-            runArms([&] { rowSoftmaxRun(ctx, desc, in, out); });
         const uint64_t bytes = uint64_t(rows * L) * kFp16Bytes;
-        addArmRows(report, "softmax.row", t, bytes, bytes,
-                   ctx.threads());
-        addNsPerElem(report, "softmax.row", t, rows * L);
+        addArm(report, "softmax.row", peaks, bytes, bytes, ctx.threads(),
+               0.0, rows * L,
+               [&] { rowSoftmaxRun(ctx, desc, in, out); });
     }
 
     const std::string path = report.defaultPath();

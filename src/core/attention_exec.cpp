@@ -79,9 +79,11 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
     // column blocks' tiles only.
     const int64_t bs = layout ? layout->blockSize() : 0;
     const int64_t sv_width = layout ? bs : config.subVector;
+    const SimdBackend backend = simdBackend();
     GemmTiling tiling = config.attnTiling;
-    if (fused || layout)
-        tiling.tileN = sv_width;
+    tiling.tileN = fused || layout
+        ? sv_width
+        : gemmFreeTileN(backend, tiling.tileN, kv);
 
     GemmDesc qk;
     qk.name = "sda.qk";
@@ -108,6 +110,7 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
     av.n = dh;
     av.k = kv;
     av.tiling = config.attnTiling;
+    av.tiling.tileN = gemmFreeTileN(backend, av.tiling.tileN, dh);
     av.prologue.causalA = config.causalMask;
     av.prologue.globalScale = fused;
     av.prologue.gsSubVector = sv_width;
@@ -172,7 +175,6 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
         buf.gemm.reserve(av);
     };
 
-    const SimdBackend backend = simdBackend();
     // One strip: rows [m0, m0 + mh) against every key, or against the
     // `count` column blocks listed in `blocks`.
     const auto runStrip = [&](int64_t m0, int64_t mh, const int64_t *blocks,

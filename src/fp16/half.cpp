@@ -10,6 +10,7 @@
 
 #include "fp16/half.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -258,7 +259,8 @@ detectBackend()
     if (__builtin_cpu_supports("avx2") &&
         __builtin_cpu_supports("f16c") &&
         __builtin_cpu_supports("fma")) {
-        return SimdBackend::F16cAvx2;
+        return __builtin_cpu_supports("avx512f") ? SimdBackend::Avx512
+                                                 : SimdBackend::F16cAvx2;
     }
 #elif defined(SOFTREC_SIMD_NEON)
     return SimdBackend::Neon;
@@ -297,6 +299,8 @@ simdBackendName(SimdBackend backend)
         return "scalar";
       case SimdBackend::F16cAvx2:
         return "f16c-avx2";
+      case SimdBackend::Avx512:
+        return "f16c-avx512";
       case SimdBackend::Neon:
         return "neon";
     }
@@ -309,6 +313,20 @@ detectedSimdBackend()
     return detectBackend();
 }
 
+std::vector<SimdBackend>
+availableSimdBackends()
+{
+    // Avx512 runs every F16cAvx2 body but the GEMM tile, so a host
+    // that detects it runs F16cAvx2 as well.
+    std::vector<SimdBackend> backends{SimdBackend::Scalar};
+    const SimdBackend detected = detectBackend();
+    if (detected == SimdBackend::Avx512)
+        backends.push_back(SimdBackend::F16cAvx2);
+    if (detected != SimdBackend::Scalar)
+        backends.push_back(detected);
+    return backends;
+}
+
 SimdBackend
 simdBackend()
 {
@@ -318,8 +336,9 @@ simdBackend()
 SimdBackend
 setSimdBackend(SimdBackend backend)
 {
-    SOFTREC_ASSERT(backend == SimdBackend::Scalar ||
-                   backend == detectBackend(),
+    const std::vector<SimdBackend> available = availableSimdBackends();
+    SOFTREC_ASSERT(std::find(available.begin(), available.end(), backend) !=
+                       available.end(),
                    "backend '%s' is not available on this machine",
                    simdBackendName(backend));
     return backendSlot().exchange(backend);
@@ -328,41 +347,39 @@ setSimdBackend(SimdBackend backend)
 void
 halfToFloat(const Half *src, float *dst, int64_t n)
 {
-    switch (simdBackend()) {
+    [[maybe_unused]] const SimdBackend backend = simdBackend();
 #if defined(SOFTREC_SIMD_X86)
-      case SimdBackend::F16cAvx2:
+    if (simdHasAvx2(backend)) {
         halfToFloatF16c(src, dst, n);
         return;
+    }
 #endif
 #if defined(SOFTREC_SIMD_NEON)
-      case SimdBackend::Neon:
+    if (backend == SimdBackend::Neon) {
         halfToFloatNeon(src, dst, n);
         return;
-#endif
-      default:
-        halfToFloatScalar(src, dst, n);
-        return;
     }
+#endif
+    halfToFloatScalar(src, dst, n);
 }
 
 void
 floatToHalf(const float *src, Half *dst, int64_t n)
 {
-    switch (simdBackend()) {
+    [[maybe_unused]] const SimdBackend backend = simdBackend();
 #if defined(SOFTREC_SIMD_X86)
-      case SimdBackend::F16cAvx2:
+    if (simdHasAvx2(backend)) {
         floatToHalfF16c(src, dst, n);
         return;
+    }
 #endif
 #if defined(SOFTREC_SIMD_NEON)
-      case SimdBackend::Neon:
+    if (backend == SimdBackend::Neon) {
         floatToHalfNeon(src, dst, n);
         return;
-#endif
-      default:
-        floatToHalfScalar(src, dst, n);
-        return;
     }
+#endif
+    floatToHalfScalar(src, dst, n);
 }
 
 } // namespace softrec

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace softrec {
 
@@ -91,11 +92,11 @@ inline bool operator>=(Half a, Half b) { return float(a) >= float(b); }
  * P.V) and the path of the exp primitive (expSpan, maxSpan, tanhSpan
  * in fp16/simd_math.hpp). Every SIMD path is bit-identical to the
  * scalar one by construction (NaN conversion chunks fall back to the
- * scalar conversion; every dot product, scalar or AVX2, is the same
- * k-ascending chain of fused multiply-adds, c = fma(a, b, c) from +0;
- * the scalar exp runs the AVX2 exp's operations and 8-lane sums in
- * the same order), so the choice only affects throughput, never
- * results.
+ * scalar conversion; every dot product, scalar, AVX2 or AVX-512, is
+ * the same k-ascending chain of fused multiply-adds, c = fma(a, b, c)
+ * from +0; the scalar exp runs the AVX2 exp's operations and 8-lane
+ * sums in the same order), so the choice only affects throughput,
+ * never results.
  */
 enum class SimdBackend
 {
@@ -105,11 +106,29 @@ enum class SimdBackend
               ///< plus the AVX2+FMA dot-product bodies (the
               ///< register-blocked GEMM tile among them) and the
               ///< 8-wide AVX2 exp. Needs AVX2, F16C and FMA.
+    Avx512,   ///< F16cAvx2 with a 16-lane AVX-512 GEMM tile
+              ///< (fmaGemmTile); every other primitive runs its AVX2
+              ///< body. Needs AVX-512F on top of F16cAvx2's ISA.
     Neon,     ///< AArch64 vcvt_f32_f16/vcvt_f16_f32, 4 per step
               ///< (the dot products and exp use the portable paths).
 };
 
-/** Human-readable backend name ("scalar", "f16c-avx2", "neon"). */
+/**
+ * Whether `backend` runs the AVX2 bodies (conversions, exp, the LS
+ * tile, decode dot products): F16cAvx2, and Avx512 for everything but
+ * its GEMM tile.
+ */
+inline bool
+simdHasAvx2(SimdBackend backend)
+{
+    return backend == SimdBackend::F16cAvx2 ||
+           backend == SimdBackend::Avx512;
+}
+
+/**
+ * Human-readable backend name ("scalar", "f16c-avx2", "f16c-avx512",
+ * "neon").
+ */
 const char *simdBackendName(SimdBackend backend);
 
 /**
@@ -117,6 +136,13 @@ const char *simdBackendName(SimdBackend backend);
  * SOFTREC_SIMD environment override.
  */
 SimdBackend detectedSimdBackend();
+
+/**
+ * Every backend this machine runs, Scalar first and
+ * detectedSimdBackend() last (Scalar, F16cAvx2, Avx512 on an AVX-512
+ * host), so a test or bench can cover each body.
+ */
+std::vector<SimdBackend> availableSimdBackends();
 
 /**
  * Active SIMD backend (conversions, dot products and exp):
@@ -128,8 +154,9 @@ SimdBackend simdBackend();
 
 /**
  * Override the active backend in-process (benches/tests A/B the scalar
- * and SIMD paths without re-exec). Only Scalar or the detected backend
- * are accepted. Returns the previous backend so callers can restore it.
+ * and SIMD paths without re-exec). Any backend in
+ * availableSimdBackends() is accepted. Returns the previous backend so
+ * callers can restore it.
  */
 SimdBackend setSimdBackend(SimdBackend backend);
 

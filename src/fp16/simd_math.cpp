@@ -389,7 +389,7 @@ localSoftmaxTile(SimdBackend backend, const LsTile &tile)
                    "LS tile needs a positive sub-vector width and "
                    "X', m' and d' outputs");
 #if defined(SOFTREC_SIMD_X86)
-    if (backend == SimdBackend::F16cAvx2) {
+    if (simdHasAvx2(backend)) {
         localSoftmaxTileAvx2(tile);
         return;
     }
@@ -403,7 +403,7 @@ expSpan(SimdBackend backend, const float *x, float shift, float *out,
         int64_t n)
 {
 #if defined(SOFTREC_SIMD_X86)
-    if (backend == SimdBackend::F16cAvx2)
+    if (simdHasAvx2(backend))
         return expSpanAvx2(x, shift, out, n);
 #endif
     (void)backend;
@@ -419,7 +419,7 @@ float
 maxSpan(SimdBackend backend, const float *x, int64_t n)
 {
 #if defined(SOFTREC_SIMD_X86)
-    if (backend == SimdBackend::F16cAvx2)
+    if (simdHasAvx2(backend))
         return maxSpanAvx2(x, n);
 #endif
     (void)backend;

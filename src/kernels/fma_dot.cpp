@@ -1,8 +1,9 @@
 /**
  * @file
- * Dot-product primitives: one portable and one AVX2+FMA body each. The
- * file is built with -ffp-contract=off, so the only fused operations
- * in it are the explicit std::fma and _mm256_fmadd_ps calls.
+ * Dot-product primitives: one portable and one AVX2+FMA body each, and
+ * an AVX-512 body of the GEMM tile. The file is built with
+ * -ffp-contract=off, so the only fused operations in it are the
+ * explicit std::fma, _mm256_fmadd_ps and _mm512_fmadd_ps calls.
  */
 
 #include "kernels/fma_dot.hpp"
@@ -262,6 +263,174 @@ gemmTileAvx2(const float *SOFTREC_RESTRICT a_rows, int64_t lda,
     _mm256_zeroupper();
 }
 
+// The AVX-512 GEMM tile below keeps its accumulators in ZMM registers
+// and runs the same per-element chains as the AVX2 tile, 16 lanes wide.
+// Its entry point clears the upper register state before returning,
+// like the AVX2 ones.
+
+/**
+ * kVecs ZMM vectors of row-major floats at p; with kMasked the last
+ * one covers only the lanes set in `tail` (masked-off lanes load +0
+ * and are never stored, so they read and write nothing past them).
+ */
+template <int kVecs, bool kMasked>
+inline __attribute__((always_inline, target("avx512f,avx2,fma"))) void
+loadZmm(const float *p, __mmask16 tail, __m512 *v)
+{
+#pragma GCC unroll 4
+    for (int e = 0; e < kVecs; ++e)
+        v[e] = kMasked && e == kVecs - 1
+            ? _mm512_maskz_loadu_ps(tail, p + 16 * e)
+            : _mm512_loadu_ps(p + 16 * e);
+}
+
+template <int kVecs, bool kMasked>
+inline __attribute__((always_inline, target("avx512f,avx2,fma"))) void
+storeZmm(float *p, __mmask16 tail, const __m512 *v)
+{
+#pragma GCC unroll 4
+    for (int e = 0; e < kVecs; ++e) {
+        if (kMasked && e == kVecs - 1)
+            _mm512_mask_storeu_ps(p + 16 * e, tail, v[e]);
+        else
+            _mm512_storeu_ps(p + 16 * e, v[e]);
+    }
+}
+
+/** The operands of one AVX-512 tile call, shared by its blocks. */
+struct ZmmTile
+{
+    const float *a_rows;
+    int64_t lda;
+    const float *panel;
+    float *acc;
+    int64_t diag;
+    int64_t ldn;
+};
+
+/**
+ * Steps [k0, k1) of one kRows x (16 * kVecs) block of GEMM
+ * accumulators at rows [i, i + kRows), columns [j, j + 16 * kVecs),
+ * the last vector masked to `tail` under kMasked. Row r stops at
+ * min(k1, diag + i + r + 1) (causal A): the steps of the first row
+ * run with every row, then at most kRows - 1 with the rows that read
+ * further. The accumulators are loaded and stored around the steps,
+ * so ascending calls continue the same chains.
+ */
+template <int kRows, int kVecs, bool kMasked>
+inline __attribute__((always_inline, target("avx512f,avx2,fma"))) void
+gemmBlockAvx512(const ZmmTile &t, int64_t i, int64_t j, int64_t k0,
+                int64_t k1, __mmask16 tail)
+{
+    const float *a[kRows];
+    int64_t depth[kRows];
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+        a[r] = t.a_rows + (i + r) * t.lda;
+        depth[r] = std::min(k1, t.diag + i + r + 1);
+    }
+    if (depth[kRows - 1] <= k0)
+        return;
+    __m512 c[kRows][kVecs];
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r)
+        loadZmm<kVecs, kMasked>(t.acc + (i + r) * t.ldn + j, tail, c[r]);
+    const float *b = t.panel + k0 * t.ldn + j;
+    int64_t kk = k0;
+    for (; kk < depth[0]; ++kk, b += t.ldn) {
+        __m512 bv[kVecs];
+        loadZmm<kVecs, kMasked>(b, tail, bv);
+#pragma GCC unroll 8
+        for (int r = 0; r < kRows; ++r) {
+            const __m512 x = _mm512_set1_ps(a[r][kk]);
+#pragma GCC unroll 4
+            for (int v = 0; v < kVecs; ++v)
+                c[r][v] = _mm512_fmadd_ps(x, bv[v], c[r][v]);
+        }
+    }
+    for (; kk < depth[kRows - 1]; ++kk, b += t.ldn) {
+        __m512 bv[kVecs];
+        loadZmm<kVecs, kMasked>(b, tail, bv);
+#pragma GCC unroll 8
+        for (int r = 1; r < kRows; ++r) {
+            if (kk >= depth[r])
+                continue;
+            const __m512 x = _mm512_set1_ps(a[r][kk]);
+#pragma GCC unroll 4
+            for (int v = 0; v < kVecs; ++v)
+                c[r][v] = _mm512_fmadd_ps(x, bv[v], c[r][v]);
+        }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r)
+        storeZmm<kVecs, kMasked>(t.acc + (i + r) * t.ldn + j, tail, c[r]);
+}
+
+/** The last `rows` (1..kRows) rows from row i as one block. */
+template <int kRows, int kVecs, bool kMasked>
+inline __attribute__((always_inline, target("avx512f,avx2,fma"))) void
+gemmLeftoverAvx512(const ZmmTile &t, int64_t rows, int64_t i, int64_t j,
+                   int64_t k0, int64_t k1, __mmask16 tail)
+{
+    if constexpr (kRows > 1) {
+        if (rows < kRows) {
+            gemmLeftoverAvx512<kRows - 1, kVecs, kMasked>(t, rows, i, j,
+                                                          k0, k1, tail);
+            return;
+        }
+    }
+    gemmBlockAvx512<kRows, kVecs, kMasked>(t, i, j, k0, k1, tail);
+}
+
+/**
+ * Columns [j, j + 16 * kVecs) of every row: kRows rows at a time,
+ * then one block of the mh % kRows left, over depth chunks whose
+ * panel slice (kChunk rows) stays in L1 while every row block reads it.
+ */
+template <int kRows, int kVecs, bool kMasked>
+inline __attribute__((always_inline, target("avx512f,avx2,fma"))) void
+gemmColumnsAvx512(const ZmmTile &t, int64_t mh, int64_t k_depth,
+                  int64_t j, __mmask16 tail)
+{
+    constexpr int64_t kChunk = 4096 / (16 * kVecs);
+    for (int64_t k0 = 0; k0 < k_depth; k0 += kChunk) {
+        const int64_t k1 = std::min(k_depth, k0 + kChunk);
+        int64_t i = 0;
+        for (; i + kRows <= mh; i += kRows)
+            gemmBlockAvx512<kRows, kVecs, kMasked>(t, i, j, k0, k1, tail);
+        if (i < mh)
+            gemmLeftoverAvx512<kRows - 1, kVecs, kMasked>(t, mh - i, i, j,
+                                                          k0, k1, tail);
+    }
+}
+
+/**
+ * AVX-512 GEMM tile: 6 x 64 blocks (24 ZMM accumulators, four panel
+ * vectors and one broadcast A element per row each k step), then
+ * 8 x 16 blocks for the remaining whole 16-column vectors, then one
+ * masked 8 x 16 block for the last ldn % 16 columns; the mh % 6 or
+ * mh % 8 leftover rows run as one shorter block.
+ */
+__attribute__((target("avx512f,avx2,fma"))) void
+gemmTileAvx512(const float *SOFTREC_RESTRICT a_rows, int64_t lda,
+               const float *SOFTREC_RESTRICT panel,
+               float *SOFTREC_RESTRICT acc, int64_t mh, int64_t k_depth,
+               int64_t diag, int64_t ldn)
+{
+    const ZmmTile t{a_rows, lda, panel, acc, diag, ldn};
+    const int64_t n64 = ldn - ldn % 64;
+    const int64_t n16 = ldn - ldn % 16;
+    const __mmask16 all = 0xffff;
+    for (int64_t j = 0; j < n64; j += 64)
+        gemmColumnsAvx512<6, 4, false>(t, mh, k_depth, j, all);
+    for (int64_t j = n64; j < n16; j += 16)
+        gemmColumnsAvx512<8, 1, false>(t, mh, k_depth, j, all);
+    if (n16 < ldn)
+        gemmColumnsAvx512<8, 1, true>(t, mh, k_depth, n16,
+                                      __mmask16((1u << (ldn - n16)) - 1));
+    _mm256_zeroupper();
+}
+
 /** Eight fp32 row elements, read as they are or widened from fp16. */
 inline __attribute__((always_inline, target("avx2,fma,f16c"))) __m256
 load8(const float *p)
@@ -411,7 +580,11 @@ fmaGemmTile([[maybe_unused]] SimdBackend backend, const float *a_rows,
             int64_t k_depth, int64_t diag, int64_t ldn)
 {
 #if defined(SOFTREC_SIMD_X86)
-    if (backend == SimdBackend::F16cAvx2) {
+    if (backend == SimdBackend::Avx512) {
+        gemmTileAvx512(a_rows, lda, panel, acc, mh, k_depth, diag, ldn);
+        return;
+    }
+    if (simdHasAvx2(backend)) {
         gemmTileAvx2(a_rows, lda, panel, acc, mh, k_depth, diag, ldn);
         return;
     }
@@ -430,7 +603,7 @@ fmaDotRows([[maybe_unused]] SimdBackend backend, const float *q,
            float *out)
 {
 #if defined(SOFTREC_SIMD_X86)
-    if (backend == SimdBackend::F16cAvx2) {
+    if (simdHasAvx2(backend)) {
         dotRowsAvx2(q, rows, ld, count, n, out);
         return;
     }
@@ -449,7 +622,7 @@ fmaAccumRows([[maybe_unused]] SimdBackend backend, const float *p,
              float *acc)
 {
 #if defined(SOFTREC_SIMD_X86)
-    if (backend == SimdBackend::F16cAvx2) {
+    if (simdHasAvx2(backend)) {
         accumRowsAvx2(p, rows, ld, count, n, acc);
         return;
     }

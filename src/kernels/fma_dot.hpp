@@ -10,8 +10,10 @@
  * (an accumulating call continues the caller's chains instead of
  * starting at +0). Each product is added with one rounding, the way a
  * tensor core's fp16 MMA accumulates in fp32. Each backend has its
- * own body: the F16cAvx2 backend runs AVX2+FMA bodies, the portable
- * bodies use std::fma. On x86-64 the portable bodies also have a copy
+ * own body: the F16cAvx2 backend runs AVX2+FMA bodies; the Avx512
+ * backend runs an AVX-512 body of the GEMM tile and the AVX2 bodies
+ * of fmaDotRows and fmaAccumRows; the portable bodies use std::fma.
+ * On x86-64 the portable bodies also have a copy
  * compiled for the FMA ISA, which the Scalar backend runs on a CPU
  * with FMA, so no body makes a libm call per element on an FMA host;
  * elsewhere they call libm's correctly rounded fmaf. Every body gives
@@ -47,8 +49,13 @@ namespace softrec {
  * row-major [k_depth][ldn]. A caller that splits the depth into
  * column ranges of wider A rows (lda > k_depth) and calls once per
  * range, ascending, continues the same chains. The AVX2 body keeps 4
- * rows x 16 columns of accumulators in registers (4 x 8 and one row
- * at the edges) and handles the last ldn % 8 columns itself.
+ * rows x 16 columns of accumulators in YMM registers (4 x 8 and one
+ * row at the edges) and handles the last ldn % 8 columns itself. The
+ * AVX-512 body keeps 6 rows x 64 columns in ZMM registers per 64
+ * columns and 8 x 16 for the remaining 16-column vectors, masks the
+ * last vector over the ldn % 16 columns left, runs the rows left
+ * below a whole block as one shorter block, and walks the depth in
+ * slices of 16 KiB of panel so the slice stays in L1.
  */
 void fmaGemmTile(SimdBackend backend, const float *a_rows, int64_t lda,
                  const float *panel, float *acc, int64_t mh,

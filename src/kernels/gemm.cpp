@@ -413,6 +413,14 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
     }
 }
 
+int64_t
+gemmFreeTileN(SimdBackend backend, int64_t configured, int64_t n)
+{
+    if (backend != SimdBackend::Avx512)
+        return configured;
+    return std::max(configured, std::min<int64_t>(64, ceilDiv(n, 16) * 16));
+}
+
 void
 gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         const GemmOperands &ops, Tensor<Half> &c, const LsOutputs *ls)
@@ -466,12 +474,15 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
     const SimdBackend backend = simdBackend();
     const float *bias = desc.epilogue.bias ? ops.bias->data() : nullptr;
 
-    // Parallel over m-tile strips: each strip owns its scratch and
-    // writes disjoint output rows (and disjoint LS rows), so the
-    // result is bit-identical for any thread count.
+    // Parallel over m-tile strips: each strip writes disjoint output
+    // rows (and disjoint LS rows), so the result is bit-identical for
+    // any thread count. Each worker slot keeps one scratch for the
+    // call, which every strip it runs reuses.
     const int64_t strips = ceilDiv(m, t.tileM);
+    std::vector<GemmScratch> scratches(
+        static_cast<size_t>(maxThreadSlots()));
     parallelFor(ctx, 0, strips, 1, [&](int64_t strip0, int64_t strip1) {
-        GemmScratch scratch;
+        GemmScratch &scratch = scratches[size_t(currentThreadSlot())];
         for (int64_t s = strip0; s < strip1; ++s) {
             GemmStrip strip;
             strip.row0 = s * t.tileM;

@@ -226,15 +226,27 @@ void gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
                   GemmTraffic &traffic);
 
 /**
+ * n-tile width for a GEMM whose tileN only blocks the CPU loop (one
+ * without an LS epilogue, where tileN is the sub-vector T). Under
+ * Avx512 a narrower `configured` width is raised to 64 columns, the
+ * AVX-512 tile's widest register block, but not past n rounded up to
+ * 16; every other backend keeps `configured`. Every width gives the
+ * same bits.
+ */
+int64_t gemmFreeTileN(SimdBackend backend, int64_t configured, int64_t n);
+
+/**
  * Functional tiled GEMM, faithful to the modeled dataflow: fp16
  * operands, fp32 tile accumulators, epilogue applied per output tile
  * (so a fused LS uses sub-vectors of exactly tileN columns), results
  * rounded to fp16 on store. Parallelizes over m-tile strips; each
- * strip owns its accumulator and writes disjoint output rows, so
+ * worker slot keeps one scratch (A rows and accumulator tile) for the
+ * strips it runs, and every strip writes disjoint output rows, so
  * results are bit-identical for any thread count. Every output
  * element is one k-ascending fma chain from +0 (fmaGemmTile in
- * kernels/fma_dot.hpp, AVX2 register blocks under F16cAvx2, the
- * portable body otherwise, with identical bits); with fp16 A and B
+ * kernels/fma_dot.hpp: AVX-512 register blocks under Avx512, AVX2
+ * ones under F16cAvx2, the portable body otherwise, with identical
+ * bits); with fp16 A and B
  * that equals a mul+add loop bit for bit. A causal tile that
  * is masked everywhere skips the mainloop and stores the bits its
  * epilogue would (-inf, or under LS X' = +0, m' = -inf, d' = +0); a

@@ -69,7 +69,7 @@ projectRowsInto(const ExecContext &ctx, const char *name,
     desc.epilogue.bias = true;
     desc.epilogue.gelu = gelu;
     desc.tiling.tileM = 16;
-    desc.tiling.tileN = 16;
+    desc.tiling.tileN = gemmFreeTileN(simdBackend(), 16, desc.n);
     desc.tiling.tileK = 16;
     GemmOperands ops;
     ops.a = &x;

@@ -273,8 +273,7 @@ TEST_P(StripLoop, EqualsWholeMatrixComposition)
     for (Strategy strategy : allStrategies()) {
         const Tensor<Half> want =
             wholeMatrixAttention(ExecContext(), config, inputs, strategy);
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             setSimdBackend(backend);
             for (const ExecContext &ctx : {ExecContext(), pooled}) {
                 expectSameBits(
@@ -606,12 +605,11 @@ TEST(SparseStrip, EqualsGatheredDense)
     // row's column blocks, so every block row has the bits of dense
     // attention over its gathered keys: for every strategy, layout
     // family and block size, with strips as tall as a block row or
-    // shorter than one (ragged), serial and on a pool, on the scalar
-    // and the detected SIMD backend.
+    // shorter than one (ragged), serial and on a pool, on every
+    // available SIMD backend.
     ThreadPool pool(4);
     ExecContext pooled;
     pooled.pool = &pool;
-    const SimdBackend detected = simdBackend();
     for (const int64_t bs : {16, 32, 64}) {
         const std::pair<const char *, BsrLayout> layouts[] = {
             {"bigbird", bigBirdPattern(8 * bs, BigBirdParams{bs, 3, 1, 2,
@@ -632,8 +630,7 @@ TEST(SparseStrip, EqualsGatheredDense)
             for (const auto &[tile_m, tile_n] : tilings) {
                 config.attnTiling.tileM = tile_m;
                 config.attnTiling.tileN = tile_n;
-                for (const SimdBackend backend :
-                     {SimdBackend::Scalar, detected}) {
+                for (const SimdBackend backend : availableSimdBackends()) {
                     const SimdBackend saved = setSimdBackend(backend);
                     for (Strategy strategy : allStrategies()) {
                         for (const ExecContext &ctx : {ExecContext(), pooled}) {

@@ -244,9 +244,14 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
     };
 
     const auto reference = generate(1, SimdBackend::Scalar);
-    EXPECT_EQ(generate(4, SimdBackend::Scalar), reference);
-    EXPECT_EQ(generate(1, detectedSimdBackend()), reference);
-    EXPECT_EQ(generate(4, detectedSimdBackend()), reference);
+    for (const SimdBackend simd : availableSimdBackends()) {
+        for (const int threads : {1, 4}) {
+            if (simd == SimdBackend::Scalar && threads == 1)
+                continue;
+            EXPECT_EQ(generate(threads, simd), reference)
+                << simdBackendName(simd) << " threads=" << threads;
+        }
+    }
 }
 
 TEST_P(KvEquivalence, PrefillCacheHoldsTheProjectedRows)

@@ -4,14 +4,16 @@
  * conversions must be bit-for-bit identical between the scalar and
  * SIMD backends (including NaN payloads, infinities, subnormals, and
  * rounding boundaries), the packed-panel GEMM must match the naive
- * reference at ragged shapes and produce the same bits under both
- * backends (every epilogue, the GS prologue, signed zeros, and the
- * fully-masked causal tiles whose mainloop is skipped), the fused LS
+ * reference at ragged shapes and produce the same bits under every
+ * available backend (every epilogue, the GS prologue, signed zeros,
+ * the k-block continuation, every leftover row and column block of
+ * the AVX2 and AVX-512 tiles, and the fully-masked causal tiles whose
+ * mainloop is skipped), the fused LS
  * epilogue must give a triple loop's bits followed by the per-segment
  * LS sequence, causal attention's diagonal stop (causal-A GEMM,
- * causal row softmax) must give the full computation's bits on both
- * backends, the exp primitive and its max/tanh companions must give
- * the same bits under both backends while keeping their documented
+ * causal row softmax) must give the full computation's bits on every
+ * backend, the exp primitive and its max/tanh companions must give
+ * the same bits under every backend while keeping their documented
  * accuracy, special values and lane-order sum, the LS tile primitive
  * must give the bits of maxSpan, expSpan and floatToHalf per segment,
  * and kernels built on the substrate must stay deterministic across
@@ -157,15 +159,32 @@ TEST(SimdBackendApi, SetAndRestore)
     // The initial backend depends on SOFTREC_SIMD (off forces Scalar,
     // auto/unset detects), so only assert it is one of the two.
     const SimdBackend detected = detectedSimdBackend();
+    const std::vector<SimdBackend> available = availableSimdBackends();
+    ASSERT_FALSE(available.empty());
+    EXPECT_EQ(available.front(), SimdBackend::Scalar);
+    EXPECT_EQ(available.back(), detected);
     const SimdBackend initial = simdBackend();
     EXPECT_TRUE(initial == detected || initial == SimdBackend::Scalar);
     EXPECT_EQ(setSimdBackend(SimdBackend::Scalar), initial);
     EXPECT_EQ(simdBackend(), SimdBackend::Scalar);
     EXPECT_EQ(setSimdBackend(detected), SimdBackend::Scalar);
     EXPECT_EQ(simdBackend(), detected);
+    // Every available backend can be pinned: on an AVX-512 host that
+    // includes F16cAvx2, so its GEMM tile stays testable there.
+    for (const SimdBackend backend : available) {
+        EXPECT_EQ(setSimdBackend(backend), detected);
+        EXPECT_EQ(simdBackend(), backend);
+        EXPECT_STRNE(simdBackendName(backend), "");
+        setSimdBackend(detected);
+    }
+    if (detected == SimdBackend::Avx512) {
+        EXPECT_NE(std::find(available.begin(), available.end(),
+                            SimdBackend::F16cAvx2),
+                  available.end());
+        EXPECT_STREQ(simdBackendName(detected), "f16c-avx512");
+    }
     setSimdBackend(initial);
     EXPECT_EQ(simdBackend(), initial);
-    EXPECT_STRNE(simdBackendName(detected), "");
 }
 
 // --- Packed-panel GEMM against the naive reference -----------------
@@ -209,8 +228,7 @@ TEST(PackedGemm, RaggedShapesMatchReferenceUnderBothBackends)
     };
     int seed = 100;
     for (const auto &tc : cases) {
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             Rng rng(uint64_t(seed++));
             GemmDesc desc;
             desc.m = tc.m;
@@ -363,8 +381,7 @@ TEST(PackedGemm, FusedLsEpilogueBitExactAgainstTripleLoop)
             ops.b = &k;
             ops.transposeB = true;
             const int64_t nsv = (desc.n + tile_n - 1) / tile_n;
-            for (const SimdBackend backend :
-                 {SimdBackend::Scalar, detectedSimdBackend()}) {
+            for (const SimdBackend backend : availableSimdBackends()) {
                 std::vector<uint32_t> want;
                 std::vector<uint32_t> want_md(size_t(2 * desc.m * nsv));
                 withBackend(backend, [&] {
@@ -409,23 +426,28 @@ TEST(PackedGemm, FusedLsEpilogueBitExactAgainstTripleLoop)
 
 TEST(PackedGemm, ScalarAndSimdKernelsBitIdentical)
 {
-    // The SIMD kernel blocks 4 rows x 16 columns in registers; the
-    // row counts leave 0-3 rows after the last block of a 16-row
-    // strip and the tile widths cover ragged and whole 16-column
-    // blocks, so every leftover path meets the scalar reference.
-    enum Epilogue { kPlain, kScale, kCausal, kBias, kGelu, kLs, kGs };
+    // The AVX2 tile blocks 4 rows x 16 columns in registers, the
+    // AVX-512 tile 6 x 64 and 8 x 16 with a masked last vector. With
+    // 16-row strips the last strip holds m % 16 rows: 1 to 7 and 16
+    // leave every remainder of 4-, 6- and 8-row blocks. The tile
+    // widths cover whole and ragged 8-, 16- and 64-column blocks, and
+    // n spans at least two tiles of the widest, so every leftover path
+    // of every backend meets the scalar reference.
+    enum Epilogue { kPlain, kScale, kCausal, kBias, kGelu, kLs, kGs,
+                    kCausalA };
     int seed = 300;
-    for (const int64_t m : {4, 21, 38, 55}) {
-        for (const int64_t tile_n : {8, 16, 24, 64}) {
+    for (const int64_t m : {4, 21, 38, 55, 18, 35, 49}) {
+        for (const int64_t tile_n :
+             {8, 16, 24, 32, 48, 64, 80, 100, 128}) {
             for (const bool transpose_b : {false, true}) {
                 for (const Epilogue epi :
-                     {kPlain, kScale, kCausal, kBias, kGelu, kLs,
-                      kGs}) {
+                     {kPlain, kScale, kCausal, kBias, kGelu, kLs, kGs,
+                      kCausalA}) {
                     Rng rng(uint64_t(seed++));
                     GemmDesc desc;
                     desc.m = m;
-                    desc.n = 70;
-                    desc.k = 19;
+                    desc.n = 260;
+                    desc.k = epi == kCausalA ? 60 : 19;
                     desc.tiling.tileM = 16;
                     desc.tiling.tileN = tile_n;
                     desc.epilogue.scale =
@@ -437,12 +459,18 @@ TEST(PackedGemm, ScalarAndSimdKernelsBitIdentical)
                     desc.epilogue.localSoftmax = epi == kLs;
                     desc.prologue.globalScale = epi == kGs;
                     desc.prologue.gsSubVector = 8;
+                    desc.prologue.causalA = epi == kCausalA;
                     Tensor<Half> a(Shape({m, desc.k}));
                     Tensor<Half> b(transpose_b
                                        ? Shape({desc.n, desc.k})
                                        : Shape({desc.k, desc.n}));
                     fillNormal(a, rng, 0.0, 1.0);
                     fillNormal(b, rng, 0.0, 1.0);
+                    if (epi == kCausalA) {
+                        for (int64_t i = 0; i < m; ++i)
+                            for (int64_t j = i + 1; j < desc.k; ++j)
+                                a.at(i, j) = Half();
+                    }
                     Tensor<float> bias(Shape({desc.n}));
                     fillNormal(bias, rng, 0.0, 0.5);
                     Tensor<float> gs(Shape({m, (desc.k + 7) / 8}));
@@ -453,14 +481,50 @@ TEST(PackedGemm, ScalarAndSimdKernelsBitIdentical)
                     ops.transposeB = transpose_b;
                     ops.bias = &bias;
                     ops.gsFactors = &gs;
-                    EXPECT_EQ(
-                        gemmBits(SimdBackend::Scalar, desc, ops),
-                        gemmBits(detectedSimdBackend(), desc, ops))
-                        << "m=" << m << " tileN=" << tile_n
-                        << " transposed=" << transpose_b
-                        << " epilogue=" << int(epi);
+                    const std::vector<uint32_t> want =
+                        gemmBits(SimdBackend::Scalar, desc, ops);
+                    for (const SimdBackend backend :
+                         availableSimdBackends()) {
+                        EXPECT_EQ(gemmBits(backend, desc, ops), want)
+                            << "m=" << m << " tileN=" << tile_n
+                            << " transposed=" << transpose_b
+                            << " epilogue=" << int(epi) << " "
+                            << simdBackendName(backend);
+                    }
                 }
             }
+        }
+    }
+
+    // The k-block continuation: A rows wider than the depth (lda >
+    // k_depth), one call per column range, ascending, as a block-sparse
+    // P.V strip runs them; every element stays one chain.
+    const int64_t kb = 7, blocks = 3, lda = blocks * kb + 2;
+    for (const int64_t ldn : {16, 40, 64, 100}) {
+        for (const int64_t mh : {5, 7, 14, 16}) {
+            Rng rng(uint64_t(seed++));
+            std::vector<float> a(size_t(mh * lda));
+            std::vector<float> panel(size_t(blocks * kb * ldn));
+            for (float &v : a)
+                v = float(Half(float(rng.normal(0.0, 1.0))));
+            for (float &v : panel)
+                v = float(Half(float(rng.normal(0.0, 1.0))));
+            const auto run = [&](SimdBackend backend) {
+                std::vector<float> acc(size_t(mh * ldn), 0.0f);
+                for (int64_t blk = 0; blk < blocks; ++blk)
+                    fmaGemmTile(backend, a.data() + blk * kb, lda,
+                                panel.data() + blk * kb * ldn, acc.data(),
+                                mh, kb, kb, ldn);
+                std::vector<uint32_t> bits(acc.size());
+                __builtin_memcpy(bits.data(), acc.data(),
+                                 acc.size() * sizeof(float));
+                return bits;
+            };
+            const std::vector<uint32_t> want = run(SimdBackend::Scalar);
+            for (const SimdBackend backend : availableSimdBackends())
+                EXPECT_EQ(run(backend), want)
+                    << "k blocks: ldn=" << ldn << " rows=" << mh << " "
+                    << simdBackendName(backend);
         }
     }
 }
@@ -469,24 +533,28 @@ TEST(PackedGemm, ZeroRowTimesNegativeBStoresPositiveZero)
 {
     // Each accumulator starts at +0.0f and adds every product, so an
     // all-zero A row gives +0 + (-0) + ... = +0. A kernel seeded
-    // with its first product would store -0 instead.
-    GemmDesc desc;
-    desc.m = 6;
-    desc.n = 32;
-    desc.k = 5;
-    desc.tiling.tileM = 16;
-    desc.tiling.tileN = 16;
-    Tensor<Half> a(Shape({desc.m, desc.k})); // all +0
-    Tensor<Half> b(Shape({desc.k, desc.n}));
-    for (int64_t i = 0; i < b.numel(); ++i)
-        b.data()[i] = Half(-1.5f);
-    GemmOperands ops;
-    ops.a = &a;
-    ops.b = &b;
-    for (const SimdBackend backend :
-         {SimdBackend::Scalar, detectedSimdBackend()}) {
-        for (const uint32_t bits : gemmBits(backend, desc, ops))
-            ASSERT_EQ(bits, 0u) << simdBackendName(backend);
+    // with its first product would store -0 instead. The tile widths
+    // run every register block: 16-column, 64-column and a masked
+    // tail, with 7 rows leaving a leftover row block.
+    for (const int64_t tile_n : {16, 64, 72}) {
+        GemmDesc desc;
+        desc.m = 7;
+        desc.n = 144;
+        desc.k = 5;
+        desc.tiling.tileM = 16;
+        desc.tiling.tileN = tile_n;
+        Tensor<Half> a(Shape({desc.m, desc.k})); // all +0
+        Tensor<Half> b(Shape({desc.k, desc.n}));
+        for (int64_t i = 0; i < b.numel(); ++i)
+            b.data()[i] = Half(-1.5f);
+        GemmOperands ops;
+        ops.a = &a;
+        ops.b = &b;
+        for (const SimdBackend backend : availableSimdBackends()) {
+            for (const uint32_t bits : gemmBits(backend, desc, ops))
+                ASSERT_EQ(bits, 0u) << simdBackendName(backend)
+                                    << " tileN=" << tile_n;
+        }
     }
 }
 
@@ -503,8 +571,7 @@ TEST(PackedGemm, FullyMaskedCausalTilesMatchMaskingAfterwards)
     const int64_t tile_n = 8;
     const int64_t nsv = (L + tile_n - 1) / tile_n;
     for (const bool nan_row : {false, true}) {
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             Rng rng(71);
             GemmDesc plain;
             plain.m = L;
@@ -624,8 +691,7 @@ TEST(PackedGemm, CausalAStopsAtDiagonalBitIdentical)
                     ops.gsFactors = &gs;
                     GemmDesc causal = plain;
                     causal.prologue.causalA = true;
-                    for (const SimdBackend backend :
-                         {SimdBackend::Scalar, detectedSimdBackend()}) {
+                    for (const SimdBackend backend : availableSimdBackends()) {
                         EXPECT_EQ(gemmBits(backend, causal, ops),
                                   gemmBits(backend, plain, ops))
                             << "m=" << shape.m << " k=" << shape.k
@@ -680,8 +746,7 @@ TEST(FmaRule, Fp16OperandsGiveTheBitsOfAMulAddTripleLoop)
             ops.a = &a;
             ops.b = &b;
             ops.bias = &bias;
-            for (const SimdBackend backend :
-                 {SimdBackend::Scalar, detectedSimdBackend()}) {
+            for (const SimdBackend backend : availableSimdBackends()) {
                 std::vector<uint32_t> want;
                 withBackend(backend, [&] {
                     std::vector<float> row(size_t(desc.n));
@@ -777,8 +842,7 @@ TEST(FmaRule, GsPrologueGemmIsAnFmaChain)
                     (fused ? want_fma : want_mul_add).push_back(h.bits());
             }
         }
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             EXPECT_EQ(gemmBits(backend, desc, ops), want_fma)
                 << "tileN=" << tile_n << " " << simdBackendName(backend);
         }
@@ -794,7 +858,7 @@ TEST(FmaRule, DotRowsAndAccumRowsAreOneChainPerElement)
     // fmaDotRows runs eight rows per vector and the rest one by one;
     // fmaAccumRows runs 64-, 8- and 1-column blocks. At every count
     // and width both must give one std::fma chain per element, on
-    // both backends and for fp32 and fp16 rows alike, and
+    // every backend and for fp32 and fp16 rows alike, and
     // fmaAccumRows must continue the chains in acc.
     Rng rng(1500);
     for (const int64_t n : {1, 7, 8, 9, 23, 64, 65, 72, 130}) {
@@ -829,8 +893,7 @@ TEST(FmaRule, DotRowsAndAccumRowsAreOneChainPerElement)
                     c = std::fma(p[size_t(r)], rows[size_t(r * ld + d)], c);
                 want_acc.push_back(bitsOf(c));
             }
-            for (const SimdBackend backend :
-                 {SimdBackend::Scalar, detectedSimdBackend()}) {
+            for (const SimdBackend backend : availableSimdBackends()) {
                 for (const bool fp16_rows : {false, true}) {
                     std::vector<float> out(static_cast<size_t>(count));
                     std::vector<float> acc = acc0;
@@ -866,12 +929,16 @@ TEST(FmaRule, DotRowsAndAccumRowsAreOneChainPerElement)
 
 TEST(FmaRule, AvxBackendImpliesFma)
 {
-    // The AVX2 bodies issue FMA instructions, so the backend that runs
-    // them is only ever detected on a CPU that has FMA.
+    // The AVX2 and AVX-512 bodies issue FMA instructions, so a backend
+    // that runs them is only ever detected on a CPU that has FMA, and
+    // the AVX-512 tile only on one with AVX-512F.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    if (detectedSimdBackend() == SimdBackend::F16cAvx2) {
+    if (simdHasAvx2(detectedSimdBackend())) {
         EXPECT_TRUE(__builtin_cpu_supports("fma"));
     }
+    EXPECT_EQ(detectedSimdBackend() == SimdBackend::Avx512,
+              simdHasAvx2(detectedSimdBackend()) &&
+                  __builtin_cpu_supports("avx512f"));
 #endif
     SUCCEED();
 }
@@ -880,12 +947,11 @@ TEST(PackedGemm, FullyMaskedLsTilesStoreTheMaskedSegmentBits)
 {
     // A fully masked tile skips its LS epilogue and stores m', d' and
     // X' directly. Those must be the bits maxSpan/expSpan give for an
-    // all -inf segment with a -inf shift, on both backends.
+    // all -inf segment with a -inf shift, on every backend.
     const float neg_inf = -std::numeric_limits<float>::infinity();
     const int64_t L = 83;
     for (const int64_t tile : {16, 64}) {
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             Rng rng(uint64_t(31 + tile));
             GemmDesc desc;
             desc.m = L;
@@ -961,8 +1027,7 @@ TEST(RowSoftmax, CausalRowsStopAtDiagonalBitIdentical)
         full.cols = L;
         SoftmaxShape causal = full;
         causal.causal = true;
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             Tensor<Half> want(Shape({L, L}));
             Tensor<Half> got(Shape({L, L}));
             Tensor<Half> got_junk(Shape({L, L}));
@@ -1000,8 +1065,7 @@ TEST(CausalAttention, RowsIgnoreNonFiniteValueRowsPastThem)
     fillNormal(inputs.v, rng, 0.0, 1.0);
     for (const Strategy strategy :
          {Strategy::Baseline, Strategy::Decomposed, Strategy::Fused}) {
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             withBackend(backend, [&] {
                 const Tensor<Half> want =
                     runAttention(ExecContext(), config, inputs, strategy);
@@ -1107,8 +1171,7 @@ TEST(ExpPrimitive, WithinOneUlpOfLibmOnNormalResults)
 {
     const std::vector<float> xs = denseExpSweep();
     std::vector<float> out(xs.size());
-    for (const SimdBackend backend :
-         {SimdBackend::Scalar, detectedSimdBackend()}) {
+    for (const SimdBackend backend : availableSimdBackends()) {
         expSpan(backend, xs.data(), 0.0f, out.data(),
                 int64_t(xs.size()));
         int64_t checked = 0;
@@ -1134,8 +1197,7 @@ TEST(ExpPrimitive, SpecialValues)
     const std::vector<float> in = {-kInf, nan, 0.0f, -0.0f, 88.8f,
                                    kInf, -87.34f, -1000.0f,
                                    88.72283f};
-    for (const SimdBackend backend :
-         {SimdBackend::Scalar, detectedSimdBackend()}) {
+    for (const SimdBackend backend : availableSimdBackends()) {
         std::vector<float> out(in.size());
         expSpan(backend, in.data(), 0.0f, out.data(),
                 int64_t(in.size()));
@@ -1169,8 +1231,7 @@ TEST(ExpPrimitive, AppendedMaskedElementsLeaveSumAndMaxUnchanged)
     for (size_t j = 0; j < 40; ++j)
         row[j] = float(rng.normal(0.0, 3.0));
     std::vector<float> out(row.size());
-    for (const SimdBackend backend :
-         {SimdBackend::Scalar, detectedSimdBackend()}) {
+    for (const SimdBackend backend : availableSimdBackends()) {
         for (int64_t n = 1; n <= 33; ++n) {
             const float max_n = maxSpan(backend, row.data(), n);
             const float sum_n =
@@ -1362,8 +1423,7 @@ TEST(LsTilePrimitive, MatchesPerSegmentSequenceAtEveryShape)
                             row[j] = -kInf;
                     }
                 }
-                for (const SimdBackend backend :
-                     {SimdBackend::Scalar, detectedSimdBackend()}) {
+                for (const SimdBackend backend : availableSimdBackends()) {
                     expectLsTileMatchesSegments(backend, scores, rows,
                                                 width, ld, sub);
                 }
@@ -1399,8 +1459,7 @@ TEST(LsTilePrimitive, SignedZeroMaximaAndSpecialScores)
         inf_row[29] = kInf;
         nan_row[20] = neg_nan;
         nan_row[33] = nan;
-        for (const SimdBackend backend :
-             {SimdBackend::Scalar, detectedSimdBackend()}) {
+        for (const SimdBackend backend : availableSimdBackends()) {
             expectLsTileMatchesSegments(backend, scores, 4, width, width,
                                         sub);
         }
@@ -1408,8 +1467,7 @@ TEST(LsTilePrimitive, SignedZeroMaximaAndSpecialScores)
     // The NaN rule itself, on one 8-wide segment holding +inf.
     std::vector<float> seg = {1.0f, kInf, 2.0f, -kInf,
                               0.5f, kInf, 3.0f, 4.0f};
-    for (const SimdBackend backend :
-         {SimdBackend::Scalar, detectedSimdBackend()}) {
+    for (const SimdBackend backend : availableSimdBackends()) {
         std::vector<Half> x(seg.size());
         float m = 0.0f, d = 0.0f;
         LsTile tile;
@@ -1495,8 +1553,7 @@ TEST(RowSoftmax, BitIdenticalAcrossThreadCountsAndBackends)
         rowSoftmaxRun(ctx, desc, in, out);
         return out;
     };
-    for (const SimdBackend backend :
-         {SimdBackend::Scalar, detectedSimdBackend()}) {
+    for (const SimdBackend backend : availableSimdBackends()) {
         withBackend(backend, [&] {
             const Tensor<Half> serial = runWith(1, run);
             for (int threads : {3, 7}) {

@@ -155,8 +155,7 @@ TEST(StreamingAttention, MatchesRecomposedAndReferenceWithinTolerance)
                                           SimdBackend::Scalar);
 
         for (const int threads : {1, 4}) {
-            for (const SimdBackend backend :
-                 {SimdBackend::Scalar, detectedSimdBackend()}) {
+            for (const SimdBackend backend : availableSimdBackends()) {
                 const Tensor<Half> out =
                     runWith(config, inputs, threads, backend);
                 EXPECT_LT(maxAbsVsReference(out, gold), kTol)
@@ -187,9 +186,14 @@ TEST(StreamingAttention, BitIdenticalAcrossThreadsAndSimd)
         return b;
     };
     const auto reference = bits(1, SimdBackend::Scalar);
-    EXPECT_EQ(bits(4, SimdBackend::Scalar), reference);
-    EXPECT_EQ(bits(1, detectedSimdBackend()), reference);
-    EXPECT_EQ(bits(4, detectedSimdBackend()), reference);
+    for (const SimdBackend simd : availableSimdBackends()) {
+        for (const int threads : {1, 4}) {
+            if (simd == SimdBackend::Scalar && threads == 1)
+                continue;
+            EXPECT_EQ(bits(threads, simd), reference)
+                << simdBackendName(simd) << " threads=" << threads;
+        }
+    }
 }
 
 TEST(StreamingAttention, LongRaggedCrossAttentionWithinTolerance)
