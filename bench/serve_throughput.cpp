@@ -5,8 +5,9 @@
  * batch limits {1, 4, 16} and the bench reports tokens/s plus p50/p95
  * request latency per arm, alongside the profiler's per-kernel rows.
  * A fourth arm repeats the batch-4 trace with the streaming attention
- * backend (SOFTREC_ATTENTION=streaming equivalent) for a prefill
- * recomposed-vs-streaming A/B on the same workload, and a fifth
+ * backend (the stack's config.attention set to Streaming; the other
+ * arms serve the recomposed stack DecoderStack::random returns) for a
+ * prefill recomposed-vs-streaming A/B on the same workload, and a fifth
  * repeats it with the int8 KV cache for a capacity A/B: same
  * fp16-denominated token budget (= same slab byte budget), so the
  * reported KV token capacity must come out >= 1.8x the f16 arm's.

@@ -7,23 +7,23 @@
 #      self-test, then the tree gate — zero unbaselined findings)
 #   3. clang-tidy             (skipped if clang-tidy is absent), then
 #      cppcheck               (skipped if cppcheck is absent)
-#   4. release build + tests  (-DSOFTREC_WERROR=ON), run six times:
-#      serial, SOFTREC_THREADS=4 to exercise the thread pool,
-#      SOFTREC_SIMD=off to pin the scalar conversion fallback, the
-#      portable GEMM micro-kernel and the scalar exp path,
-#      SOFTREC_ATTENTION=streaming to serve/decode through the
-#      single-pass streaming attention backend,
-#      SOFTREC_SERVE_KV_DTYPE=int8 to serve on the quantized KV
-#      cache, then SOFTREC_SERVE_PREFILL_CHUNK=3 to serve through
-#      the chunked-prefill path; then the repository benchmark runner
+#   4. release build + tests  (-DSOFTREC_WERROR=ON), run once: the
+#      configuration matrix is explicit gtest parameters
+#      (tests/test_matrix.hpp), not reruns under env permutations.
+#      The ServeMatrix suites run the serving contracts on every
+#      attention backend x KV dtype x prefill chunk {0, 3}; the
+#      ExecMatrix suites and the KvEquivalence, StripLoop,
+#      ParallelDeterminism and PackedGemm tests pin thread counts and
+#      SIMD backends themselves. Then the repository benchmark runner
 #      (perfbench/, configured into build/perfbench) must still build
 #      against the model API and pass its --self-test
 #   5. checked build + tests  (-DSOFTREC_CHECKED_BUILD=ON, WERROR)
 #   6. asan-ubsan build + tests (sanitizers + checked mode, WERROR),
 #      plus a serve smoke: the serve_throughput bench runs end to end
 #      under the sanitizers (reports go to the build dir, not the root)
-#   7. tsan build + parallel-runtime tests under SOFTREC_THREADS=4
-#      (profiling enabled: test_profiler exercises the counter merge;
+#   7. tsan build + parallel-runtime tests (their 4-thread cases
+#      build their own pools; profiling enabled: test_profiler
+#      exercises the counter merge;
 #      test_serve exercises queue/pool shutdown ordering;
 #      test_admission races concurrent reserves; test_serve_engine
 #      drives the async engine's producer/consumer threads;
@@ -38,9 +38,8 @@
 #      the head-of-line arm — 4k-token prompts arriving mid-decode —
 #      and asserts chunked prefill's >= 3x active-stream p95 win); plus
 #      negative checks that malformed SOFTREC_BENCH_SEQLEN,
-#      SOFTREC_ATTENTION, SOFTREC_SERVE_KV_DTYPE, and
-#      SOFTREC_SERVE_PREFILL_CHUNK values hard-error instead of
-#      falling back
+#      SOFTREC_SERVE_KV_DTYPE, and SOFTREC_SERVE_PREFILL_CHUNK values
+#      hard-error instead of falling back
 #
 # Every stage must pass; the script stops at the first failure.
 # A toolchain without clang still runs stages 2 and 4-6, which are the
@@ -93,26 +92,6 @@ cmake --preset release -DSOFTREC_WERROR=ON >/dev/null
 cmake --build build/release -j "${JOBS}"
 ctest --test-dir build/release --output-on-failure -j "${JOBS}"
 
-step "release tests with SOFTREC_THREADS=4 (thread-pool path)"
-SOFTREC_THREADS=4 \
-    ctest --test-dir build/release --output-on-failure -j "${JOBS}"
-
-step "release tests with SOFTREC_SIMD=off (scalar conversions, portable GEMM kernel, scalar exp)"
-SOFTREC_SIMD=off \
-    ctest --test-dir build/release --output-on-failure -j "${JOBS}"
-
-step "release tests with SOFTREC_ATTENTION=streaming (online-softmax backend)"
-SOFTREC_ATTENTION=streaming \
-    ctest --test-dir build/release --output-on-failure -j "${JOBS}"
-
-step "release tests with SOFTREC_SERVE_KV_DTYPE=int8 (quantized KV cache)"
-SOFTREC_SERVE_KV_DTYPE=int8 \
-    ctest --test-dir build/release --output-on-failure -j "${JOBS}"
-
-step "release tests with SOFTREC_SERVE_PREFILL_CHUNK=3 (chunked prefill)"
-SOFTREC_SERVE_PREFILL_CHUNK=3 \
-    ctest --test-dir build/release --output-on-failure -j "${JOBS}"
-
 step "perfbench runner build + self-test (benchmark tracks the model API)"
 cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=Release \
     >/dev/null
@@ -140,14 +119,14 @@ SOFTREC_BENCH_DIR="${ROOT}/build/asan-ubsan/bench" \
 SOFTREC_BENCH_SEQLEN=64 SOFTREC_THREADS=2 \
     ./build/asan-ubsan/bench/serve_throughput >/dev/null
 
-step "tsan build + parallel runtime tests (SOFTREC_THREADS=4)"
+step "tsan build + parallel runtime tests"
 cmake --preset tsan -DSOFTREC_WERROR=ON >/dev/null
 cmake --build build/tsan -j "${JOBS}" --target \
     test_exec_context test_parallel_determinism \
     test_attention_exec test_functional_layer test_profiler \
     test_serve test_admission test_serve_engine \
     test_streaming_attention
-SOFTREC_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build/tsan --output-on-failure -j "${JOBS}" \
     -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention'
 
@@ -203,12 +182,6 @@ if SOFTREC_BENCH_SEQLEN=32 ./build/release/bench/micro_simd \
     exit 1
 fi
 echo "SOFTREC_BENCH_SEQLEN=32: rejected (OK)"
-if SOFTREC_ATTENTION=flash SOFTREC_BENCH_SEQLEN=64 \
-    ./build/release/bench/serve_throughput >/dev/null 2>&1; then
-    echo "ci: SOFTREC_ATTENTION=flash did not fail" >&2
-    exit 1
-fi
-echo "SOFTREC_ATTENTION=flash: rejected (OK)"
 if SOFTREC_SERVE_KV_DTYPE=fp4 SOFTREC_BENCH_SEQLEN=64 \
     ./build/release/bench/serve_throughput >/dev/null 2>&1; then
     echo "ci: SOFTREC_SERVE_KV_DTYPE=fp4 did not fail" >&2

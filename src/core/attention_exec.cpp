@@ -314,7 +314,7 @@ runAttention(const ExecContext &ctx, const SdaConfig &config,
     }
     if (config.backend == AttentionBackend::Streaming) {
         if (config.sparse()) {
-            fatal("SOFTREC_ATTENTION=streaming supports dense "
+            fatal("the streaming attention backend supports dense "
                   "attention only; block-sparse layouts run the "
                   "recomposed backend");
         }

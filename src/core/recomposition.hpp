@@ -67,8 +67,7 @@ struct SdaConfig
     /**
      * Execution backend: Recomposed runs the strategy pipeline;
      * Streaming runs the single-pass online-softmax kernel (dense
-     * only) and ignores the strategy. Selected by the
-     * SOFTREC_ATTENTION knob at the config layer.
+     * only) and ignores the strategy.
      */
     AttentionBackend backend = AttentionBackend::Recomposed;
 

@@ -5,16 +5,8 @@
 
 #include "kernels/fused_mha.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <vector>
-
-#include "common/check.hpp"
 #include "common/logging.hpp"
-#include "common/profiler.hpp"
 #include "common/units.hpp"
-#include "fp16/simd_math.hpp"
-#include "kernels/fma_dot.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
 #include "sim/calibration.hpp"
@@ -88,77 +80,6 @@ fusedMhaProfile(const GpuSpec &spec, const FusedMhaDesc &desc)
     prof.cudaFlops = 4.0 * attn_elems;
     prof.sfuOps = attn_elems;
     return prof;
-}
-
-void
-fusedMhaRun(const ExecContext &ctx, const FusedMhaDesc &desc,
-            const Tensor<Half> &q, const Tensor<Half> &k,
-            const Tensor<Half> &v, Tensor<Half> &out)
-{
-    SOFTREC_ASSERT(desc.batch == 1,
-                   "functional fused MHA handles one head");
-    const int64_t L = desc.seqLen;
-    const int64_t dh = desc.dHead;
-    const Shape expect({L, dh});
-    SOFTREC_ASSERT(q.shape() == expect && k.shape() == expect &&
-                   v.shape() == expect && out.shape() == expect,
-                   "fused MHA operand shapes must be [L, dHead]");
-    constexpr float neg_inf = -std::numeric_limits<float>::infinity();
-
-    // Only the layer inputs and output touch off-chip memory: the
-    // attention matrix lives entirely in the per-chunk scores buffer.
-    prof::Scope scope(ctx, desc.name.c_str());
-    if (scope.active()) {
-        scope.addRead(uint64_t(3 * L * dh) * kFp16Bytes); // Q, K, V
-        scope.addWrite(uint64_t(L * dh) * kFp16Bytes);    // O
-    }
-
-    // Q, K, V widened to fp32 once up front (they are contiguous
-    // [L, dh] tensors); every row chunk reads them read-only. This
-    // models the kernel staging K/V on chip instead of reconverting
-    // them per query row.
-    std::vector<float> qf(size_t(L) * size_t(dh));
-    std::vector<float> kf(size_t(L) * size_t(dh));
-    std::vector<float> vf(size_t(L) * size_t(dh));
-    halfToFloat(q.data(), qf.data(), L * dh);
-    halfToFloat(k.data(), kf.data(), L * dh);
-    halfToFloat(v.data(), vf.data(), L * dh);
-
-    // Parallel over query rows; each chunk owns a scores buffer and
-    // writes disjoint output rows (bit-identical at any thread count).
-    const SimdBackend backend = simdBackend();
-    parallelFor(ctx, 0, L, 8, [&](int64_t row0, int64_t row1) {
-        std::vector<float> scores(size_t(L), 0.0f);
-        std::vector<float> orow(size_t(dh), 0.0f);
-        for (int64_t i = row0; i < row1; ++i) {
-            const float *qrow = &qf[size_t(i) * size_t(dh)];
-            fmaDotRows(backend, qrow, kf.data(), dh, L, dh,
-                       scores.data());
-            for (int64_t j = 0; j < L; ++j) {
-                float &s = scores[size_t(j)];
-                s *= float(desc.scale);
-                if (desc.causalMask && j > i)
-                    s = neg_inf;
-            }
-            const float row_max = maxSpan(backend, scores.data(), L);
-            const float denom = expSpan(backend, scores.data(), row_max,
-                                        scores.data(), L);
-            SOFTREC_CHECK(denom > 0.0f || row_max == neg_inf,
-                          "fused MHA row %lld: normalizer d = %f must "
-                          "be positive for an unmasked row",
-                          (long long)i, double(denom));
-            const float inv = denom > 0.0f ? 1.0f / denom : 0.0f;
-            // P.V: one j-ascending fma chain per output element.
-            std::fill(orow.begin(), orow.end(), 0.0f);
-            fmaAccumRows(backend, scores.data(), vf.data(), dh, L, dh,
-                         orow.data());
-            for (int64_t d = 0; d < dh; ++d)
-                orow[size_t(d)] *= inv;
-            floatToHalf(orow.data(), out.rowPtr(i), dh);
-        }
-    });
-    if constexpr (kCheckedBuild)
-        checkFinite(out, "fused MHA output");
 }
 
 } // namespace softrec

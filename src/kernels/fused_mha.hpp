@@ -8,18 +8,17 @@
  * short inputs (L <= 384 in FasterTransformer) because the K and V
  * operands must fit in each thread block's shared memory. This module
  * models that kernel so the library baselines and the short-sequence
- * ablation can include it, and provides the functional equivalent.
+ * ablation can include it. It is a cost model only: the CPU stack
+ * runs the strip loop (core/attention_exec.hpp) instead.
  */
 
 #ifndef SOFTREC_KERNELS_FUSED_MHA_HPP
 #define SOFTREC_KERNELS_FUSED_MHA_HPP
 
+#include <cstdint>
 #include <string>
 
-#include "common/exec_context.hpp"
-#include "fp16/half.hpp"
 #include "sim/kernel_profile.hpp"
-#include "tensor/tensor.hpp"
 
 namespace softrec {
 
@@ -48,16 +47,6 @@ bool fusedMhaSupported(const GpuSpec &spec, const FusedMhaDesc &desc);
 /** Launch profile; call only when fusedMhaSupported. */
 KernelProfile fusedMhaProfile(const GpuSpec &spec,
                               const FusedMhaDesc &desc);
-
-/**
- * Functional fused MHA for one head (batch must be 1): computes
- * softmax(scale * Q.K^T [masked]) . V with fp32 intermediates and no
- * materialized attention matrix. Parallel over query rows;
- * bit-identical for any thread count.
- */
-void fusedMhaRun(const ExecContext &ctx, const FusedMhaDesc &desc,
-                 const Tensor<Half> &q, const Tensor<Half> &k,
-                 const Tensor<Half> &v, Tensor<Half> &out);
 
 } // namespace softrec
 

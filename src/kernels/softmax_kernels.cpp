@@ -26,9 +26,6 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 /** Rows per parallelFor chunk (fixed: part of the determinism contract). */
 constexpr int64_t kRowGrain = 8;
 
-/** Elements per step of the online softmax's running (max, sum). */
-constexpr int64_t kOnlineChunk = 64;
-
 } // namespace
 
 int64_t
@@ -143,63 +140,6 @@ onlineRowSoftmaxProfile(const GpuSpec &spec, const SoftmaxShape &desc)
     prof.cudaFlops += double(desc.batch) * double(desc.rows) *
                       double(desc.cols);
     return prof;
-}
-
-void
-onlineRowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
-                    const Tensor<Half> &in, Tensor<Half> &out)
-{
-    SOFTREC_ASSERT(desc.batch == 1,
-                   "functional softmax handles one matrix; loop outside");
-    const Shape expect({desc.rows, desc.cols});
-    SOFTREC_ASSERT(in.shape() == expect && out.shape() == expect,
-                   "softmax shapes must be [rows, cols]");
-    if constexpr (kCheckedBuild)
-        checkFinite(in, "onlineRowSoftmax input", /*allow_neg_inf=*/true);
-    prof::Scope scope(ctx, "softmax.online");
-    const SimdBackend backend = simdBackend();
-    parallelFor(ctx, 0, desc.rows, kRowGrain,
-                [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t matrix =
-                uint64_t(row1 - row0) * uint64_t(desc.cols) * kFp16Bytes;
-            scope.addRead(matrix);
-            scope.addWrite(matrix);
-        }
-        std::vector<float> row(size_t(desc.cols));
-        float chunk[kOnlineChunk];
-        for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            // Single online pass, one chunk at a time: running max and
-            // rescaled normalizer (exp(-inf - m) == 0 drops the empty
-            // running sum of the first live chunk).
-            float running_max = kNegInf;
-            float running_sum = 0.0f;
-            for (int64_t j0 = 0; j0 < desc.cols; j0 += kOnlineChunk) {
-                const int64_t w = std::min(kOnlineChunk, desc.cols - j0);
-                const float new_max = std::max(
-                    running_max, maxSpan(backend, &row[size_t(j0)], w));
-                if (new_max == kNegInf)
-                    continue;
-                float rescale;
-                expSpan(backend, &running_max, new_max, &rescale, 1);
-                running_sum = running_sum * rescale +
-                              expSpan(backend, &row[size_t(j0)], new_max,
-                                      chunk, w);
-                running_max = new_max;
-            }
-            expSpan(backend, row.data(), running_max, row.data(),
-                    desc.cols);
-            for (int64_t j = 0; j < desc.cols; ++j) {
-                row[size_t(j)] = running_sum > 0.0f
-                    ? row[size_t(j)] / running_sum
-                    : 0.0f;
-            }
-            floatToHalf(row.data(), out.rowPtr(i), desc.cols);
-        }
-    });
-    if constexpr (kCheckedBuild)
-        checkRowSumsNearOne(out, "onlineRowSoftmax output");
 }
 
 KernelProfile

@@ -104,11 +104,6 @@ void rowSoftmaxRows(SimdBackend backend, const SoftmaxShape &desc,
 KernelProfile onlineRowSoftmaxProfile(const GpuSpec &spec,
                                       const SoftmaxShape &desc);
 
-/** Functional online-normalizer softmax along rows. */
-void onlineRowSoftmaxRun(const ExecContext &ctx,
-                         const SoftmaxShape &desc,
-                         const Tensor<Half> &in, Tensor<Half> &out);
-
 /** LS kernel profile: square tiles of sub-vectors per TB. */
 KernelProfile lsProfile(const GpuSpec &spec, const SoftmaxShape &desc);
 

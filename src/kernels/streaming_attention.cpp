@@ -34,8 +34,6 @@
 #include "kernels/streaming_attention.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -58,21 +56,6 @@ attentionBackendName(AttentionBackend backend)
         return "streaming";
     }
     return "?";
-}
-
-AttentionBackend
-attentionBackendFromEnv()
-{
-    const char *env = std::getenv("SOFTREC_ATTENTION");
-    if (env == nullptr || *env == '\0')
-        return AttentionBackend::Recomposed;
-    if (std::strcmp(env, "recomposed") == 0)
-        return AttentionBackend::Recomposed;
-    if (std::strcmp(env, "streaming") == 0)
-        return AttentionBackend::Streaming;
-    fatal("SOFTREC_ATTENTION='%s' is invalid: expected 'recomposed' "
-          "or 'streaming'; unset it to use the default (recomposed)",
-          env);
 }
 
 namespace {

@@ -40,8 +40,7 @@
 namespace softrec {
 
 /**
- * Attention execution backend, selected by the SOFTREC_ATTENTION
- * environment knob (config layer) or set explicitly on SdaConfig /
+ * Attention execution backend, set on SdaConfig /
  * FunctionalLayerConfig. Recomposed runs the paper's strategy
  * pipeline (Baseline / SD / SDF); Streaming runs the single-pass
  * online-softmax kernel and ignores the strategy.
@@ -54,14 +53,6 @@ enum class AttentionBackend
 
 /** Display name ("recomposed", "streaming"). */
 const char *attentionBackendName(AttentionBackend backend);
-
-/**
- * Parse the SOFTREC_ATTENTION environment variable: unset or empty
- * means Recomposed, "recomposed" / "streaming" select the backend,
- * and anything else hard-errors (fatal) — the ServeConfig::fromEnv
- * policy, so a typo can never silently run the wrong kernel.
- */
-AttentionBackend attentionBackendFromEnv();
 
 /**
  * Key/value tile width of the streaming kernels. Shared by the

@@ -337,7 +337,6 @@ DecoderStack::random(int64_t d_model, int64_t num_heads, int64_t d_ff,
     stack.config.numHeads = num_heads;
     stack.config.dFf = d_ff;
     stack.config.causalMask = true;
-    stack.config.attention = attentionBackendFromEnv();
     stack.layers.reserve(size_t(num_layers));
     for (int64_t l = 0; l < num_layers; ++l)
         stack.layers.push_back(

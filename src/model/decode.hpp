@@ -102,10 +102,9 @@ struct DecoderStack
     std::vector<EncoderLayerWeights> layers;
 
     /**
-     * Randomly initialized stack with a causal dense config. The
-     * attention backend is seeded from SOFTREC_ATTENTION
-     * (hard-erroring on invalid values), so serving stacks follow the
-     * environment knob without per-call-site plumbing.
+     * Randomly initialized stack with a causal dense config on the
+     * Recomposed attention backend. A caller that serves on the
+     * streaming backend sets config.attention afterwards.
      */
     static DecoderStack random(int64_t d_model, int64_t num_heads,
                                int64_t d_ff, int64_t num_layers,

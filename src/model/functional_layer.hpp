@@ -59,8 +59,8 @@ struct FunctionalLayerConfig
     Strategy strategy = Strategy::Baseline;
     /**
      * Attention backend: Recomposed runs `strategy`; Streaming runs
-     * the single-pass online-softmax kernel (dense only). The serving
-     * stack (DecoderStack::random) seeds this from SOFTREC_ATTENTION.
+     * the single-pass online-softmax kernel (dense only). Set it
+     * explicitly; DecoderStack::random leaves it Recomposed.
      */
     AttentionBackend attention = AttentionBackend::Recomposed;
     int64_t subVector = 16;

@@ -36,8 +36,7 @@ serveEnvInt(const char *var, int64_t fallback, int64_t max)
     return parsed;
 }
 
-} // namespace
-
+/** SOFTREC_SERVE_KV_DTYPE: "f16" (the default) or "int8". */
 KvDtype
 kvDtypeFromEnv()
 {
@@ -52,6 +51,7 @@ kvDtypeFromEnv()
           "'int8'; unset it to use the default (f16)", text);
 }
 
+/** SOFTREC_SERVE_PREFILL_CHUNK: rows per prefill chunk, 0 = one shot. */
 int64_t
 prefillChunkTokensFromEnv()
 {
@@ -60,6 +60,8 @@ prefillChunkTokensFromEnv()
     // prefill.
     return serveEnvInt("SOFTREC_SERVE_PREFILL_CHUNK", 0, 1 << 20);
 }
+
+} // namespace
 
 ServeConfig
 ServeConfig::fromEnv()

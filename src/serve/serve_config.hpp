@@ -19,23 +19,6 @@
 
 namespace softrec {
 
-/**
- * Parse SOFTREC_SERVE_KV_DTYPE: unset/empty means the fp16 reference,
- * "f16"/"int8" select a format, anything else is a hard startup
- * error (like every other serve knob).
- */
-KvDtype kvDtypeFromEnv();
-
-/**
- * Parse SOFTREC_SERVE_PREFILL_CHUNK: unset/empty means 0 (prefill
- * runs in one shot at admission), otherwise a strict positive
- * integer — the engine then processes at most that many prompt rows
- * per serve step and interleaves them with decode, so a long
- * arriving prompt cannot stall active streams. Garbage (including
- * an explicit 0) is a hard startup error like every serve knob.
- */
-int64_t prefillChunkTokensFromEnv();
-
 /** Serving engine limits (see fromEnv for the environment knobs). */
 struct ServeConfig
 {
@@ -76,9 +59,11 @@ struct ServeConfig
      *   SOFTREC_SERVE_TENANT_BUDGET       admission.tenantTokenBudget
      *   SOFTREC_SERVE_SOFT_PROMPT_CAP     admission.softPromptCapTokens
      *
-     * plus SOFTREC_SERVE_KV_DTYPE (f16|int8) -> kvDtype via
-     * kvDtypeFromEnv() and SOFTREC_SERVE_PREFILL_CHUNK ->
-     * prefillChunkTokens via prefillChunkTokensFromEnv().
+     * plus SOFTREC_SERVE_KV_DTYPE -> kvDtype (unset/empty means
+     * f16; "f16" or "int8", anything else is fatal) and
+     * SOFTREC_SERVE_PREFILL_CHUNK -> prefillChunkTokens (unset/empty
+     * means 0, one-shot prefill at admission; otherwise a strict
+     * positive integer, and an explicit 0 is fatal too).
      *
      * Cross-field rule: the soft threshold must stay strictly below
      * the hard threshold (also a hard error, since a crossed pair

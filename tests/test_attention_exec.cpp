@@ -28,13 +28,6 @@
 namespace softrec {
 namespace {
 
-/** Shared context: honors SOFTREC_THREADS so suites can run threaded. */
-ExecContext
-execCtx()
-{
-    return ExecContext::fromEnv();
-}
-
 AttentionInputs
 randomInputs(const SdaConfig &config, uint64_t seed)
 {
@@ -71,7 +64,7 @@ TEST_P(DenseStrategies, AllMatchDoubleReference)
         referenceDenseAttention(config, inputs);
     for (Strategy strategy : allStrategies()) {
         const Tensor<Half> out =
-            runAttention(execCtx(), config, inputs, strategy);
+            runAttention(ExecContext(), config, inputs, strategy);
         EXPECT_LT(maxAbsDiff(toFloat(out), reference), kTol)
             << strategyName(strategy) << " L=" << L << " t=" << t
             << " causal=" << causal;
@@ -95,12 +88,12 @@ TEST(DenseStrategies, PairwiseAgreement)
     config.attnTiling.tileK = 16;
     const AttentionInputs inputs = randomInputs(config, 7);
 
-    const auto baseline =
-        toFloat(runAttention(execCtx(), config, inputs, Strategy::Baseline));
+    const auto baseline = toFloat(
+        runAttention(ExecContext(), config, inputs, Strategy::Baseline));
     const auto sd = toFloat(
-        runAttention(execCtx(), config, inputs, Strategy::Decomposed));
+        runAttention(ExecContext(), config, inputs, Strategy::Decomposed));
     const auto sdf =
-        toFloat(runAttention(execCtx(), config, inputs, Strategy::Fused));
+        toFloat(runAttention(ExecContext(), config, inputs, Strategy::Fused));
     EXPECT_LT(maxAbsDiff(baseline, sd), kTol);
     EXPECT_LT(maxAbsDiff(baseline, sdf), kTol);
     EXPECT_LT(maxAbsDiff(sd, sdf), kTol);
@@ -119,7 +112,7 @@ TEST(DenseStrategies, CausalFirstRowAttendsOnlyToItself)
     const AttentionInputs inputs = randomInputs(config, 8);
     for (Strategy strategy : allStrategies()) {
         const Tensor<Half> out =
-            runAttention(execCtx(), config, inputs, strategy);
+            runAttention(ExecContext(), config, inputs, strategy);
         // Row 0 sees only token 0, so output row 0 = V row 0.
         for (int64_t d = 0; d < config.dHead; ++d) {
             EXPECT_NEAR(float(out.at(0, d)),
@@ -134,31 +127,38 @@ TEST(DenseStrategies, ReusedWorkspaceMatchesFreshRuns)
     // One workspace and one output tensor carried across calls whose
     // L grows and shrinks: the intermediates keep stale values from
     // longer calls, which no kernel may read, so every call must give
-    // the bits of a fresh runAttention.
-    for (const bool causal : {false, true}) {
-        for (Strategy strategy : allStrategies()) {
-            AttentionWorkspace ws;
-            Tensor<Half> out;
-            for (const int64_t L : {40, 97, 17, 64, 97, 5}) {
-                SdaConfig config;
-                config.seqLen = L;
-                config.dHead = 16;
-                config.causalMask = causal;
-                config.subVector = 16;
-                config.attnTiling.tileM = 16;
-                config.attnTiling.tileN = 16;
-                const AttentionInputs inputs =
-                    randomInputs(config, uint64_t(L + 7 * causal));
-                runAttention(execCtx(), config, inputs, strategy, ws,
-                             out);
-                const Tensor<Half> fresh =
-                    runAttention(execCtx(), config, inputs, strategy);
-                ASSERT_EQ(out.shape(), fresh.shape());
-                for (int64_t i = 0; i < fresh.numel(); ++i)
-                    ASSERT_EQ(out.data()[i].bits(),
-                              fresh.data()[i].bits())
-                        << strategyName(strategy) << " L=" << L
-                        << " causal=" << causal << " elem=" << i;
+    // the bits of a fresh runAttention, serially and on a pool (whose
+    // worker slots each keep their own strip buffers).
+    ThreadPool pool(4);
+    ExecContext pooled;
+    pooled.pool = &pool;
+    for (const ExecContext &ctx : {ExecContext(), pooled}) {
+        for (const bool causal : {false, true}) {
+            for (Strategy strategy : allStrategies()) {
+                AttentionWorkspace ws;
+                Tensor<Half> out;
+                for (const int64_t L : {40, 97, 17, 64, 97, 5}) {
+                    SdaConfig config;
+                    config.seqLen = L;
+                    config.dHead = 16;
+                    config.causalMask = causal;
+                    config.subVector = 16;
+                    config.attnTiling.tileM = 16;
+                    config.attnTiling.tileN = 16;
+                    const AttentionInputs inputs =
+                        randomInputs(config, uint64_t(L + 7 * causal));
+                    runAttention(ctx, config, inputs, strategy, ws, out);
+                    const Tensor<Half> fresh =
+                        runAttention(ctx, config, inputs, strategy);
+                    ASSERT_EQ(out.shape(), fresh.shape());
+                    for (int64_t i = 0; i < fresh.numel(); ++i)
+                        ASSERT_EQ(out.data()[i].bits(),
+                                  fresh.data()[i].bits())
+                            << strategyName(strategy) << " L=" << L
+                            << " causal=" << causal
+                            << " threads=" << ctx.threads()
+                            << " elem=" << i;
+                }
             }
         }
     }
@@ -489,7 +489,7 @@ TEST_P(SparseStrategies, AllMatchSparseReference)
         referenceSparseAttention(config, inputs);
     for (Strategy strategy : allStrategies()) {
         const Tensor<Half> out =
-            runAttention(execCtx(), config, inputs, strategy);
+            runAttention(ExecContext(), config, inputs, strategy);
         EXPECT_LT(maxAbsDiff(toFloat(out), reference), kTol)
             << strategyName(strategy) << " seed=" << GetParam();
     }
@@ -515,7 +515,7 @@ TEST(SparseStrategies, LongformerLayoutToo)
     const Tensor<float> reference =
         referenceSparseAttention(config, inputs);
     for (Strategy strategy : allStrategies()) {
-        EXPECT_LT(maxAbsDiff(toFloat(runAttention(execCtx(),
+        EXPECT_LT(maxAbsDiff(toFloat(runAttention(ExecContext(),
                                  config, inputs, strategy)),
                              reference),
                   kTol)
@@ -540,9 +540,9 @@ TEST(SparseStrategies, DenseLayoutReproducesDenseAttention)
     const AttentionInputs inputs = randomInputs(sparse, 77);
     for (Strategy strategy : allStrategies()) {
         const Tensor<Half> from_sparse =
-            runAttention(execCtx(), sparse, inputs, strategy);
+            runAttention(ExecContext(), sparse, inputs, strategy);
         const Tensor<Half> from_dense =
-            runAttention(execCtx(), dense, inputs, strategy);
+            runAttention(ExecContext(), dense, inputs, strategy);
         for (int64_t i = 0; i < from_dense.numel(); ++i)
             ASSERT_EQ(from_sparse.data()[i].bits(),
                       from_dense.data()[i].bits())
@@ -563,7 +563,7 @@ TEST(SparseStrategies, CausalMaskWithLayoutIsFatal)
     config.causalMask = true;
     const AttentionInputs inputs = randomInputs(config, 78);
     for (Strategy strategy : allStrategies())
-        EXPECT_THROW(runAttention(execCtx(), config, inputs, strategy),
+        EXPECT_THROW(runAttention(ExecContext(), config, inputs, strategy),
                      std::runtime_error)
             << strategyName(strategy);
 }

@@ -28,13 +28,6 @@
 namespace softrec {
 namespace {
 
-/** Shared context: honors SOFTREC_THREADS so suites can run threaded. */
-ExecContext
-execCtx()
-{
-    return ExecContext::fromEnv();
-}
-
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
@@ -145,9 +138,9 @@ TEST(CheckedBuild, RecompositionPipelineRunsCleanUnderChecks)
     Tensor<float> recon(Shape({desc.rows, desc.numSubVectors()}));
     Tensor<Half> y(in.shape());
 
-    lsRun(execCtx(), desc, in, x_prime, local_max, local_sum);
-    irRun(execCtx(), desc, local_max, local_sum, recon);
-    gsRun(execCtx(), desc, x_prime, recon, y);
+    lsRun(ExecContext(), desc, in, x_prime, local_max, local_sum);
+    irRun(ExecContext(), desc, local_max, local_sum, recon);
+    gsRun(ExecContext(), desc, x_prime, recon, y);
 
     checkReconFactors(recon, "pipeline r'");
     checkRowSumsNearOne(y, "pipeline output");

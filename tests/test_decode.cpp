@@ -4,9 +4,8 @@
  * equivalence suite: incremental decode through the functional KV
  * path must be bit-identical to recomputing the full prefix at every
  * step, across thread counts, SIMD backends and both attention
- * backends (pinned per test, not taken from SOFTREC_ATTENTION), at
- * prompt lengths that leave every remainder modulo the exp
- * primitive's 8 sum lanes.
+ * backends (each pinned per test), at prompt lengths that leave every
+ * remainder modulo the exp primitive's 8 sum lanes.
  */
 
 #include <gtest/gtest.h>

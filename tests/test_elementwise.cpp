@@ -12,18 +12,18 @@
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
 
-/** Shared context: honors SOFTREC_THREADS so suites can run threaded. */
-ExecContext
-execCtx()
-{
-    return ExecContext::fromEnv();
-}
+// The kernels' suites run once per ExecMatrix case: no other test
+// pins their bits across thread counts and SIMD backends.
+using LayerNorm = ExecMatrix;
+using ResidualAdd = ExecMatrix;
+using BiasAct = ExecMatrix;
 
-TEST(LayerNorm, NormalizesRowsToAffineTarget)
+TEST_P(LayerNorm, NormalizesRowsToAffineTarget)
 {
     const int64_t rows = 8, width = 64;
     Rng rng(1);
@@ -32,7 +32,7 @@ TEST(LayerNorm, NormalizesRowsToAffineTarget)
     Tensor<float> gamma(Shape({width}), 2.0f);
     Tensor<float> beta(Shape({width}), 0.5f);
     Tensor<Half> out(in.shape());
-    layerNormRun(execCtx(), in, gamma, beta, out);
+    layerNormRun(ctx(), in, gamma, beta, out);
 
     for (int64_t i = 0; i < rows; ++i) {
         double mean = 0.0, var = 0.0;
@@ -50,7 +50,7 @@ TEST(LayerNorm, NormalizesRowsToAffineTarget)
     }
 }
 
-TEST(LayerNorm, PerColumnAffineApplied)
+TEST_P(LayerNorm, PerColumnAffineApplied)
 {
     Tensor<Half> in(Shape({1, 4}));
     in.at(0, 0) = Half(1.0f);
@@ -64,30 +64,30 @@ TEST(LayerNorm, PerColumnAffineApplied)
         beta.at(j) = float(10 * j);
     }
     Tensor<Half> out(in.shape());
-    layerNormRun(execCtx(), in, gamma, beta, out);
+    layerNormRun(ctx(), in, gamma, beta, out);
     // x normalized = {-1.3416, -0.4472, 0.4472, 1.3416}.
     EXPECT_NEAR(float(out.at(0, 0)), -1.3416f * 1 + 0, 0.01);
     EXPECT_NEAR(float(out.at(0, 3)), 1.3416f * 4 + 30, 0.05);
 }
 
-TEST(LayerNorm, ShapeMismatchPanics)
+TEST_P(LayerNorm, ShapeMismatchPanics)
 {
     Tensor<Half> in(Shape({2, 4})), out(Shape({2, 4}));
     Tensor<float> gamma(Shape({3})), beta(Shape({4}));
-    EXPECT_THROW(layerNormRun(execCtx(), in, gamma, beta, out), std::logic_error);
+    EXPECT_THROW(layerNormRun(ctx(), in, gamma, beta, out), std::logic_error);
 }
 
-TEST(ResidualAdd, ElementwiseSum)
+TEST_P(ResidualAdd, ElementwiseSum)
 {
     Tensor<Half> a(Shape({6}), Half(1.5f));
     Tensor<Half> b(Shape({6}), Half(2.0f));
     Tensor<Half> out(Shape({6}));
-    residualAddRun(execCtx(), a, b, out);
+    residualAddRun(ctx(), a, b, out);
     for (int64_t i = 0; i < 6; ++i)
         EXPECT_EQ(float(out.at(i)), 3.5f);
 }
 
-TEST(BiasAct, BiasOnly)
+TEST_P(BiasAct, BiasOnly)
 {
     Tensor<Half> in(Shape({2, 3}), Half(1.0f));
     Tensor<float> bias(Shape({3}));
@@ -95,23 +95,30 @@ TEST(BiasAct, BiasOnly)
     bias.at(1) = 1.0f;
     bias.at(2) = -2.0f;
     Tensor<Half> out(in.shape());
-    biasActRun(execCtx(), in, bias, false, out);
+    biasActRun(ctx(), in, bias, false, out);
     EXPECT_EQ(float(out.at(0, 0)), 1.0f);
     EXPECT_EQ(float(out.at(0, 1)), 2.0f);
     EXPECT_EQ(float(out.at(1, 2)), -1.0f);
 }
 
-TEST(BiasAct, BiasPlusGelu)
+TEST_P(BiasAct, BiasPlusGelu)
 {
     Tensor<Half> in(Shape({1, 2}), Half(0.0f));
     Tensor<float> bias(Shape({2}));
     bias.at(0) = 1.0f;
     bias.at(1) = -1.0f;
     Tensor<Half> out(in.shape());
-    biasActRun(execCtx(), in, bias, true, out);
+    biasActRun(ctx(), in, bias, true, out);
     EXPECT_NEAR(float(out.at(0, 0)), geluApprox(1.0f), 1e-3);
     EXPECT_NEAR(float(out.at(0, 1)), geluApprox(-1.0f), 1e-3);
 }
+
+INSTANTIATE_TEST_SUITE_P(Exec, LayerNorm, testing::ValuesIn(execCases()),
+                         execCaseName);
+INSTANTIATE_TEST_SUITE_P(Exec, ResidualAdd,
+                         testing::ValuesIn(execCases()), execCaseName);
+INSTANTIATE_TEST_SUITE_P(Exec, BiasAct, testing::ValuesIn(execCases()),
+                         execCaseName);
 
 // ---------- profiles ----------
 

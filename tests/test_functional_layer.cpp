@@ -13,16 +13,10 @@
 #include "model/functional_layer.hpp"
 #include "sparse/patterns.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
-
-/** Shared context: honors SOFTREC_THREADS so suites can run threaded. */
-ExecContext
-execCtx()
-{
-    return ExecContext::fromEnv();
-}
 
 FunctionalLayerConfig
 smallConfig(Strategy strategy)
@@ -45,17 +39,22 @@ randomInput(int64_t rows, int64_t d_model, uint64_t seed)
     return input;
 }
 
-TEST(FunctionalLayer, StrategiesAgreeOnFullLayer)
+// The layer suite runs once per ExecMatrix case: thread counts are
+// pinned by ParallelDeterminism.EncoderLayer for one strategy only,
+// and no other test pins the layer's bits across SIMD backends.
+using FunctionalLayer = ExecMatrix;
+
+TEST_P(FunctionalLayer, StrategiesAgreeOnFullLayer)
 {
     Rng wrng(1);
     const auto weights = EncoderLayerWeights::random(32, 64, wrng);
     const Tensor<Half> input = randomInput(64, 32, 2);
 
-    const auto baseline = toFloat(runEncoderLayer(execCtx(),
+    const auto baseline = toFloat(runEncoderLayer(ctx(),
         smallConfig(Strategy::Baseline), weights, input));
-    const auto sd = toFloat(runEncoderLayer(execCtx(),
+    const auto sd = toFloat(runEncoderLayer(ctx(),
         smallConfig(Strategy::Decomposed), weights, input));
-    const auto sdf = toFloat(runEncoderLayer(execCtx(),
+    const auto sdf = toFloat(runEncoderLayer(ctx(),
         smallConfig(Strategy::Fused), weights, input));
 
     // The LayerNorms re-normalize any accumulated fp16 noise, so the
@@ -64,12 +63,12 @@ TEST(FunctionalLayer, StrategiesAgreeOnFullLayer)
     EXPECT_LT(maxAbsDiff(baseline, sdf), 2e-2);
 }
 
-TEST(FunctionalLayer, OutputIsLayerNormalized)
+TEST_P(FunctionalLayer, OutputIsLayerNormalized)
 {
     Rng wrng(3);
     const auto weights = EncoderLayerWeights::random(32, 64, wrng);
     const Tensor<Half> input = randomInput(16, 32, 4);
-    const Tensor<Half> out = runEncoderLayer(execCtx(),
+    const Tensor<Half> out = runEncoderLayer(ctx(),
         smallConfig(Strategy::Fused), weights, input);
     // gamma = 1, beta = 0: every output row has mean ~0, stddev ~1.
     for (int64_t i = 0; i < 16; ++i) {
@@ -87,7 +86,7 @@ TEST(FunctionalLayer, OutputIsLayerNormalized)
     }
 }
 
-TEST(FunctionalLayer, CausalVariantRunsAndAgrees)
+TEST_P(FunctionalLayer, CausalVariantRunsAndAgrees)
 {
     Rng wrng(5);
     const auto weights = EncoderLayerWeights::random(32, 64, wrng);
@@ -97,12 +96,12 @@ TEST(FunctionalLayer, CausalVariantRunsAndAgrees)
     FunctionalLayerConfig fused = smallConfig(Strategy::Fused);
     fused.causalMask = true;
     EXPECT_LT(maxAbsDiff(
-                  toFloat(runEncoderLayer(execCtx(), base, weights, input)),
-                  toFloat(runEncoderLayer(execCtx(), fused, weights, input))),
+                  toFloat(runEncoderLayer(ctx(), base, weights, input)),
+                  toFloat(runEncoderLayer(ctx(), fused, weights, input))),
               2e-2);
 }
 
-TEST(FunctionalLayer, CausalRowZeroSeesOnlyItself)
+TEST_P(FunctionalLayer, CausalRowZeroSeesOnlyItself)
 {
     // With a causal mask, changing a later token must not change
     // output row 0.
@@ -112,10 +111,10 @@ TEST(FunctionalLayer, CausalRowZeroSeesOnlyItself)
     FunctionalLayerConfig config = smallConfig(Strategy::Fused);
     config.causalMask = true;
     const Tensor<Half> before =
-        runEncoderLayer(execCtx(), config, weights, input);
+        runEncoderLayer(ctx(), config, weights, input);
     for (int64_t j = 0; j < 32; ++j)
         input.at(15, j) = Half(float(input.at(15, j)) + 3.0f);
-    const Tensor<Half> after = runEncoderLayer(execCtx(), config, weights, input);
+    const Tensor<Half> after = runEncoderLayer(ctx(), config, weights, input);
     for (int64_t j = 0; j < 32; ++j)
         EXPECT_EQ(before.at(0, j).bits(), after.at(0, j).bits());
     // But the perturbed row itself changes.
@@ -125,29 +124,29 @@ TEST(FunctionalLayer, CausalRowZeroSeesOnlyItself)
     EXPECT_TRUE(changed);
 }
 
-TEST(FunctionalLayer, Deterministic)
+TEST_P(FunctionalLayer, Deterministic)
 {
     Rng wrng(9);
     const auto weights = EncoderLayerWeights::random(32, 64, wrng);
     const Tensor<Half> input = randomInput(24, 32, 10);
-    const auto a = runEncoderLayer(execCtx(), smallConfig(Strategy::Decomposed),
+    const auto a = runEncoderLayer(ctx(), smallConfig(Strategy::Decomposed),
                                    weights, input);
-    const auto b = runEncoderLayer(execCtx(), smallConfig(Strategy::Decomposed),
+    const auto b = runEncoderLayer(ctx(), smallConfig(Strategy::Decomposed),
                                    weights, input);
     EXPECT_EQ(maxAbsDiff(toFloat(a), toFloat(b)), 0.0);
 }
 
-TEST(FunctionalLayer, ShapeMismatchPanics)
+TEST_P(FunctionalLayer, ShapeMismatchPanics)
 {
     Rng wrng(11);
     const auto weights = EncoderLayerWeights::random(32, 64, wrng);
     const Tensor<Half> bad = randomInput(16, 48, 12);
-    EXPECT_THROW(runEncoderLayer(execCtx(), smallConfig(Strategy::Baseline),
+    EXPECT_THROW(runEncoderLayer(ctx(), smallConfig(Strategy::Baseline),
                                  weights, bad),
                  std::logic_error);
 }
 
-TEST(FunctionalLayer, BlockSparseAttentionStrategiesAgree)
+TEST_P(FunctionalLayer, BlockSparseAttentionStrategiesAgree)
 {
     BigBirdParams params;
     params.blockSize = 16;
@@ -163,7 +162,7 @@ TEST(FunctionalLayer, BlockSparseAttentionStrategiesAgree)
     auto run_with = [&](Strategy strategy) {
         FunctionalLayerConfig config = smallConfig(strategy);
         config.layout = &layout;
-        return toFloat(runEncoderLayer(execCtx(), config, weights, input));
+        return toFloat(runEncoderLayer(ctx(), config, weights, input));
     };
     const auto baseline = run_with(Strategy::Baseline);
     EXPECT_LT(maxAbsDiff(baseline, run_with(Strategy::Decomposed)),
@@ -171,7 +170,7 @@ TEST(FunctionalLayer, BlockSparseAttentionStrategiesAgree)
     EXPECT_LT(maxAbsDiff(baseline, run_with(Strategy::Fused)), 2e-2);
 }
 
-TEST(FunctionalLayer, SparseDiffersFromDenseButStaysNormalized)
+TEST_P(FunctionalLayer, SparseDiffersFromDenseButStaysNormalized)
 {
     const BsrLayout layout = bigBirdPattern(
         64, BigBirdParams{16, 1, 1, 0, 5});
@@ -183,9 +182,9 @@ TEST(FunctionalLayer, SparseDiffersFromDenseButStaysNormalized)
     FunctionalLayerConfig sparse = dense;
     sparse.layout = &layout;
     const auto out_dense =
-        toFloat(runEncoderLayer(execCtx(), dense, weights, input));
+        toFloat(runEncoderLayer(ctx(), dense, weights, input));
     const auto out_sparse =
-        toFloat(runEncoderLayer(execCtx(), sparse, weights, input));
+        toFloat(runEncoderLayer(ctx(), sparse, weights, input));
     // Restricting attention changes the answer...
     EXPECT_GT(maxAbsDiff(out_dense, out_sparse), 1e-3);
     // ...but the LayerNorm still standardizes every row.
@@ -196,6 +195,9 @@ TEST(FunctionalLayer, SparseDiffersFromDenseButStaysNormalized)
         EXPECT_NEAR(mean / 32.0, 0.0, 0.02);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Exec, FunctionalLayer,
+                         testing::ValuesIn(execCases()), execCaseName);
 
 } // namespace
 } // namespace softrec

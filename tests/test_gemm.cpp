@@ -16,16 +16,10 @@
 #include "kernels/softmax_kernels.hpp"
 #include "sim/calibration.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
-
-/** Shared context: honors SOFTREC_THREADS so suites can run threaded. */
-ExecContext
-execCtx()
-{
-    return ExecContext::fromEnv();
-}
 
 /** Naive fp32 reference: C = op(A, B) with the same epilogue. */
 Tensor<float>
@@ -95,7 +89,12 @@ makeOperands(const GemmDesc &desc, Rng &rng, bool transpose_b)
     return made;
 }
 
-TEST(GemmRun, PlainMatchesReference)
+// gemmRun's thread invariance is pinned by a named test for the
+// plain epilogue only (PackedGemm.BitIdenticalAcrossThreadCounts), so
+// this suite runs once per ExecMatrix case.
+using GemmRun = ExecMatrix;
+
+TEST_P(GemmRun, PlainMatchesReference)
 {
     Rng rng(1);
     GemmDesc desc = smallDesc(33, 17, 21); // ragged vs tiles
@@ -104,12 +103,12 @@ TEST(GemmRun, PlainMatchesReference)
     ops.a = &made.a;
     ops.b = &made.b;
     Tensor<Half> c(Shape({desc.m, desc.n}));
-    gemmRun(execCtx(), desc, ops, c);
+    gemmRun(ctx(), desc, ops, c);
     const Tensor<float> ref = referenceGemm(desc, ops);
     EXPECT_LT(maxAbsDiff(toFloat(c), ref), 0.02);
 }
 
-TEST(GemmRun, TransposedBMatchesReference)
+TEST_P(GemmRun, TransposedBMatchesReference)
 {
     Rng rng(2);
     GemmDesc desc = smallDesc(24, 24, 16);
@@ -119,11 +118,11 @@ TEST(GemmRun, TransposedBMatchesReference)
     ops.b = &made.b;
     ops.transposeB = true;
     Tensor<Half> c(Shape({desc.m, desc.n}));
-    gemmRun(execCtx(), desc, ops, c);
+    gemmRun(ctx(), desc, ops, c);
     EXPECT_LT(maxAbsDiff(toFloat(c), referenceGemm(desc, ops)), 0.02);
 }
 
-TEST(GemmRun, ScaleMaskBiasGeluEpilogue)
+TEST_P(GemmRun, ScaleMaskBiasGeluEpilogue)
 {
     Rng rng(3);
     GemmDesc desc = smallDesc(20, 12, 8);
@@ -136,11 +135,11 @@ TEST(GemmRun, ScaleMaskBiasGeluEpilogue)
     ops.b = &made.b;
     ops.bias = &made.bias;
     Tensor<Half> c(Shape({desc.m, desc.n}));
-    gemmRun(execCtx(), desc, ops, c);
+    gemmRun(ctx(), desc, ops, c);
     EXPECT_LT(maxAbsDiff(toFloat(c), referenceGemm(desc, ops)), 0.02);
 }
 
-TEST(GemmRun, CausalMaskZeroesUpperTriangleAfterSoftmax)
+TEST_P(GemmRun, CausalMaskZeroesUpperTriangleAfterSoftmax)
 {
     Rng rng(4);
     GemmDesc desc = smallDesc(16, 16, 8);
@@ -156,7 +155,7 @@ TEST(GemmRun, CausalMaskZeroesUpperTriangleAfterSoftmax)
     Tensor<Half> c(Shape({16, 16}));
     Tensor<float> lmax(Shape({16, 2})), lsum(Shape({16, 2}));
     LsOutputs ls{&lmax, &lsum};
-    gemmRun(execCtx(), desc, ops, c, &ls);
+    gemmRun(ctx(), desc, ops, c, &ls);
     // Masked positions produce X' = 0.
     for (int64_t i = 0; i < 16; ++i)
         for (int64_t j = i + 1; j < 16; ++j)
@@ -166,7 +165,7 @@ TEST(GemmRun, CausalMaskZeroesUpperTriangleAfterSoftmax)
     EXPECT_GT(lsum.at(0, 0), 0.0f); // one unmasked element
 }
 
-TEST(GemmRun, FusedLsMatchesStandaloneLsKernel)
+TEST_P(GemmRun, FusedLsMatchesStandaloneLsKernel)
 {
     Rng rng(5);
     GemmDesc desc = smallDesc(32, 32, 16);
@@ -180,14 +179,14 @@ TEST(GemmRun, FusedLsMatchesStandaloneLsKernel)
 
     // Path 1: plain GEMM then standalone LS.
     Tensor<Half> scores(Shape({32, 32}));
-    gemmRun(execCtx(), desc, ops, scores);
+    gemmRun(ctx(), desc, ops, scores);
     SoftmaxShape sub;
     sub.rows = 32;
     sub.cols = 32;
     sub.subVector = 8;
     Tensor<Half> x_ref(Shape({32, 32}));
     Tensor<float> m_ref(Shape({32, 4})), d_ref(Shape({32, 4}));
-    lsRun(execCtx(), sub, scores, x_ref, m_ref, d_ref);
+    lsRun(ctx(), sub, scores, x_ref, m_ref, d_ref);
 
     // Path 2: fused LS epilogue.
     GemmDesc fused = desc;
@@ -195,7 +194,7 @@ TEST(GemmRun, FusedLsMatchesStandaloneLsKernel)
     Tensor<Half> x_fused(Shape({32, 32}));
     Tensor<float> m_fused(Shape({32, 4})), d_fused(Shape({32, 4}));
     LsOutputs ls{&m_fused, &d_fused};
-    gemmRun(execCtx(), fused, ops, x_fused, &ls);
+    gemmRun(ctx(), fused, ops, x_fused, &ls);
 
     // The fused path sees un-rounded fp32 scores, the standalone path
     // fp16-rounded ones; tolerances reflect that single rounding.
@@ -204,7 +203,7 @@ TEST(GemmRun, FusedLsMatchesStandaloneLsKernel)
     EXPECT_LT(maxRelDiff(d_fused, d_ref, 1e-3), 2e-2);
 }
 
-TEST(GemmRun, GsPrologueMatchesReference)
+TEST_P(GemmRun, GsPrologueMatchesReference)
 {
     Rng rng(6);
     GemmDesc desc = smallDesc(16, 12, 32);
@@ -219,11 +218,11 @@ TEST(GemmRun, GsPrologueMatchesReference)
     ops.b = &made.b;
     ops.gsFactors = &recon;
     Tensor<Half> c(Shape({16, 12}));
-    gemmRun(execCtx(), desc, ops, c);
+    gemmRun(ctx(), desc, ops, c);
     EXPECT_LT(maxAbsDiff(toFloat(c), referenceGemm(desc, ops)), 0.02);
 }
 
-TEST(GemmRun, ShapeMismatchesPanic)
+TEST_P(GemmRun, ShapeMismatchesPanic)
 {
     GemmDesc desc = smallDesc(8, 8, 8);
     Tensor<Half> a(Shape({8, 8})), b(Shape({8, 8})), c(Shape({8, 8}));
@@ -231,11 +230,14 @@ TEST(GemmRun, ShapeMismatchesPanic)
     GemmOperands ops;
     ops.a = &bad;
     ops.b = &b;
-    EXPECT_THROW(gemmRun(execCtx(), desc, ops, c), std::logic_error);
+    EXPECT_THROW(gemmRun(ctx(), desc, ops, c), std::logic_error);
     ops.a = &a;
     desc.batch = 2;
-    EXPECT_THROW(gemmRun(execCtx(), desc, ops, c), std::logic_error);
+    EXPECT_THROW(gemmRun(ctx(), desc, ops, c), std::logic_error);
 }
+
+INSTANTIATE_TEST_SUITE_P(Exec, GemmRun, testing::ValuesIn(execCases()),
+                         execCaseName);
 
 // ---------- profile tests ----------
 

@@ -21,6 +21,7 @@
 #include "kernels/decode_attention.hpp"
 #include "kernels/streaming_attention.hpp"
 #include "serve/kv_cache.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
@@ -337,7 +338,7 @@ TEST(KvSlab, ReleasePoisonsI8HeadersInCheckedBuilds)
  * nonzero headOffset so the dequantized head *slice* path is covered.
  */
 void
-checkQuantizedDecodeError(bool streaming)
+checkQuantizedDecodeError(const ExecContext &ctx, bool streaming)
 {
     constexpr int64_t kWidth = 16; // two heads of 8
     constexpr int64_t kHead = 8;
@@ -355,7 +356,6 @@ checkQuantizedDecodeError(bool streaming)
         i8_cache.appendRow(0, k_row.data(), v_row.data());
     }
 
-    const ExecContext ctx;
     const std::vector<Half> q = randomRow(rng, kHead);
     for (int64_t head = 0; head < 2; ++head) {
         DecodeAttendDesc desc;
@@ -390,15 +390,22 @@ checkQuantizedDecodeError(bool streaming)
     }
 }
 
-TEST(QuantizedDecode, ThreePassKernelStaysWithinContract)
+// Once per ExecMatrix case: the int8 decode path has no bit-level
+// cross-backend test of its own.
+using QuantizedDecode = ExecMatrix;
+
+TEST_P(QuantizedDecode, ThreePassKernelStaysWithinContract)
 {
-    checkQuantizedDecodeError(/*streaming=*/false);
+    checkQuantizedDecodeError(ctx(), /*streaming=*/false);
 }
 
-TEST(QuantizedDecode, StreamingKernelStaysWithinContract)
+TEST_P(QuantizedDecode, StreamingKernelStaysWithinContract)
 {
-    checkQuantizedDecodeError(/*streaming=*/true);
+    checkQuantizedDecodeError(ctx(), /*streaming=*/true);
 }
+
+INSTANTIATE_TEST_SUITE_P(Exec, QuantizedDecode,
+                         testing::ValuesIn(execCases()), execCaseName);
 
 } // namespace
 } // namespace softrec

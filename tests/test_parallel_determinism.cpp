@@ -4,7 +4,8 @@
  * bit-identical fp16 outputs for any thread count. Chunk boundaries
  * are a pure function of the iteration range and each chunk keeps the
  * serial accumulation order, so 1-, 2- and 8-thread runs of the same
- * problem must agree to the last bit — not merely to a tolerance.
+ * problem must agree to the last bit — not merely to a tolerance —
+ * on every available SIMD backend.
  */
 
 #include <cmath>
@@ -15,7 +16,6 @@
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
-#include "kernels/fused_mha.hpp"
 #include "model/engine.hpp"
 #include "model/functional_layer.hpp"
 #include "sparse/patterns.hpp"
@@ -52,17 +52,25 @@ expectBitIdentical(const Tensor<Half> &a, const Tensor<Half> &b,
     }
 }
 
-/** Check fn(ctx) is bit-identical across all of kThreadCounts. */
+/**
+ * Check fn(ctx) is bit-identical across all of kThreadCounts, on each
+ * available SIMD backend.
+ */
 template <typename Fn>
 void
 expectDeterministic(const char *what, Fn &&fn)
 {
-    const Tensor<Half> serial = runWith(1, fn);
-    for (int threads : kThreadCounts) {
-        if (threads == 1)
-            continue;
-        const Tensor<Half> parallel = runWith(threads, fn);
-        expectBitIdentical(serial, parallel, what, threads);
+    for (const SimdBackend simd : availableSimdBackends()) {
+        SCOPED_TRACE(simdBackendName(simd));
+        const SimdBackend saved = setSimdBackend(simd);
+        const Tensor<Half> serial = runWith(1, fn);
+        for (int threads : kThreadCounts) {
+            if (threads == 1)
+                continue;
+            const Tensor<Half> parallel = runWith(threads, fn);
+            expectBitIdentical(serial, parallel, what, threads);
+        }
+        setSimdBackend(saved);
     }
 }
 
@@ -119,25 +127,6 @@ TEST(ParallelDeterminism, SparseAttentionAllStrategies)
                 return runAttention(ctx, config, inputs, strategy);
             });
     }
-}
-
-TEST(ParallelDeterminism, FusedMha)
-{
-    FusedMhaDesc desc;
-    desc.seqLen = 128;
-    desc.dHead = 32;
-    desc.scale = 1.0 / std::sqrt(32.0);
-    desc.causalMask = true;
-    Rng rng(17);
-    Tensor<Half> q(Shape({128, 32})), k(q.shape()), v(q.shape());
-    fillNormal(q, rng, 0.0, 0.8);
-    fillNormal(k, rng, 0.0, 0.8);
-    fillNormal(v, rng, 0.0, 0.8);
-    expectDeterministic("fusedMha", [&](const ExecContext &ctx) {
-        Tensor<Half> out(q.shape());
-        fusedMhaRun(ctx, desc, q, k, v, out);
-        return out;
-    });
 }
 
 TEST(ParallelDeterminism, EncoderLayer)

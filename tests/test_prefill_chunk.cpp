@@ -5,8 +5,9 @@
  * prefill — same stack outputs, same cache contents (including the
  * quantized cache's per-block headers), same subsequent decode
  * steps — for every chunk size, both attention backends, and both
- * KV storage formats. This is what lets the serve engine interleave
- * prefill with decode without perturbing a single generated token.
+ * KV storage formats, on every ExecMatrix case (thread count x SIMD
+ * backend). This is what lets the serve engine interleave prefill
+ * with decode without perturbing a single generated token.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "kernels/streaming_attention.hpp"
 #include "model/decode.hpp"
 #include "serve/kv_cache.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
@@ -119,13 +121,15 @@ decodeStep(const ExecContext &ctx, const DecoderStack &stack,
 
 /**
  * The acceptance matrix: chunk in {1, 7, 64, >= prompt} x attention
- * backend x KV dtype. For every cell, chunked and one-shot prefill
- * must agree bit for bit on the stack output's last row, on every
- * cached row, and on kDecodeSteps subsequent decode steps.
+ * backend x KV dtype, per ExecMatrix case. For every cell, chunked
+ * and one-shot prefill must agree bit for bit on the stack output's
+ * last row, on every cached row, and on kDecodeSteps subsequent
+ * decode steps.
  */
-TEST(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
+using PrefillChunk = ExecMatrix;
+
+TEST_P(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
 {
-    const ExecContext ctx;
     const AttentionBackend backends[] = {AttentionBackend::Recomposed,
                                          AttentionBackend::Streaming};
     const KvDtype dtypes[] = {KvDtype::F16, KvDtype::I8};
@@ -140,7 +144,7 @@ TEST(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
             KvSlab ref_slab(kBlockTokens, kDm, 8, dtype);
             KvCache ref_cache(ref_slab, kLayers);
             const Tensor<Half> ref_out =
-                runPrefill(ctx, stack, prompt, ref_cache);
+                runPrefill(ctx(), stack, prompt, ref_cache);
 
             for (int64_t chunk : chunks) {
                 SCOPED_TRACE(testing::Message()
@@ -154,7 +158,7 @@ TEST(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
                 KvSlab slab(kBlockTokens, kDm, 8, dtype);
                 KvCache cache(slab, kLayers);
                 const Tensor<Half> out = chunkedPrefill(
-                    ctx, stack, prompt, chunk, cache);
+                    ctx(), stack, prompt, chunk, cache);
                 expectRowBitsEqual(out, out.shape().dim(0) - 1,
                                    ref_out, kPrompt - 1,
                                    "final prefill row");
@@ -164,7 +168,7 @@ TEST(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
                 // decode from both, bit-identical at every step.
                 KvSlab ref_decode_slab(kBlockTokens, kDm, 8, dtype);
                 KvCache ref_decode(ref_decode_slab, kLayers);
-                runPrefill(ctx, stack, prompt, ref_decode);
+                runPrefill(ctx(), stack, prompt, ref_decode);
                 Tensor<Half> ref_in(Shape({1, kDm}));
                 Tensor<Half> in(Shape({1, kDm}));
                 std::copy(ref_out.rowPtr(kPrompt - 1),
@@ -174,9 +178,9 @@ TEST(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
                           out.rowPtr(out.shape().dim(0) - 1) + kDm,
                           in.rowPtr(0));
                 for (int64_t step = 0; step < kDecodeSteps; ++step) {
-                    ref_in = decodeStep(ctx, stack, ref_in,
+                    ref_in = decodeStep(ctx(), stack, ref_in,
                                         {&ref_decode});
-                    in = decodeStep(ctx, stack, in, {&cache});
+                    in = decodeStep(ctx(), stack, in, {&cache});
                     expectRowBitsEqual(in, 0, ref_in, 0,
                                        "decode step");
                 }
@@ -185,8 +189,11 @@ TEST(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
     }
 }
 
+INSTANTIATE_TEST_SUITE_P(Exec, PrefillChunk,
+                         testing::ValuesIn(execCases()), execCaseName);
+
 /** Chunk bookkeeping: bad resumes are bugs, loudly. */
-TEST(PrefillChunk, StateGuardsMisuse)
+TEST(PrefillState, GuardsMisuse)
 {
     const ExecContext ctx;
     const DecoderStack stack =

@@ -15,13 +15,6 @@
 namespace softrec {
 namespace {
 
-/** Shared context: honors SOFTREC_THREADS so suites can run threaded. */
-ExecContext
-execCtx()
-{
-    return ExecContext::fromEnv();
-}
-
 TEST(CrossAttention, FunctionalEquivalenceAcrossStrategies)
 {
     // Rectangular attention: 64 queries over 128 keys.
@@ -45,7 +38,7 @@ TEST(CrossAttention, FunctionalEquivalenceAcrossStrategies)
         referenceDenseAttention(config, inputs);
     for (Strategy strategy : allStrategies()) {
         const Tensor<Half> out =
-            runAttention(execCtx(), config, inputs, strategy);
+            runAttention(ExecContext(), config, inputs, strategy);
         EXPECT_LT(maxAbsDiff(toFloat(out), reference), 2.5e-2)
             << strategyName(strategy);
     }

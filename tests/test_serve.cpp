@@ -7,10 +7,10 @@
  * trace through ServeEngine. (KvSlab/KvCache have their own suite in
  * test_kv_cache.cpp.)
  *
- * The drain traces honour SOFTREC_SERVE_KV_DTYPE so CI's int8 ctest
- * run exercises serving end to end on the quantized cache — the
- * bit-identity claims hold in any format because a request's KV
- * content never depends on batch composition.
+ * The drain traces run once per ServeMatrix case (attention backend x
+ * KV dtype x prefill chunk): the bit-identity claims hold in every
+ * case because a request's KV content never depends on batch
+ * composition.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "serve/kv_cache.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_engine.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
@@ -622,18 +623,17 @@ drainRoundRobin(std::vector<PendingSession> &pending)
     }
 }
 
-/** Submit the same 5-request trace and drain it through the engine. */
+/**
+ * Submit the same 5-request trace and drain it through the engine,
+ * `batch_rows` wide, on `config`'s KV dtype and prefill chunk.
+ */
 DrainSummary
-drainTrace(const DecoderStack &stack, int64_t batch_rows)
+drainTrace(const DecoderStack &stack, ServeConfig config,
+           int64_t batch_rows)
 {
-    ServeConfig config;
     config.maxBatchRows = batch_rows;
     config.tokenBudget = 1024;
     config.kvBlockTokens = 4;
-    config.kvDtype = kvDtypeFromEnv(); // CI runs this suite with int8
-    // CI also replays the suite with a small chunk so serving runs
-    // end to end through chunked prefill.
-    config.prefillChunkTokens = prefillChunkTokensFromEnv();
     ServeEngine engine(ExecContext(), stack, config);
     Rng rng(21); // identical prompts in every run
     std::vector<PendingSession> pending;
@@ -672,10 +672,13 @@ drainTrace(const DecoderStack &stack, int64_t batch_rows)
     return summary;
 }
 
-TEST(ServeEngineDrain, DrainsEveryRequestAndReportsThroughput)
+using ServeEngineDrain = ServeMatrix;
+
+TEST_P(ServeEngineDrain, DrainsEveryRequestAndReportsThroughput)
 {
-    const DecoderStack stack = testStack();
-    const DrainSummary summary = drainTrace(stack, 4);
+    const DecoderStack stack = onCase(testStack());
+    const DrainSummary summary =
+        drainTrace(stack, onCase(ServeConfig()), 4);
     EXPECT_EQ(summary.requestsServed, 5);
     // Σ generateTokens for ids 0..4: 2+3+2+3+2.
     EXPECT_EQ(summary.tokensGenerated, 12);
@@ -689,12 +692,12 @@ TEST(ServeEngineDrain, DrainsEveryRequestAndReportsThroughput)
     }
 }
 
-TEST(ServeEngineDrain, BatchedServingIsBitIdenticalToSerial)
+TEST_P(ServeEngineDrain, BatchedServingIsBitIdenticalToSerial)
 {
     // The same trace served one-at-a-time and continuously batched
     // must generate identical final rows: batching is a scheduling
     // decision, never a numerics decision.
-    const DecoderStack stack = testStack();
+    const DecoderStack stack = onCase(testStack());
     auto rows_by_id = [](const DrainSummary &summary) {
         std::map<int64_t, std::vector<uint16_t>> rows;
         for (const DrainedRequest &stats : summary.requests) {
@@ -705,20 +708,20 @@ TEST(ServeEngineDrain, BatchedServingIsBitIdenticalToSerial)
         }
         return rows;
     };
-    const auto serial = rows_by_id(drainTrace(stack, 1));
-    const auto batched = rows_by_id(drainTrace(stack, 4));
+    const ServeConfig config = onCase(ServeConfig());
+    const auto serial = rows_by_id(drainTrace(stack, config, 1));
+    const auto batched = rows_by_id(drainTrace(stack, config, 4));
     ASSERT_EQ(serial.size(), 5u);
     EXPECT_EQ(serial, batched);
 }
 
-TEST(ServeEngineDrain, SubmitRejectsImpossibleRequests)
+TEST(ServeEngineSetup, SubmitRejectsImpossibleRequests)
 {
     const DecoderStack stack = testStack();
     ServeConfig config;
     config.tokenBudget = 16;
-    // Pinned: the rejection below asserts against the f16-denominated
-    // budget; an int8 environment would rebase it upward.
-    config.kvDtype = KvDtype::F16;
+    // f16 KV only: the rejection below asserts against the
+    // f16-denominated budget; int8 would rebase it upward.
     ServeEngine engine(ExecContext(), stack, config);
     Rng rng(31);
 
@@ -737,15 +740,13 @@ TEST(ServeEngineDrain, SubmitRejectsImpossibleRequests)
               std::string::npos);
 }
 
-TEST(ServeEngineDrain, SlabDrainsBackToZeroAfterRun)
+TEST_P(ServeEngineDrain, SlabDrainsBackToZeroAfterRun)
 {
-    const DecoderStack stack = testStack();
-    ServeConfig config;
+    const DecoderStack stack = onCase(testStack());
+    ServeConfig config = onCase(ServeConfig());
     config.maxBatchRows = 3;
     config.tokenBudget = 1024;
     config.kvBlockTokens = 2;
-    config.kvDtype = kvDtypeFromEnv();
-    config.prefillChunkTokens = prefillChunkTokensFromEnv();
     ServeEngine engine(ExecContext(), stack, config);
     Rng rng(37);
     std::vector<PendingSession> pending;
@@ -770,7 +771,7 @@ TEST(ServeEngineDrain, SlabDrainsBackToZeroAfterRun)
     EXPECT_EQ(stats.reservedKvTokens, 0);
 }
 
-TEST(ServeEngineDrain, ZeroedConfigIsAStartupError)
+TEST(ServeEngineSetup, ZeroedConfigIsAStartupError)
 {
     // The engine proves the pressure-sample divisors at construction
     // (ServeConfig::validate): a zeroed limit must never reach the
@@ -796,7 +797,7 @@ TEST(ServeEngineDrain, ZeroedConfigIsAStartupError)
     }
 }
 
-TEST(ServeEngineDrain, UnsupportedStackIsAStartupError)
+TEST(ServeEngineSetup, UnsupportedStackIsAStartupError)
 {
     // The functional KV path runs only causal dense Baseline stacks.
     // Any other stack must fail where the engine is built, not on the
@@ -814,6 +815,9 @@ TEST(ServeEngineDrain, UnsupportedStackIsAStartupError)
                      std::logic_error);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Serve, ServeEngineDrain,
+                         testing::ValuesIn(serveCases()), serveCaseName);
 
 } // namespace
 } // namespace softrec

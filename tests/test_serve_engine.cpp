@@ -6,6 +6,10 @@
  * cancellation, structured rejections, and a multi-producer stress
  * test (every submitted request either streams to completion or gets
  * a reasoned rejection). Runs under tsan in CI.
+ *
+ * Every engine test that serves tokens runs once per ServeMatrix case
+ * (attention backend x KV dtype x prefill chunk); the admission tests
+ * that never run the model stay plain TESTs.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +21,7 @@
 
 #include "common/rng.hpp"
 #include "serve/serve_engine.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
@@ -61,16 +66,10 @@ testConfig(int64_t batch_rows = 4)
     config.queueCapacity = 64;
     config.kvBlockTokens = 4;
     config.streamCapacity = 64;
-    // Honour SOFTREC_SERVE_KV_DTYPE so CI's int8 ctest run drives the
-    // full engine (streaming, cancellation, tenancy) on the quantized
-    // cache. Tests that assert exact budget thresholds pin F16.
-    config.kvDtype = kvDtypeFromEnv();
-    // Honour SOFTREC_SERVE_PREFILL_CHUNK the same way: CI replays
-    // this suite with a small chunk so every engine behaviour runs
-    // on the interleaved-prefill path too.
-    config.prefillChunkTokens = prefillChunkTokensFromEnv();
     return config;
 }
+
+using ServeEngineMatrix = ServeMatrix;
 
 // --- TokenStream ------------------------------------------------------
 
@@ -197,10 +196,10 @@ TEST(ServeSession, DroppingTheHandleClosesTheStream)
 
 // --- ServeEngine ------------------------------------------------------
 
-TEST(ServeEngine, StreamsEveryRequestToCompletion)
+TEST_P(ServeEngineMatrix, StreamsEveryRequestToCompletion)
 {
-    const DecoderStack stack = testStack();
-    ServeEngine engine(ExecContext(), stack, testConfig());
+    const DecoderStack stack = onCase(testStack());
+    ServeEngine engine(ExecContext(), stack, onCase(testConfig()));
     engine.start();
 
     Rng rng(21);
@@ -240,16 +239,16 @@ TEST(ServeEngine, StreamsEveryRequestToCompletion)
     EXPECT_EQ(stats.queueDepth, 0);
 }
 
-TEST(ServeEngine, BatchCompositionNeverChangesTheTokens)
+TEST_P(ServeEngineMatrix, BatchCompositionNeverChangesTheTokens)
 {
     // The same requests served with batch width 1 and 4 must stream
     // bit-identical final rows: batching is a scheduling decision,
     // never a numerics decision — the engine inherits the decode
     // path's row-local math.
-    const DecoderStack stack = testStack();
+    const DecoderStack stack = onCase(testStack());
     auto serve = [&stack](int64_t batch_rows) {
         ServeEngine engine(ExecContext(), stack,
-                           testConfig(batch_rows));
+                           onCase(testConfig(batch_rows)));
         engine.start();
         Rng rng(23);
         std::vector<ServeSession> sessions;
@@ -277,16 +276,18 @@ TEST(ServeEngine, BatchCompositionNeverChangesTheTokens)
     EXPECT_EQ(serial, batched);
 }
 
-TEST(ServeEngine, ChunkedPrefillNeverChangesTheTokens)
+using ServeEngineChunking = ServeMatrix;
+
+TEST_P(ServeEngineChunking, ChunkedPrefillNeverChangesTheTokens)
 {
     // Interleaving prefill with decode is also only a scheduling
     // decision: the same requests served unchunked and with a chunk
     // smaller than every prompt must stream bit-identical final rows
     // and the same completion accounting. Prompts are long enough
     // that each one spans several chunks.
-    const DecoderStack stack = testStack();
+    const DecoderStack stack = onCase(testStack());
     auto serve = [&stack](int64_t chunk_tokens) {
-        ServeConfig config = testConfig();
+        ServeConfig config = onCase(testConfig());
         config.prefillChunkTokens = chunk_tokens;
         ServeEngine engine(ExecContext(), stack, config);
         engine.start();
@@ -319,7 +320,7 @@ TEST(ServeEngine, ChunkedPrefillNeverChangesTheTokens)
         return final_rows;
     };
     const auto unchunked = serve(0);
-    const auto chunked = serve(3);
+    const auto chunked = serve(GetParam().prefillChunkTokens);
     ASSERT_EQ(unchunked.size(), 5u);
     EXPECT_EQ(unchunked, chunked);
 }
@@ -344,10 +345,10 @@ TEST(Percentile, EmptySamplesAndBadQuantilesAreHardErrors)
     EXPECT_THROW(percentileSeconds({1.0}, 1.01), std::logic_error);
 }
 
-TEST(ServeEngine, TenantBudgetIsEnforcedAcrossInFlightRequests)
+TEST_P(ServeEngineMatrix, TenantBudgetIsEnforcedAcrossInFlightRequests)
 {
-    const DecoderStack stack = testStack();
-    ServeConfig config = testConfig();
+    const DecoderStack stack = onCase(testStack());
+    ServeConfig config = onCase(testConfig());
     config.admission.tenantTokenBudget = 24;
     ServeEngine engine(ExecContext(), stack, config);
     // Not started: the first request stays in flight while the second
@@ -386,10 +387,10 @@ TEST(ServeEngine, TenantBudgetIsEnforcedAcrossInFlightRequests)
     engine.waitIdle();
 }
 
-TEST(ServeEngine, AbandonedSessionIsCancelledAndReclaimed)
+TEST_P(ServeEngineMatrix, AbandonedSessionIsCancelledAndReclaimed)
 {
-    const DecoderStack stack = testStack();
-    ServeConfig config = testConfig();
+    const DecoderStack stack = onCase(testStack());
+    ServeConfig config = onCase(testConfig());
     config.streamCapacity = 2; // engine outruns the consumer quickly
     ServeEngine engine(ExecContext(), stack, config);
     engine.start();
@@ -421,10 +422,10 @@ TEST(ServeEngine, AbandonedSessionIsCancelledAndReclaimed)
     engine.waitIdle();
 }
 
-TEST(ServeEngine, ShutdownDoesNotHangOnAStalledConsumer)
+TEST_P(ServeEngineMatrix, ShutdownDoesNotHangOnAStalledConsumer)
 {
-    const DecoderStack stack = testStack();
-    ServeConfig config = testConfig();
+    const DecoderStack stack = onCase(testStack());
+    ServeConfig config = onCase(testConfig());
     config.streamCapacity = 2; // engine outruns the consumer quickly
     ServeEngine engine(ExecContext(), stack, config);
     engine.start();
@@ -456,9 +457,9 @@ TEST(ServeEngine, RejectsImpossibleAndMalformedRequestsWithReasons)
     const DecoderStack stack = testStack();
     ServeConfig config = testConfig();
     config.tokenBudget = 16;
-    // Pinned: value/threshold below assert the f16-denominated budget
-    // verbatim; int8 would rebase 16 tokens to ~31 and admit this.
-    config.kvDtype = KvDtype::F16;
+    // f16 KV only: value/threshold below assert the f16-denominated
+    // budget verbatim; int8 would rebase 16 tokens to ~31 and admit
+    // this.
     ServeEngine engine(ExecContext(), stack, config);
     Rng rng(37);
 
@@ -509,14 +510,14 @@ TEST(ServeEngine, QueueOverflowIsAStructuredRejection)
     EXPECT_EQ(stats.requestsCancelled, 2);
 }
 
-TEST(ServeEngine, MultiProducerStressCompletesOrRejectsEverything)
+TEST_P(ServeEngineMatrix, MultiProducerStressCompletesOrRejectsEverything)
 {
     // 4 producers x 12 mixed-size requests against a small queue and
     // tight thresholds: every submit must return a decision, every
     // accepted request must stream to a terminal state, and the
     // accounting must balance. Run under tsan in CI.
-    const DecoderStack stack = testStack();
-    ServeConfig config = testConfig();
+    const DecoderStack stack = onCase(testStack());
+    ServeConfig config = onCase(testConfig());
     config.queueCapacity = 8;
     config.tokenBudget = 256;
     config.admission.softEnterPct = 40;
@@ -580,6 +581,12 @@ TEST(ServeEngine, MultiProducerStressCompletesOrRejectsEverything)
                   residency.updatesInMode[2],
               stats.decodeSteps);
 }
+
+INSTANTIATE_TEST_SUITE_P(Serve, ServeEngineMatrix,
+                         testing::ValuesIn(serveCases()), serveCaseName);
+INSTANTIATE_TEST_SUITE_P(Serve, ServeEngineChunking,
+                         testing::ValuesIn(serveCases({3})),
+                         serveCaseName);
 
 } // namespace
 } // namespace softrec

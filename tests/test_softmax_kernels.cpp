@@ -5,7 +5,6 @@
  */
 
 #include <cmath>
-#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -16,17 +15,11 @@
 #include "sim/calibration.hpp"
 #include "sim/cost_model.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "test_matrix.hpp"
 #include "workload/corpus.hpp"
 
 namespace softrec {
 namespace {
-
-/** Shared context: honors SOFTREC_THREADS so suites can run threaded. */
-ExecContext
-execCtx()
-{
-    return ExecContext::fromEnv();
-}
 
 /** Row softmax of the fp16 matrix in double precision. */
 Tensor<float>
@@ -54,7 +47,7 @@ TEST(RowSoftmax, MatchesReference)
     SoftmaxShape desc;
     desc.rows = 37;
     desc.cols = 53;
-    rowSoftmaxRun(execCtx(), desc, in, out);
+    rowSoftmaxRun(ExecContext(), desc, in, out);
     EXPECT_LT(maxAbsDiff(toFloat(out), referenceSoftmax(in)), 1e-3);
 }
 
@@ -66,7 +59,7 @@ TEST(RowSoftmax, RowsSumToOne)
     SoftmaxShape desc;
     desc.rows = 16;
     desc.cols = 128;
-    rowSoftmaxRun(execCtx(), desc, in, out);
+    rowSoftmaxRun(ExecContext(), desc, in, out);
     for (int64_t i = 0; i < 16; ++i) {
         float sum = 0.0f;
         for (int64_t j = 0; j < 128; ++j)
@@ -86,54 +79,56 @@ TEST(RowSoftmax, FullyMaskedRowIsZero)
     SoftmaxShape desc;
     desc.rows = 2;
     desc.cols = 4;
-    rowSoftmaxRun(execCtx(), desc, in, out);
+    rowSoftmaxRun(ExecContext(), desc, in, out);
     for (int64_t j = 0; j < 4; ++j)
         EXPECT_TRUE(out.at(0, j).isZero());
     EXPECT_GT(float(out.at(1, 3)), float(out.at(1, 0)));
 }
 
-/** LS -> IR -> GS on fp16 storage vs the baseline kernel. */
-class DecomposedPipeline
-    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>>
-{};
+/**
+ * LS -> IR -> GS on fp16 storage vs the baseline kernel, once per
+ * ExecMatrix case: no other test pins these whole-matrix kernels'
+ * bits across thread counts and SIMD backends.
+ */
+using DecomposedPipeline = ExecMatrix;
 
 TEST_P(DecomposedPipeline, ComposesToRowSoftmax)
 {
-    const auto [cols, t] = GetParam();
-    const int64_t rows = 24;
-    Rng rng(uint64_t(cols * 131 + t));
-    const Tensor<Half> in = makeAttentionScores(rng, rows, cols);
+    for (const int64_t cols : {32, 64, 100, 256}) {
+        for (const int64_t t : {8, 16, 32, 64}) {
+            const int64_t rows = 24;
+            Rng rng(uint64_t(cols * 131 + t));
+            const Tensor<Half> in = makeAttentionScores(rng, rows, cols);
 
-    SoftmaxShape base_desc;
-    base_desc.rows = rows;
-    base_desc.cols = cols;
-    Tensor<Half> baseline(in.shape());
-    rowSoftmaxRun(execCtx(), base_desc, in, baseline);
+            SoftmaxShape base_desc;
+            base_desc.rows = rows;
+            base_desc.cols = cols;
+            Tensor<Half> baseline(in.shape());
+            rowSoftmaxRun(ctx(), base_desc, in, baseline);
 
-    SoftmaxShape sub;
-    sub.rows = rows;
-    sub.cols = cols;
-    sub.subVector = t;
-    const Shape md({rows, sub.numSubVectors()});
-    Tensor<Half> x_prime(in.shape());
-    Tensor<float> local_max(md), local_sum(md), recon(md);
-    lsRun(execCtx(), sub, in, x_prime, local_max, local_sum);
-    irRun(execCtx(), sub, local_max, local_sum, recon);
-    Tensor<Half> recomposed(in.shape());
-    gsRun(execCtx(), sub, x_prime, recon, recomposed);
+            SoftmaxShape sub;
+            sub.rows = rows;
+            sub.cols = cols;
+            sub.subVector = t;
+            const Shape md({rows, sub.numSubVectors()});
+            Tensor<Half> x_prime(in.shape());
+            Tensor<float> local_max(md), local_sum(md), recon(md);
+            lsRun(ctx(), sub, in, x_prime, local_max, local_sum);
+            irRun(ctx(), sub, local_max, local_sum, recon);
+            Tensor<Half> recomposed(in.shape());
+            gsRun(ctx(), sub, x_prime, recon, recomposed);
 
-    // Both routes round through fp16 once more than the reference;
-    // they must agree to fp16 precision on values in [0, 1].
-    EXPECT_LT(maxAbsDiff(toFloat(recomposed), toFloat(baseline)), 2e-3)
-        << "cols=" << cols << " t=" << t;
+            // Both routes round through fp16 once more than the
+            // reference; they must agree to fp16 precision on values
+            // in [0, 1].
+            EXPECT_LT(maxAbsDiff(toFloat(recomposed), toFloat(baseline)),
+                      2e-3)
+                << "cols=" << cols << " t=" << t;
+        }
+    }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DecomposedPipeline,
-    ::testing::Combine(::testing::Values(32, 64, 100, 256),
-                       ::testing::Values(8, 16, 32, 64)));
-
-TEST(DecomposedPipelineEdge, MaskedSubVector)
+TEST_P(DecomposedPipeline, MaskedSubVector)
 {
     const int64_t rows = 4, cols = 32, t = 8;
     Rng rng(9);
@@ -149,20 +144,23 @@ TEST(DecomposedPipelineEdge, MaskedSubVector)
     const Shape md({rows, 4});
     Tensor<Half> x_prime(in.shape());
     Tensor<float> lmax(md), lsum(md), recon(md);
-    lsRun(execCtx(), sub, in, x_prime, lmax, lsum);
+    lsRun(ctx(), sub, in, x_prime, lmax, lsum);
     EXPECT_EQ(lsum.at(1, 1), 0.0f);
-    irRun(execCtx(), sub, lmax, lsum, recon);
+    irRun(ctx(), sub, lmax, lsum, recon);
     EXPECT_EQ(recon.at(1, 1), 0.0f);
     Tensor<Half> out(in.shape());
-    gsRun(execCtx(), sub, x_prime, recon, out);
+    gsRun(ctx(), sub, x_prime, recon, out);
 
     SoftmaxShape base_desc;
     base_desc.rows = rows;
     base_desc.cols = cols;
     Tensor<Half> baseline(in.shape());
-    rowSoftmaxRun(execCtx(), base_desc, in, baseline);
+    rowSoftmaxRun(ctx(), base_desc, in, baseline);
     EXPECT_LT(maxAbsDiff(toFloat(out), toFloat(baseline)), 2e-3);
 }
+
+INSTANTIATE_TEST_SUITE_P(Exec, DecomposedPipeline,
+                         testing::ValuesIn(execCases()), execCaseName);
 
 TEST(DecomposedDesc, SubVectorCount)
 {

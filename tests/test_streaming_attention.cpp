@@ -6,18 +6,15 @@
  * the contract — the softmax orders differ), bit-identity of the
  * streaming backend with itself across thread counts and SIMD
  * backends, bit-identity between streaming prefill rows and streaming
- * decode, edge cases of both decode kernels (all-masked rows, denom
- * underflow, single-token context), and the SOFTREC_ATTENTION knob's
- * hard-error validation.
+ * decode, and edge cases of both decode kernels (all-masked rows,
+ * denom underflow, single-token context).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,35 +24,6 @@
 
 namespace softrec {
 namespace {
-
-/** RAII environment-variable override with restore. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *prev = std::getenv(name);
-        had_ = prev != nullptr;
-        if (had_)
-            saved_ = prev;
-        if (value != nullptr)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_, saved_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string saved_;
-};
 
 Tensor<Half>
 randomHalf(Rng &rng, int64_t rows, int64_t cols)
@@ -364,36 +332,6 @@ TEST_P(DecodeKernelEdgeCases, SingleTokenContextReturnsTheVRow)
                out.data(), nullptr);
     for (int64_t j = 0; j < dh; ++j)
         EXPECT_EQ(out[size_t(j)].bits(), v.at(0, j).bits()) << j;
-}
-
-// --- SOFTREC_ATTENTION knob -------------------------------------------
-
-TEST(AttentionBackendEnv, ParsesTheTwoBackends)
-{
-    {
-        ScopedEnv env("SOFTREC_ATTENTION", nullptr);
-        EXPECT_EQ(attentionBackendFromEnv(),
-                  AttentionBackend::Recomposed);
-    }
-    {
-        ScopedEnv env("SOFTREC_ATTENTION", "recomposed");
-        EXPECT_EQ(attentionBackendFromEnv(),
-                  AttentionBackend::Recomposed);
-    }
-    {
-        ScopedEnv env("SOFTREC_ATTENTION", "streaming");
-        EXPECT_EQ(attentionBackendFromEnv(),
-                  AttentionBackend::Streaming);
-    }
-}
-
-TEST(AttentionBackendEnv, GarbageIsAHardErrorNotAFallback)
-{
-    for (const char *bad : {"flash", "Streaming", "1", " streaming"}) {
-        ScopedEnv env("SOFTREC_ATTENTION", bad);
-        EXPECT_THROW(attentionBackendFromEnv(), std::runtime_error)
-            << bad;
-    }
 }
 
 } // namespace

@@ -18,7 +18,6 @@ ENV_ALLOWED_FILES = {
     "src/common/exec_context.cpp",  # SOFTREC_THREADS latch
     "src/common/bench_report.cpp",  # SOFTREC_BENCH_DIR routing
     "src/fp16/half.cpp",           # SOFTREC_SIMD backend select
-    "src/kernels/streaming_attention.cpp",  # SOFTREC_ATTENTION select
 }
 
 GETENV_RE = re.compile(r"\b(?:std::)?getenv\s*\(")
