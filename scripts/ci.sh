@@ -22,7 +22,8 @@
 #      plus a serve smoke: the serve_throughput bench runs end to end
 #      under the sanitizers (reports go to the build dir, not the root)
 #   7. tsan build + parallel-runtime tests (their 4-thread cases
-#      build their own pools; profiling enabled: test_profiler
+#      build their own pools; of test_attention_exec only the pooled
+#      cases, since a serial run cannot race; profiling enabled: test_profiler
 #      exercises the counter merge;
 #      test_serve exercises queue/pool shutdown ordering;
 #      test_admission races concurrent reserves; test_serve_engine
@@ -128,7 +129,13 @@ cmake --build build/tsan -j "${JOBS}" --target \
     test_streaming_attention
 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build/tsan --output-on-failure -j "${JOBS}" \
-    -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention'
+    -R 'test_exec_context|test_parallel_determinism|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention'
+# A serial case starts no threads, so it cannot race: of
+# test_attention_exec only the cases that run on a pool run here (the
+# release and asan-ubsan stages run every case).
+TSAN_OPTIONS="halt_on_error=1" \
+GTEST_FILTER='*/pooled:*_pooled:DenseStrategies.ReusedWorkspaceMatchesFreshRuns' \
+    ctest --test-dir build/tsan --output-on-failure -R '^test_attention_exec$'
 
 step "serve-load smoke: admission regimes under a live trace"
 cmake --build build/release -j "${JOBS}" --target serve_load

@@ -76,14 +76,20 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
 
     // Sub-vectors of a block-sparse head are one block wide, and so
     // are its QK^T n-tiles, so a block row's strips run over its
-    // column blocks' tiles only.
+    // column blocks' tiles only. A dense head's QK^T takes the free
+    // tile width, under SDF's LS a whole number of sub-vectors wide.
     const int64_t bs = layout ? layout->blockSize() : 0;
     const int64_t sv_width = layout ? bs : config.subVector;
     const SimdBackend backend = simdBackend();
     GemmTiling tiling = config.attnTiling;
-    tiling.tileN = fused || layout
-        ? sv_width
-        : gemmFreeTileN(backend, tiling.tileN, kv);
+    if (layout) {
+        tiling.tileN = bs;
+    } else {
+        tiling.tileN = gemmFreeTileN(backend, tiling.tileN, kv);
+        if (fused)
+            tiling.tileN = std::max(sv_width,
+                                    tiling.tileN / sv_width * sv_width);
+    }
 
     GemmDesc qk;
     qk.name = "sda.qk";
@@ -94,6 +100,7 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
     qk.epilogue.scale = config.scale();
     qk.epilogue.causalMask = config.causalMask;
     qk.epilogue.localSoftmax = fused;
+    qk.epilogue.lsSubVector = sv_width;
 
     // The softmax stage of one strip; rows, cols and firstRow are per
     // strip.
@@ -148,10 +155,10 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
     GemmOperands k_op;
     k_op.b = &inputs.k;
     k_op.transposeB = true;
-    gemmPackB(qk, k_op, ws.kPanels, qk_traffic);
+    const float *k_panels = gemmPackB(qk, k_op, ws.kPanels, qk_traffic);
     GemmOperands v_op;
     v_op.b = &inputs.v;
-    gemmPackB(av, v_op, ws.vPanels, av_traffic);
+    const float *v_panels = gemmPackB(av, v_op, ws.vPanels, av_traffic);
 
     // Shape a slot's buffers for a strip of `rows` rows: the tensors
     // its strategy uses, each [rows, widest] or [rows, md_ld] whatever
@@ -201,7 +208,7 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
             qs.localSum = buf.localSum.data();
             qs.mdLd = md_ld;
         }
-        gemmRunStrip(backend, qk, ws.kPanels.data(), nullptr, qs,
+        gemmRunStrip(backend, qk, k_panels, nullptr, qs,
                      buf.gemm, qk_traffic);
 
         // The strip's softmax stage.
@@ -243,7 +250,7 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
         vs.blocks = blocks;
         vs.blockCount = count;
         vs.kBlock = bs;
-        gemmRunStrip(backend, av, ws.vPanels.data(), nullptr, vs,
+        gemmRunStrip(backend, av, v_panels, nullptr, vs,
                      buf.gemm, av_traffic);
     };
 

@@ -60,7 +60,10 @@ struct SdaConfig
     bool causalMask = false; //!< decoder-style masking
     /** Block-sparse attention structure; nullptr = dense. */
     const BsrLayout *layout = nullptr;
-    /** Sub-vector width T (= GEMM output tile width under fusion). */
+    /**
+     * Sub-vector width T: the simulated GPU's GEMM output tile width
+     * under fusion; a CPU tile holds a whole number of T-wide segments.
+     */
     int64_t subVector = 64;
     /** Tiling of the dense attention GEMMs. */
     GemmTiling attnTiling;

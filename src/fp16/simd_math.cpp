@@ -1,12 +1,15 @@
 /**
  * @file
- * Scalar and AVX2 paths of the exp primitive (see simd_math.hpp for
- * the contract). Each path is one sweep body over a tile of row
- * segments, which localSoftmaxTile, expSpan and maxSpan all call. The
- * two paths share every constant and run the same IEEE operations in
- * the same order; the scalar path keeps eight lane accumulators so
- * its sums and maxima combine exactly like the AVX2 registers. NEON
- * uses the scalar path.
+ * Scalar, AVX2 and AVX-512 paths of the exp primitive (see
+ * simd_math.hpp for the contract). Each path is one sweep body over a
+ * tile of row segments, which localSoftmaxTile, expSpan and maxSpan
+ * all call; the AVX-512 path, the zmm twin of the AVX2 sweep, also has
+ * a 16-row body for T = 16 tiles, which transposes each 16 x 16 block
+ * in registers and reduces its rows vertically. The paths share every
+ * constant and run the same IEEE operations in the same order; the
+ * scalar path keeps eight lane accumulators, and the 16-lane AVX-512
+ * bodies keep the same eight-lane order, so sums and maxima combine
+ * exactly like the AVX2 registers. NEON uses the scalar path.
  */
 
 #include "fp16/simd_math.hpp"
@@ -123,6 +126,22 @@ setSpan(LsTile &t, const float *x, int64_t n)
     t.mdLd = 1;
 }
 
+/** The max of x[0, w) in the eight-lane order, one lane at a time. */
+float
+segmentMaxScalar(const float *x, int64_t w)
+{
+    float lane[kLanes];
+    for (float &l : lane)
+        l = -kInf;
+    for (int64_t i = 0; i < w; ++i)
+        lane[i % kLanes] = laneMax(lane[i % kLanes], x[i]);
+    const float a0 = laneMax(lane[0], lane[4]);
+    const float a1 = laneMax(lane[1], lane[5]);
+    const float a2 = laneMax(lane[2], lane[6]);
+    const float a3 = laneMax(lane[3], lane[7]);
+    return laneMax(laneMax(a0, a2), laneMax(a1, a3));
+}
+
 template <Sweep kMode>
 void
 sweepScalar(const LsTile &t, float given_shift, float *out)
@@ -134,19 +153,8 @@ sweepScalar(const LsTile &t, float given_shift, float *out)
     if constexpr (kMode != Sweep::Exp) {
         for (int64_t r = 0; r < rows; ++r) {
             for (int64_t j0 = 0, sv = 0; j0 < t.width; j0 += seg, ++sv) {
-                const int64_t w = std::min(seg, t.width - j0);
-                const float *x = t.x + r * t.ld + j0;
-                float lane[kLanes];
-                for (float &l : lane)
-                    l = -kInf;
-                for (int64_t i = 0; i < w; ++i)
-                    lane[i % kLanes] = laneMax(lane[i % kLanes], x[i]);
-                const float a0 = laneMax(lane[0], lane[4]);
-                const float a1 = laneMax(lane[1], lane[5]);
-                const float a2 = laneMax(lane[2], lane[6]);
-                const float a3 = laneMax(lane[3], lane[7]);
-                t.localMax[r * t.mdLd + sv] =
-                    laneMax(laneMax(a0, a2), laneMax(a1, a3));
+                t.localMax[r * t.mdLd + sv] = segmentMaxScalar(
+                    t.x + r * t.ld + j0, std::min(seg, t.width - j0));
             }
         }
     }
@@ -186,6 +194,28 @@ sweepScalar(const LsTile &t, float given_shift, float *out)
 
 #if defined(SOFTREC_SIMD_X86)
 
+/** laneMax over eight lanes by the fixed tree of the scalar path. */
+inline __attribute__((always_inline, target("avx2,f16c"))) float
+maxLanes8(__m256 lanes)
+{
+    const __m128 a = _mm_max_ps(_mm256_extractf128_ps(lanes, 1),
+                                _mm256_castps256_ps128(lanes));
+    const __m128 b = _mm_max_ps(_mm_movehl_ps(a, a), a);
+    return _mm_cvtss_f32(
+        _mm_max_ss(_mm_shuffle_ps(b, b, _MM_SHUFFLE(1, 1, 1, 1)), b));
+}
+
+/** The sum of eight lanes by the fixed tree of the scalar path. */
+inline __attribute__((always_inline, target("avx2,f16c"))) float
+sumLanes8(__m256 lanes)
+{
+    const __m128 a = _mm_add_ps(_mm256_castps256_ps128(lanes),
+                                _mm256_extractf128_ps(lanes, 1));
+    const __m128 b = _mm_add_ps(a, _mm_movehl_ps(a, a));
+    return _mm_cvtss_f32(
+        _mm_add_ss(b, _mm_shuffle_ps(b, b, _MM_SHUFFLE(1, 1, 1, 1))));
+}
+
 // The sweep body is the whole AVX2 path: the max, the polynomial, its
 // range selects, the masked tail and the fp16 store are written once,
 // here. It is inlined into the three entry points below, which is
@@ -223,12 +253,7 @@ sweepAvx2(const LsTile &t, float given_shift, float *out)
                         _mm256_castsi256_ps(mask));
                     lanes = _mm256_max_ps(v, lanes);
                 }
-                const __m128 a =
-                    _mm_max_ps(_mm256_extractf128_ps(lanes, 1),
-                               _mm256_castps256_ps128(lanes));
-                const __m128 b = _mm_max_ps(_mm_movehl_ps(a, a), a);
-                t.localMax[r * t.mdLd + sv] = _mm_cvtss_f32(_mm_max_ss(
-                    _mm_shuffle_ps(b, b, _MM_SHUFFLE(1, 1, 1, 1)), b));
+                t.localMax[r * t.mdLd + sv] = maxLanes8(lanes);
             }
         }
     }
@@ -323,11 +348,7 @@ sweepAvx2(const LsTile &t, float given_shift, float *out)
                     }
                     lanes = _mm256_add_ps(lanes, e);
                 }
-                const __m128 a = _mm_add_ps(_mm256_castps256_ps128(lanes),
-                                            _mm256_extractf128_ps(lanes, 1));
-                const __m128 b = _mm_add_ps(a, _mm_movehl_ps(a, a));
-                const float sum = _mm_cvtss_f32(_mm_add_ss(
-                    b, _mm_shuffle_ps(b, b, _MM_SHUFFLE(1, 1, 1, 1))));
+                const float sum = sumLanes8(lanes);
                 t.localSum[r * t.mdLd + sv] = sum;
                 // The sum is NaN exactly when some exp is. VCVTPS2PH
                 // keeps NaN payloads where Half::fromFloat
@@ -377,6 +398,336 @@ maxSpanAvx2(const float *x, int64_t n)
     return max;
 }
 
+// GCC 12's unmasked AVX-512 intrinsics pass _mm512_undefined_ps() as
+// the merge source of an all-ones mask, which -Wmaybe-uninitialized
+// reports once they are inlined here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// The AVX-512 path runs the same exp 16 lanes wide and keeps the
+// eight-lane order of every max and sum. It has two bodies: the
+// 16 x 16 LS block (lsBlock16), which a T = 16 tile runs over its whole
+// 16-row blocks, and sweepAvx512, the zmm twin of sweepAvx2, for every
+// other tile shape and for the spans. Like the AVX2 entry points, each
+// entry point clears the upper register state before returning.
+
+/** exp of 16 lanes: expScalar's operations and selects, lane by lane. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) __m512
+expZmm(__m512 z)
+{
+    const __m512 magic = _mm512_set1_ps(kRoundMagic);
+    const __m512 nf = _mm512_sub_ps(
+        _mm512_add_ps(_mm512_mul_ps(z, _mm512_set1_ps(kLog2e)), magic),
+        magic);
+    const __m512 rz = _mm512_sub_ps(
+        _mm512_sub_ps(z, _mm512_mul_ps(nf, _mm512_set1_ps(kLn2Hi))),
+        _mm512_mul_ps(nf, _mm512_set1_ps(kLn2Lo)));
+    __m512 p = _mm512_set1_ps(kC6);
+    p = _mm512_add_ps(_mm512_mul_ps(p, rz), _mm512_set1_ps(kC5));
+    p = _mm512_add_ps(_mm512_mul_ps(p, rz), _mm512_set1_ps(kC4));
+    p = _mm512_add_ps(_mm512_mul_ps(p, rz), _mm512_set1_ps(kC3));
+    p = _mm512_add_ps(_mm512_mul_ps(p, rz), _mm512_set1_ps(kC2));
+    p = _mm512_add_ps(_mm512_mul_ps(p, rz), _mm512_set1_ps(1.0f));
+    p = _mm512_add_ps(_mm512_mul_ps(p, rz), _mm512_set1_ps(1.0f));
+    __m512 e = _mm512_castsi512_ps(_mm512_add_epi32(
+        _mm512_castps_si512(p),
+        _mm512_slli_epi32(_mm512_cvtps_epi32(nf), 23)));
+    e = _mm512_mask_mov_ps(
+        e, _mm512_cmp_ps_mask(z, _mm512_set1_ps(kExpMin), _CMP_LT_OQ),
+        _mm512_setzero_ps());
+    e = _mm512_mask_mov_ps(
+        e, _mm512_cmp_ps_mask(z, _mm512_set1_ps(kExpMax), _CMP_GT_OQ),
+        _mm512_set1_ps(kInf));
+    return _mm512_mask_mov_ps(e, _mm512_cmp_ps_mask(z, z, _CMP_UNORD_Q),
+                              z);
+}
+
+/** Lanes 8-15 of v. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) __m256
+upperHalf(__m512 v)
+{
+    return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
+}
+
+/** The first `live` (0..16) lanes. */
+inline __mmask16
+laneMask(int64_t live)
+{
+    return __mmask16((1u << live) - 1u);
+}
+
+/** Transposes 16 rows of 16 floats: lane c of v[r] moves to lane r of v[c]. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+transpose16(__m512 *v)
+{
+    __m512 t[16];
+#pragma GCC unroll 8
+    for (int i = 0; i < 16; i += 2) {
+        t[i] = _mm512_unpacklo_ps(v[i], v[i + 1]);
+        t[i + 1] = _mm512_unpackhi_ps(v[i], v[i + 1]);
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < 16; i += 4) {
+        v[i] = _mm512_shuffle_ps(t[i], t[i + 2], 0x44);
+        v[i + 1] = _mm512_shuffle_ps(t[i], t[i + 2], 0xee);
+        v[i + 2] = _mm512_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+        v[i + 3] = _mm512_shuffle_ps(t[i + 1], t[i + 3], 0xee);
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+        t[i] = _mm512_shuffle_f32x4(v[i], v[i + 4], 0x88);
+        t[i + 4] = _mm512_shuffle_f32x4(v[i], v[i + 4], 0xdd);
+        t[i + 8] = _mm512_shuffle_f32x4(v[i + 8], v[i + 12], 0x88);
+        t[i + 12] = _mm512_shuffle_f32x4(v[i + 8], v[i + 12], 0xdd);
+    }
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+        v[i] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0x88);
+        v[i + 8] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0xdd);
+    }
+}
+
+/**
+ * The LS of rows [r, r + 16) of the 16-wide segment sv. The block is
+ * transposed in registers, so lane i of v[c] is row i's element c, and
+ * every row's max and sum are taken vertically in the eight-lane
+ * order: lane l is element l, then element l + 8, and the lanes
+ * combine by the scalar path's tree. The exps run 16 rows at a time
+ * and are transposed back to rows for the fp16 store.
+ */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+lsBlock16(const LsTile &t, int64_t r, int64_t sv)
+{
+    const int64_t j0 = sv * 16;
+    __m512 v[16];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i)
+        v[i] = _mm512_loadu_ps(t.x + (r + i) * t.ld + j0);
+    transpose16(v);
+    // laneMax(m, x) is _mm512_max_ps(x, m).
+    const __m512 neg_inf = _mm512_set1_ps(-kInf);
+    __m512 lane[8];
+#pragma GCC unroll 8
+    for (int l = 0; l < 8; ++l)
+        lane[l] = _mm512_max_ps(v[l + 8], _mm512_max_ps(v[l], neg_inf));
+    const __m512 a0 = _mm512_max_ps(lane[4], lane[0]);
+    const __m512 a1 = _mm512_max_ps(lane[5], lane[1]);
+    const __m512 a2 = _mm512_max_ps(lane[6], lane[2]);
+    const __m512 a3 = _mm512_max_ps(lane[7], lane[3]);
+    const __m512 max = _mm512_max_ps(_mm512_max_ps(a3, a1),
+                                     _mm512_max_ps(a2, a0));
+    // A fully masked row (max -inf) gets +0 exps and a +0 sum.
+    const __mmask16 live = _mm512_cmp_ps_mask(max, neg_inf, _CMP_NEQ_OQ);
+#pragma GCC unroll 16
+    for (int c = 0; c < 16; ++c)
+        v[c] = _mm512_maskz_mov_ps(live,
+                                   expZmm(_mm512_sub_ps(v[c], max)));
+    // Lane l's sum is (+0 + e_l) + e_(l + 8); the leading +0 changes
+    // no bits, since no exp is -0.
+    __m512 s[8];
+#pragma GCC unroll 8
+    for (int l = 0; l < 8; ++l)
+        s[l] = _mm512_add_ps(v[l], v[l + 8]);
+    const __m512 sum = _mm512_add_ps(
+        _mm512_add_ps(_mm512_add_ps(s[0], s[4]), _mm512_add_ps(s[2], s[6])),
+        _mm512_add_ps(_mm512_add_ps(s[1], s[5]), _mm512_add_ps(s[3], s[7])));
+    alignas(64) float maxima[16];
+    alignas(64) float sums[16];
+    _mm512_store_ps(maxima, max);
+    _mm512_store_ps(sums, sum);
+    for (int i = 0; i < 16; ++i) {
+        t.localMax[(r + i) * t.mdLd + sv] = maxima[i];
+        t.localSum[(r + i) * t.mdLd + sv] = sums[i];
+    }
+    transpose16(v);
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+        const __m256i h = _mm512_cvtps_ph(
+            v[i], _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        // Half is a trivially-copyable wire format; the void cast
+        // mutes -Wclass-memaccess.
+        std::memcpy(static_cast<void *>(t.xPrime + (r + i) * t.xPrimeLd + j0),
+                    &h, sizeof(h));
+    }
+    // A row's sum is NaN exactly when one of its exps is; it narrows
+    // again on the scalar path (see sweepAvx2).
+    for (__mmask16 nan = _mm512_cmp_ps_mask(sum, sum, _CMP_UNORD_Q);
+         nan != 0; nan = __mmask16(nan & (nan - 1))) {
+        const int i = __builtin_ctz(nan);
+        const float *x = t.x + (r + i) * t.ld + j0;
+        Half *xp = t.xPrime + (r + i) * t.xPrimeLd + j0;
+        for (int j = 0; j < 16; ++j)
+            xp[j] = Half(expScalar(x[j] - maxima[i]));
+    }
+}
+
+/**
+ * sweepAvx2 with 16-lane vectors. The exps run 16 wide; each sum adds
+ * a vector's lower eight lanes and then its upper eight to one 8-lane
+ * accumulator, which is sweepAvx2's order. The max runs two 16-lane
+ * chains: the max of floats that are not NaN is the same value in any
+ * order, and only a zero max has two bit patterns (+0 and -0), so a
+ * segment whose max is zero is taken again in the eight-lane order,
+ * which picks the sign.
+ */
+template <Sweep kMode>
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+sweepAvx512(const LsTile &t, float given_shift, float *out)
+{
+    constexpr bool kSpan = kMode != Sweep::Ls;
+    const int64_t rows = kSpan ? 1 : t.rows;
+    const int64_t seg = kSpan ? t.width : t.subVector;
+    const __m512 neg_inf = _mm512_set1_ps(-kInf);
+    if constexpr (kMode != Sweep::Exp) {
+        for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t j0 = 0, sv = 0; j0 < t.width; j0 += seg, ++sv) {
+                const int64_t w = std::min(seg, t.width - j0);
+                const float *x = t.x + r * t.ld + j0;
+                __m512 m0 = neg_inf, m1 = neg_inf;
+                int64_t i = 0;
+                for (; i + 32 <= w; i += 32) {
+                    m0 = _mm512_max_ps(_mm512_loadu_ps(x + i), m0);
+                    m1 = _mm512_max_ps(_mm512_loadu_ps(x + i + 16), m1);
+                }
+                if (i + 16 <= w) {
+                    m0 = _mm512_max_ps(_mm512_loadu_ps(x + i), m0);
+                    i += 16;
+                }
+                if (i < w) {
+                    m1 = _mm512_max_ps(
+                        _mm512_mask_loadu_ps(neg_inf, laneMask(w - i), x + i),
+                        m1);
+                }
+                m0 = _mm512_max_ps(m1, m0);
+                float max = maxLanes8(
+                    _mm256_max_ps(upperHalf(m0), _mm512_castps512_ps256(m0)));
+                if (max == 0.0f)
+                    max = segmentMaxScalar(x, w);
+                t.localMax[r * t.mdLd + sv] = max;
+            }
+        }
+    }
+    if constexpr (kMode != Sweep::Max) {
+        for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t j0 = 0, sv = 0; j0 < t.width; j0 += seg, ++sv) {
+                const int64_t w = std::min(seg, t.width - j0);
+                const float *x = t.x + r * t.ld + j0;
+                const int64_t o = r * t.xPrimeLd + j0;
+                const float shift = kMode == Sweep::Exp
+                    ? given_shift
+                    : t.localMax[r * t.mdLd + sv];
+                if (shift == -kInf) {
+                    if constexpr (kMode == Sweep::Ls)
+                        std::fill(t.xPrime + o, t.xPrime + o + w, Half());
+                    else
+                        std::fill(out + o, out + o + w, 0.0f);
+                    t.localSum[r * t.mdLd + sv] = 0.0f;
+                    continue;
+                }
+                const __m512 vshift = _mm512_set1_ps(shift);
+                __m256 lanes = _mm256_setzero_ps();
+                for (int64_t i = 0; i < w; i += 16) {
+                    // A ragged tail loads and stores only its live
+                    // lanes and zeroes the dead ones before the sum.
+                    const int64_t live = w - i < 16 ? w - i : 16;
+                    const __mmask16 mask = laneMask(live);
+                    __m512 e = expZmm(_mm512_sub_ps(
+                        live == 16 ? _mm512_loadu_ps(x + i)
+                                   : _mm512_maskz_loadu_ps(mask, x + i),
+                        vshift));
+                    if (live < 16)
+                        e = _mm512_maskz_mov_ps(mask, e);
+                    if constexpr (kMode == Sweep::Exp) {
+                        if (live == 16)
+                            _mm512_storeu_ps(out + o + i, e);
+                        else
+                            _mm512_mask_storeu_ps(out + o + i, mask, e);
+                    } else {
+                        const __m256i h = _mm512_cvtps_ph(
+                            e, _MM_FROUND_TO_NEAREST_INT |
+                                   _MM_FROUND_NO_EXC);
+                        std::memcpy(static_cast<void *>(t.xPrime + o + i),
+                                    &h, size_t(live) * sizeof(Half));
+                    }
+                    lanes = _mm256_add_ps(
+                        _mm256_add_ps(lanes, _mm512_castps512_ps256(e)),
+                        upperHalf(e));
+                }
+                const float sum = sumLanes8(lanes);
+                t.localSum[r * t.mdLd + sv] = sum;
+                if constexpr (kMode == Sweep::Ls) {
+                    if (sum != sum) {
+                        for (int64_t i = 0; i < w; ++i)
+                            t.xPrime[o + i] =
+                                Half(expScalar(x[i] - shift));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** The rows [r0, r0 + rows) and columns [j0, ..) of t, j0 a segment start. */
+LsTile
+subTile(const LsTile &t, int64_t r0, int64_t rows, int64_t j0)
+{
+    LsTile sub = t;
+    sub.x += r0 * t.ld + j0;
+    sub.rows = rows;
+    sub.width -= j0;
+    sub.xPrime += r0 * t.xPrimeLd + j0;
+    sub.localMax += r0 * t.mdLd + j0 / t.subVector;
+    sub.localSum += r0 * t.mdLd + j0 / t.subVector;
+    return sub;
+}
+
+__attribute__((target("avx512f,avx2,f16c"))) void
+localSoftmaxTileAvx512(const LsTile &t)
+{
+    // At T = 16 the whole 16-row blocks of whole segments run
+    // lsBlock16; the sweep takes the ragged last segment of those rows
+    // and every row below them.
+    const int64_t rows16 = t.subVector == 16 ? t.rows - t.rows % 16 : 0;
+    const int64_t width16 = t.width - t.width % 16;
+    for (int64_t r = 0; r < rows16; r += 16) {
+        for (int64_t sv = 0; sv < width16 / 16; ++sv)
+            lsBlock16(t, r, sv);
+    }
+    if (rows16 > 0 && width16 < t.width)
+        sweepAvx512<Sweep::Ls>(subTile(t, 0, rows16, width16), 0.0f,
+                               nullptr);
+    if (rows16 < t.rows)
+        sweepAvx512<Sweep::Ls>(subTile(t, rows16, t.rows - rows16, 0),
+                               0.0f, nullptr);
+    _mm256_zeroupper();
+}
+
+__attribute__((target("avx512f,avx2,f16c"))) float
+expSpanAvx512(const float *x, float shift, float *out, int64_t n)
+{
+    float sum = 0.0f;
+    LsTile t;
+    setSpan(t, x, n);
+    t.localSum = &sum;
+    sweepAvx512<Sweep::Exp>(t, shift, out);
+    _mm256_zeroupper();
+    return sum;
+}
+
+__attribute__((target("avx512f,avx2,f16c"))) float
+maxSpanAvx512(const float *x, int64_t n)
+{
+    float max = -kInf;
+    LsTile t;
+    setSpan(t, x, n);
+    t.localMax = &max;
+    sweepAvx512<Sweep::Max>(t, 0.0f, nullptr);
+    _mm256_zeroupper();
+    return max;
+}
+
+#pragma GCC diagnostic pop
+
 #endif // SOFTREC_SIMD_X86
 
 } // namespace
@@ -389,6 +740,10 @@ localSoftmaxTile(SimdBackend backend, const LsTile &tile)
                    "LS tile needs a positive sub-vector width and "
                    "X', m' and d' outputs");
 #if defined(SOFTREC_SIMD_X86)
+    if (backend == SimdBackend::Avx512) {
+        localSoftmaxTileAvx512(tile);
+        return;
+    }
     if (simdHasAvx2(backend)) {
         localSoftmaxTileAvx2(tile);
         return;
@@ -403,6 +758,8 @@ expSpan(SimdBackend backend, const float *x, float shift, float *out,
         int64_t n)
 {
 #if defined(SOFTREC_SIMD_X86)
+    if (backend == SimdBackend::Avx512)
+        return expSpanAvx512(x, shift, out, n);
     if (simdHasAvx2(backend))
         return expSpanAvx2(x, shift, out, n);
 #endif
@@ -419,6 +776,8 @@ float
 maxSpan(SimdBackend backend, const float *x, int64_t n)
 {
 #if defined(SOFTREC_SIMD_X86)
+    if (backend == SimdBackend::Avx512)
+        return maxSpanAvx512(x, n);
     if (simdHasAvx2(backend))
         return maxSpanAvx2(x, n);
 #endif

@@ -19,6 +19,7 @@
 #ifndef SOFTREC_KERNELS_GEMM_HPP
 #define SOFTREC_KERNELS_GEMM_HPP
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,6 +52,14 @@ struct GemmEpilogue
     bool bias = false;         //!< add a per-column bias vector
     bool gelu = false;         //!< GeLU activation (FF first GEMM)
     bool localSoftmax = false; //!< fused LS sub-layer (SDF)
+    /**
+     * Segment width T of the fused LS, the twin of
+     * GemmPrologue::gsSubVector; 0 means tiling.tileN (one segment per
+     * tile row, the GPU dataflow, where a thread block owns one T-wide
+     * tile). A CPU tile may hold several segments: tileN must then be
+     * a multiple of it.
+     */
+    int64_t lsSubVector = 0;
 
     /** True if any epilogue work is configured. */
     bool any() const
@@ -90,6 +99,14 @@ struct GemmDesc
     GemmPrologue prologue;
     /** Max/mean work per TB (1.0 for dense). */
     double workImbalance = 1.0;
+
+    /** The fused LS's segment width T: lsSubVector, or tileN. */
+    int64_t
+    lsWidth() const
+    {
+        return epilogue.lsSubVector > 0 ? epilogue.lsSubVector
+                                        : tiling.tileN;
+    }
 };
 
 /**
@@ -98,12 +115,12 @@ struct GemmDesc
  */
 KernelProfile gemmProfile(const GpuSpec &spec, const GemmDesc &desc);
 
-/** Per-sub-vector outputs of a fused LS epilogue. */
+/** Per-sub-vector outputs of a fused LS epilogue (T = lsWidth()). */
 struct LsOutputs
 {
-    /** Local maxima m', shape [m, ceil(n / tileN)]. */
+    /** Local maxima m', shape [m, ceil(n / T)]. */
     Tensor<float> *localMax = nullptr;
-    /** Local normalizers d', shape [m, ceil(n / tileN)]. */
+    /** Local normalizers d', shape [m, ceil(n / T)]. */
     Tensor<float> *localSum = nullptr;
 };
 
@@ -151,15 +168,32 @@ class GemmTraffic
 };
 
 /**
+ * Floats a buffer holds beyond its contents, so that the contents can
+ * start at the first 64-byte boundary inside it (alignedFloats).
+ */
+constexpr int64_t kAlignSlack = 15;
+
+/** The first 64-byte boundary at or after p, a float pointer. */
+inline float *
+alignedFloats(float *p)
+{
+    return reinterpret_cast<float *>(
+        (reinterpret_cast<uintptr_t>(p) + 63) & ~uintptr_t(63));
+}
+
+/**
  * Pack B (ops.b, honouring ops.transposeB) into the layout
  * gemmRunStrip streams: one fp32 panel per n-tile, [k][tileN], tail
  * columns of a ragged last tile zero-padded (they contribute exact
  * zeros and are never stored). `panels` is resized, reusing its
- * capacity, to ceil(n / tileN) * k * tileN floats. Credits B to
- * `traffic` and times itself as a segment of its scope.
+ * capacity, to ceil(n / tileN) * k * tileN + kAlignSlack floats, and
+ * the panels start at the returned 64-byte boundary inside it. Credits
+ * B to `traffic` and times itself as a segment of its scope.
  */
-void gemmPackB(const GemmDesc &desc, const GemmOperands &ops,
-               std::vector<float> &panels, GemmTraffic &traffic);
+[[nodiscard]] const float *gemmPackB(const GemmDesc &desc,
+                                     const GemmOperands &ops,
+                                     std::vector<float> &panels,
+                                     GemmTraffic &traffic);
 
 /**
  * One m-tile strip of a GEMM's output, addressed strip-relative: row i
@@ -182,7 +216,7 @@ struct GemmStrip
     int64_t gsLd = 0;
     Half *c = nullptr; //!< first C row, n elements written
     int64_t ldc = 0;
-    /** First row of m' and d' (LS epilogue only). */
+    /** First row of m' and d', one per T-wide segment (LS only). */
     float *localMax = nullptr;
     float *localSum = nullptr;
     int64_t mdLd = 0;
@@ -190,25 +224,32 @@ struct GemmStrip
      * Block-sparse strip: when set, the strip multiplies only the
      * blockCount blocks of B listed here (ascending), packed one after
      * another. With kBlock == 0 block b is n-tile b, and the j-th
-     * listed one fills C columns [j * tileN, (j + 1) * tileN) and m'/d'
-     * column j. With kBlock > 0 block b is B rows [b * kBlock,
-     * (b + 1) * kBlock), read by A columns [j * kBlock, (j + 1) *
-     * kBlock); each output element stays one chain, ascending over the
-     * listed blocks. No causal mask or causal A applies.
+     * listed one fills C columns [j * tileN, (j + 1) * tileN) and the
+     * m'/d' segments of those columns. With kBlock > 0 block b is B
+     * rows [b * kBlock, (b + 1) * kBlock), read by A columns
+     * [j * kBlock, (j + 1) * kBlock); each output element stays one
+     * chain, ascending over the listed blocks. No causal mask or
+     * causal A applies.
      */
     const int64_t *blocks = nullptr;
     int64_t blockCount = 0;
     int64_t kBlock = 0;
 };
 
-/** Per-caller scratch of gemmRunStrip; it only ever grows. */
+/**
+ * Per-caller scratch of gemmRunStrip; it only ever grows. Each buffer
+ * keeps kAlignSlack spare floats, so its contents start on a 64-byte
+ * boundary.
+ */
 struct GemmScratch
 {
-    std::vector<float> a;   //!< the strip's fp32 A rows
-    std::vector<float> acc; //!< one fp32 output tile
+    std::vector<float> a;   //!< the strip's fp32 A rows, at aRows()
+    std::vector<float> acc; //!< one fp32 output tile, at tile()
 
     /** Grow to what gemmRunStrip needs for any strip of `desc`. */
     void reserve(const GemmDesc &desc);
+    float *aRows() { return alignedFloats(a.data()); }
+    float *tile() { return alignedFloats(acc.data()); }
 };
 
 /**
@@ -226,20 +267,20 @@ void gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
                   GemmTraffic &traffic);
 
 /**
- * n-tile width for a GEMM whose tileN only blocks the CPU loop (one
- * without an LS epilogue, where tileN is the sub-vector T). Under
+ * n-tile width for a GEMM whose tileN only blocks the CPU loop. Under
  * Avx512 a narrower `configured` width is raised to 64 columns, the
  * AVX-512 tile's widest register block, but not past n rounded up to
  * 16; every other backend keeps `configured`. Every width gives the
- * same bits.
+ * same bits. A fused-LS GEMM can take it too, rounded down to a
+ * multiple of its segment width (epilogue.lsSubVector).
  */
 int64_t gemmFreeTileN(SimdBackend backend, int64_t configured, int64_t n);
 
 /**
  * Functional tiled GEMM, faithful to the modeled dataflow: fp16
  * operands, fp32 tile accumulators, epilogue applied per output tile
- * (so a fused LS uses sub-vectors of exactly tileN columns), results
- * rounded to fp16 on store. Parallelizes over m-tile strips; each
+ * (a fused LS cuts each tile row into lsWidth()-column sub-vectors),
+ * results rounded to fp16 on store. Parallelizes over m-tile strips; each
  * worker slot keeps one scratch (A rows and accumulator tile) for the
  * strips it runs, and every strip writes disjoint output rows, so
  * results are bit-identical for any thread count. Every output

@@ -39,7 +39,8 @@ inline constexpr int64_t kFp32Bytes = 4;
 struct GemmTiling
 {
     int64_t tileM = 128;    //!< output tile height
-    int64_t tileN = 64;     //!< output tile width (= T under fusion)
+    int64_t tileN = 64;     //!< output tile width (= T under fusion
+                            //!< unless GemmEpilogue::lsSubVector)
     int64_t tileK = 32;     //!< mainloop K step
     int threads = 256;      //!< threads per TB
     int regsPerThread = 128; //!< accumulators + pipeline registers

@@ -16,12 +16,14 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "common/exec_context.hpp"
+#include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
 #include "tensor/tensor.hpp"
 
@@ -111,6 +113,50 @@ TEST(CheckedBuild, SpanViewAdapterWorks)
     v[1] = kNan;
     EXPECT_THROW(checkFinite(spanOf(v), "poisoned span"),
                  std::logic_error);
+}
+
+TEST(CheckedBuild, FusedLsCheckReadsEverySegmentOfAWideTile)
+{
+    // The fused LS epilogue checks d' > 0 (or a fully masked m') for
+    // every T-wide segment of a tile, not only its first: a 64-column
+    // tile of four T = 16 segments whose last segment scores +inf has
+    // m' = +inf and d' = NaN there, and the check must name that
+    // segment. The check lives in the library, so it fires only when
+    // the library is built checked (the checked and asan-ubsan
+    // presets).
+    if (!SOFTREC_LIBRARY_CHECKED)
+        GTEST_SKIP() << "library built without SOFTREC_CHECKED_BUILD";
+    GemmDesc desc;
+    desc.name = "checked.qk";
+    desc.m = 16;
+    desc.n = 64;
+    desc.k = 8;
+    desc.tiling.tileM = 16;
+    desc.tiling.tileN = 64;
+    desc.epilogue.scale = 0.25;
+    desc.epilogue.localSoftmax = true;
+    desc.epilogue.lsSubVector = 16;
+    Tensor<Half> q(Shape({desc.m, desc.k}), Half(1.0f));
+    Tensor<Half> k(Shape({desc.n, desc.k}), Half(0.5f));
+    Tensor<Half> x_prime(Shape({desc.m, desc.n}));
+    Tensor<float> local_max(Shape({desc.m, 4})), local_sum(local_max.shape());
+    LsOutputs ls{&local_max, &local_sum};
+    GemmOperands ops;
+    ops.a = &q;
+    ops.b = &k;
+    ops.transposeB = true;
+    gemmRun(ExecContext(), desc, ops, x_prime, &ls); // clean: no throw
+
+    for (int64_t j = 48; j < 64; ++j)
+        k.at(j, 0) = Half::infinity();
+    std::string message;
+    try {
+        gemmRun(ExecContext(), desc, ops, x_prime, &ls);
+    } catch (const std::logic_error &err) {
+        message = err.what();
+    }
+    EXPECT_NE(message.find("segment 3"), std::string::npos)
+        << "message: '" << message << "'";
 }
 
 TEST(CheckedBuild, RecompositionPipelineRunsCleanUnderChecks)

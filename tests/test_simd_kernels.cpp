@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -325,8 +326,7 @@ gemmBits(SimdBackend backend, const GemmDesc &desc,
          const GemmOperands &ops)
 {
     Tensor<Half> c(Shape({desc.m, desc.n}));
-    const int64_t nsv = (desc.n + desc.tiling.tileN - 1) /
-                        desc.tiling.tileN;
+    const int64_t nsv = (desc.n + desc.lsWidth() - 1) / desc.lsWidth();
     Tensor<float> local_max(Shape({desc.m, nsv}));
     Tensor<float> local_sum(Shape({desc.m, nsv}));
     LsOutputs ls;
@@ -418,6 +418,49 @@ TEST(PackedGemm, FusedLsEpilogueBitExactAgainstTripleLoop)
                 want.insert(want.end(), want_md.begin(), want_md.end());
                 EXPECT_EQ(gemmBits(backend, desc, ops), want)
                     << "tileN=" << tile_n << " causal=" << causal << " "
+                    << simdBackendName(backend);
+            }
+        }
+    }
+}
+
+TEST(PackedGemm, WideLsTilesMatchOneSegmentPerTile)
+{
+    // A fused-LS QK^T whose n-tile holds several T-wide segments must
+    // store the X', m' and d' bits of tileN = T, causal or not, on
+    // every backend: the segments of a tile are indexed by column, the
+    // fully masked causal tiles fill every segment they hold, and the
+    // ragged last tile (150 = 2 x 64 + 22) ends in a ragged segment.
+    int seed = 1300;
+    for (const auto &[tile_n, sub] :
+         {std::pair<int64_t, int64_t>{64, 16}, {48, 16}, {128, 64}}) {
+        for (const bool causal : {false, true}) {
+            Rng rng(uint64_t(seed++));
+            GemmDesc narrow;
+            narrow.m = 70;
+            narrow.n = 150;
+            narrow.k = 24;
+            narrow.tiling.tileM = 16;
+            narrow.tiling.tileN = sub;
+            narrow.epilogue.scale = 0.125;
+            narrow.epilogue.causalMask = causal;
+            narrow.epilogue.localSoftmax = true;
+            GemmDesc wide = narrow;
+            wide.tiling.tileN = tile_n;
+            wide.epilogue.lsSubVector = sub;
+            Tensor<Half> q(Shape({narrow.m, narrow.k}));
+            Tensor<Half> k(Shape({narrow.n, narrow.k}));
+            fillNormal(q, rng, 0.0, 2.0);
+            fillNormal(k, rng, 0.0, 2.0);
+            GemmOperands ops;
+            ops.a = &q;
+            ops.b = &k;
+            ops.transposeB = true;
+            for (const SimdBackend backend : availableSimdBackends()) {
+                EXPECT_EQ(gemmBits(backend, wide, ops),
+                          gemmBits(backend, narrow, ops))
+                    << "tileN=" << tile_n << " T=" << sub
+                    << " causal=" << causal << " "
                     << simdBackendName(backend);
             }
         }
@@ -1318,9 +1361,10 @@ TEST(ExpPrimitive, TanhAndGeluAccuracy)
  * Runs localSoftmaxTile on rows x width scores (row stride ld) cut
  * into sub-vectors of `sub`, and the per-segment sequence it
  * replaces: maxSpan, expSpan, then floatToHalf, on a copy of each
- * segment. X', m' and d' (and the untouched padding around them) must
- * have the same bits, except that a NaN d' need only be NaN on both
- * sides: the payload a NaN sum carries is not part of the contract.
+ * segment, on the scalar path, whose bits every backend must give.
+ * X', m' and d' (and the untouched padding around them) must have the
+ * same bits, except that a NaN d' need only be NaN on both sides: the
+ * payload a NaN sum carries is not part of the contract.
  */
 void
 expectLsTileMatchesSegments(SimdBackend backend,
@@ -1355,9 +1399,9 @@ expectLsTileMatchesSegments(SimdBackend backend,
                 const int64_t w = std::min(sub, width - j0);
                 const float *src = &scores[size_t(r * ld + j0)];
                 std::vector<float> seg(src, src + w);
-                const float m = maxSpan(backend, seg.data(), w);
-                const float d =
-                    expSpan(backend, seg.data(), m, seg.data(), w);
+                const float m = maxSpan(SimdBackend::Scalar, seg.data(), w);
+                const float d = expSpan(SimdBackend::Scalar, seg.data(), m,
+                                        seg.data(), w);
                 floatToHalf(seg.data(), &want_x[size_t(r * x_ld + j0)],
                             w);
                 want_m[size_t(r * md_ld + sv)] = m;
@@ -1430,6 +1474,36 @@ TEST(LsTilePrimitive, MatchesPerSegmentSequenceAtEveryShape)
             }
         }
     }
+    // The wide tiles a fused-LS QK^T runs on a CPU: 16 rows of several
+    // T-wide segments (T = 16 at widths 32-80, whose whole 16 x 16
+    // blocks take the AVX-512 transposed body, and T = 64 at 128),
+    // then the ragged strips of 1-15 rows below a whole block. Some
+    // rows have a fully masked segment inside the live tile, others a
+    // causal -inf tail.
+    const std::pair<int64_t, int64_t> wide[] = {
+        {16, 32}, {16, 48}, {16, 64}, {16, 80}, {64, 128}};
+    for (const auto &[sub, width] : wide) {
+        const int64_t nsv = width / sub;
+        for (int64_t rows = 1; rows <= 16; ++rows) {
+            const int64_t ld = rows % 2 == 0 ? width : width + 16;
+            std::vector<float> scores(size_t(rows * ld));
+            for (float &v : scores)
+                v = float(rng.normal(0.0, 3.0));
+            for (int64_t r = 0; r < rows; ++r) {
+                float *row = &scores[size_t(r * ld)];
+                if (r % 3 == 0) {
+                    const int64_t j0 = ((r / 3) % nsv) * sub;
+                    std::fill(row + j0, row + j0 + sub, -kInf);
+                }
+                if (r % 4 == 1)
+                    std::fill(row + (r * 11) % width, row + width, -kInf);
+            }
+            for (const SimdBackend backend : availableSimdBackends()) {
+                expectLsTileMatchesSegments(backend, scores, rows, width,
+                                            ld, sub);
+            }
+        }
+    }
 }
 
 TEST(LsTilePrimitive, SignedZeroMaximaAndSpecialScores)
@@ -1442,26 +1516,33 @@ TEST(LsTilePrimitive, SignedZeroMaximaAndSpecialScores)
     constexpr float kInf = std::numeric_limits<float>::infinity();
     const float nan = floatOf(0x7fc01234u);
     const float neg_nan = floatOf(0xffa00001u);
+    // The four rows are repeated down a 16-row tile, shifted by row,
+    // so the whole 16 x 16 blocks of T = 16 see them too.
     const int64_t width = 45;
     for (const int64_t sub : {8, 16, 24, 64}) {
-        std::vector<float> scores(size_t(4 * width), -kInf);
-        float *zeros = &scores[0];
-        float *inf_row = &scores[size_t(width)];
-        float *nan_row = &scores[size_t(2 * width)];
-        for (int64_t j = 0; j < width; ++j) {
-            zeros[j] = (j * 5) % 3 == 0 ? -0.0f
-                       : (j % 7 == 3)   ? 0.0f
-                                        : -kInf;
-            inf_row[j] = float(j % 9) - 4.0f;
-            nan_row[j] = j < 16 ? nan : float(j % 5);
-        }
-        inf_row[3] = kInf;
-        inf_row[29] = kInf;
-        nan_row[20] = neg_nan;
-        nan_row[33] = nan;
-        for (const SimdBackend backend : availableSimdBackends()) {
-            expectLsTileMatchesSegments(backend, scores, 4, width, width,
-                                        sub);
+        for (const int64_t rows : {4, 16}) {
+            std::vector<float> scores(size_t(rows * width), -kInf);
+            for (int64_t r0 = 0; r0 < rows; r0 += 4) {
+                float *zeros = &scores[size_t(r0 * width)];
+                float *inf_row = &scores[size_t((r0 + 1) * width)];
+                float *nan_row = &scores[size_t((r0 + 2) * width)];
+                for (int64_t j = 0; j < width; ++j) {
+                    const int64_t c = j + r0;
+                    zeros[j] = (c * 5) % 3 == 0 ? -0.0f
+                               : (c % 7 == 3)   ? 0.0f
+                                                : -kInf;
+                    inf_row[j] = float(c % 9) - 4.0f;
+                    nan_row[j] = j < 16 ? nan : float(c % 5);
+                }
+                inf_row[3 + r0] = kInf;
+                inf_row[29] = kInf;
+                nan_row[20] = neg_nan;
+                nan_row[33 - r0] = nan;
+            }
+            for (const SimdBackend backend : availableSimdBackends()) {
+                expectLsTileMatchesSegments(backend, scores, rows, width,
+                                            width, sub);
+            }
         }
     }
     // The NaN rule itself, on one 8-wide segment holding +inf.
@@ -1489,6 +1570,36 @@ TEST(LsTilePrimitive, SignedZeroMaximaAndSpecialScores)
             const uint16_t want = seg[j] == kInf ? 0x7e00 : 0x0000;
             EXPECT_EQ(x[j].bits() & 0x7fff, want)
                 << "j=" << j << " " << simdBackendName(backend);
+        }
+    }
+}
+
+TEST(ExpPrimitive, ZeroMaximaKeepTheLaneOrderSign)
+{
+    // The 16-lane max chains of the AVX-512 sweep take a zero max
+    // again in the eight-lane order. A -0 and a +0 in one lane, in
+    // either order and at any distance, pick the sign the scalar path
+    // picks, at every span length.
+    for (int64_t n = 1; n <= 80; ++n) {
+        for (int64_t first = 0; first < std::min<int64_t>(n, 24); ++first) {
+            for (int64_t gap : {8, 16, 24, 40}) {
+                for (const bool neg_first : {false, true}) {
+                    std::vector<float> x(size_t(n), -1.0f);
+                    x[size_t(first)] = neg_first ? -0.0f : 0.0f;
+                    if (first + gap < n)
+                        x[size_t(first + gap)] = neg_first ? 0.0f : -0.0f;
+                    const float want =
+                        maxSpan(SimdBackend::Scalar, x.data(), n);
+                    for (const SimdBackend backend :
+                         availableSimdBackends()) {
+                        ASSERT_EQ(bitsOf(maxSpan(backend, x.data(), n)),
+                                  bitsOf(want))
+                            << "n=" << n << " first=" << first
+                            << " gap=" << gap << " "
+                            << simdBackendName(backend);
+                    }
+                }
+            }
         }
     }
 }
