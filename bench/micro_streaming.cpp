@@ -1,13 +1,13 @@
 /**
  * @file
  * Recomposed-vs-streaming attention micro-benchmark: one dense
- * attention head per sequence length, run through the recomposed
- * (Fused-strategy) pipeline and the single-pass streaming kernel,
- * with per-arm profiler traffic and median wall time. The streaming
- * arm must move strictly fewer bytes — it never writes the L x L
- * score matrix — and the report carries the per-L byte and time
- * ratios as derived metrics. Writes BENCH_micro_streaming.json
- * (schema softrec-bench-v1).
+ * attention head per sequence length, run through runAttention's
+ * Fused strategy and through streamingAttentionRun, the single-pass
+ * online-softmax kernel, with per-arm profiler traffic and median
+ * wall time. The streaming arm must move strictly fewer bytes — it
+ * never stages a score row through memory — and the report carries
+ * the per-L byte and time ratios as derived metrics. Writes
+ * BENCH_micro_streaming.json (schema softrec-bench-v1).
  *
  * Sequence lengths: {1024, 4096, 16384} (the paper's evaluation
  * range), or the single SOFTREC_BENCH_SEQLEN point for smoke runs.
@@ -54,25 +54,22 @@ struct ArmResult
     uint64_t bytes = 0; //!< all profiler scopes, read + write
 };
 
-/** Run one (L, backend) arm under a fresh profiler. */
+/**
+ * Run one arm under a fresh profiler: `attend(ctx, out)` computes the
+ * head into out.
+ */
+template <typename AttendFn>
 ArmResult
-runArm(BenchReport &report, const std::string &prefix,
-       AttentionBackend backend, int64_t seq_len,
-       const AttentionInputs &inputs)
+runArm(BenchReport &report, const std::string &prefix, int64_t seq_len,
+       AttendFn &&attend)
 {
-    SdaConfig config;
-    config.seqLen = seq_len;
-    config.dHead = kDHead;
-    config.backend = backend;
-
     prof::Profiler profiler;
     ExecContext ctx = ExecContext::fromEnv();
     ctx.profiler = &profiler;
 
     Tensor<Half> out;
-    const double seconds = bench::medianSeconds(1, 3, [&] {
-        out = runAttention(ctx, config, inputs, Strategy::Fused);
-    });
+    const double seconds =
+        bench::medianSeconds(1, 3, [&] { attend(ctx, out); });
     SOFTREC_ASSERT(out.numel() == seq_len * kDHead,
                    "arm %s produced the wrong shape", prefix.c_str());
 
@@ -125,12 +122,23 @@ main()
 
         const std::string tag =
             strprintf("L%lld", (long long)seq_len);
-        const ArmResult recomposed =
-            runArm(report, tag + "/recomposed",
-                   AttentionBackend::Recomposed, seq_len, inputs);
-        const ArmResult streaming =
-            runArm(report, tag + "/streaming",
-                   AttentionBackend::Streaming, seq_len, inputs);
+        const ArmResult recomposed = runArm(
+            report, tag + "/recomposed", seq_len,
+            [&](const ExecContext &ctx, Tensor<Half> &out) {
+                out = runAttention(ctx, shape, inputs, Strategy::Fused);
+            });
+        StreamingAttentionDesc desc;
+        desc.seqLen = seq_len;
+        desc.kvLen = seq_len;
+        desc.dHead = kDHead;
+        desc.scale = shape.scale();
+        const ArmResult streaming = runArm(
+            report, tag + "/streaming", seq_len,
+            [&](const ExecContext &ctx, Tensor<Half> &out) {
+                out.resize(Shape({seq_len, kDHead}));
+                streamingAttentionRun(ctx, desc, inputs.q, inputs.k,
+                                      inputs.v, out);
+            });
 
         // The tentpole claim, asserted where the data is generated:
         // never materializing the score matrix must show up as

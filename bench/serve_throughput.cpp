@@ -4,13 +4,10 @@
  * trace of prompt-heavy requests is driven through ServeEngine at
  * batch limits {1, 4, 16} and the bench reports tokens/s plus p50/p95
  * request latency per arm, alongside the profiler's per-kernel rows.
- * A fourth arm repeats the batch-4 trace with the streaming attention
- * backend (the stack's config.attention set to Streaming; the other
- * arms serve the recomposed stack DecoderStack::random returns) for a
- * prefill recomposed-vs-streaming A/B on the same workload, and a fifth
- * repeats it with the int8 KV cache for a capacity A/B: same
- * fp16-denominated token budget (= same slab byte budget), so the
- * reported KV token capacity must come out >= 1.8x the f16 arm's.
+ * A fourth arm repeats the batch-4 trace with the int8 KV cache for
+ * a capacity A/B: same fp16-denominated token budget (= same slab
+ * byte budget), so the reported KV token capacity must come out
+ * >= 1.8x the f16 arm's.
  * Writes BENCH_serve_throughput.json (schema softrec-bench-v1).
  *
  * Headline point: prompts of L = 4096 tokens (the paper's evaluation
@@ -31,7 +28,6 @@
 #include "common/rng.hpp"
 #include "fp16/half.hpp"
 #include "kernels/kernel_common.hpp"
-#include "kernels/streaming_attention.hpp"
 #include "model/decode.hpp"
 #include "serve/serve_engine.hpp"
 #include "tensor/tensor.hpp"
@@ -174,9 +170,6 @@ main()
     const DecoderStack stack =
         DecoderStack::random(d_model, /*num_heads=*/4, /*d_ff=*/128,
                              /*num_layers=*/2, weights_rng);
-    // Same weights, streaming attention backend: the A/B arm.
-    DecoderStack streaming_stack = stack;
-    streaming_stack.config.attention = AttentionBackend::Streaming;
 
     BenchReport report("serve_throughput");
     report.setConfig("prompt_tokens", prompt_tokens);
@@ -188,16 +181,14 @@ main()
     struct Arm
     {
         const char *name;
-        const DecoderStack *stack;
         int64_t batchRows;
         KvDtype kvDtype;
     };
     const Arm arms[] = {
-        {"b1", &stack, 1, KvDtype::F16},
-        {"b4", &stack, 4, KvDtype::F16},
-        {"b16", &stack, 16, KvDtype::F16},
-        {"b4_streaming", &streaming_stack, 4, KvDtype::F16},
-        {"b4_int8", &stack, 4, KvDtype::I8},
+        {"b1", 1, KvDtype::F16},
+        {"b4", 4, KvDtype::F16},
+        {"b16", 16, KvDtype::F16},
+        {"b4_int8", 4, KvDtype::I8},
     };
     int64_t f16_capacity = 0;
     int64_t int8_capacity = 0;
@@ -209,7 +200,7 @@ main()
             report.setConfig("threads", int64_t(ctx.threads()));
 
         const ArmSummary summary = runArm(
-            ctx, *arm.stack, arm.batchRows, prompt_tokens, arm.kvDtype);
+            ctx, stack, arm.batchRows, prompt_tokens, arm.kvDtype);
         SOFTREC_ASSERT(summary.requestsServed == kRequests,
                        "arm %s served %lld of %lld requests",
                        arm.name,

@@ -10,11 +10,10 @@
 #   4. release build + tests  (-DSOFTREC_WERROR=ON), run once: the
 #      configuration matrix is explicit gtest parameters
 #      (tests/test_matrix.hpp), not reruns under env permutations.
-#      The ServeMatrix suites run the serving contracts on every
-#      attention backend x KV dtype x prefill chunk {0, 3}; the
-#      ExecMatrix suites and the KvEquivalence, StripLoop,
-#      ParallelDeterminism and PackedGemm tests pin thread counts and
-#      SIMD backends themselves. Then the repository benchmark runner
+#      The ServeMatrix suites run the serving contracts on every KV
+#      dtype x prefill chunk {0, 3}; the ExecMatrix suites and the
+#      KvEquivalence, StripLoop, ParallelDeterminism and PackedGemm
+#      tests pin thread counts and SIMD backends themselves. Then the repository benchmark runner
 #      (perfbench/, configured into build/perfbench) must still build
 #      against the model API and pass its --self-test
 #   5. checked build + tests  (-DSOFTREC_CHECKED_BUILD=ON, WERROR)
@@ -28,12 +27,15 @@
 #      test_serve exercises queue/pool shutdown ordering;
 #      test_admission races concurrent reserves; test_serve_engine
 #      drives the async engine's producer/consumer threads;
-#      test_streaming_attention runs the tiled kernel's strips)
+#      test_streaming_attention runs the online-softmax comparison
+#      kernel's strips)
 #   8. bench smoke: micro_kernels, micro_simd, micro_streaming,
 #      serve_throughput, and the serve_load admission-regime trace at
-#      a CI-sized sequence length; SOFTREC_BENCH_DIR routes every
-#      report to the repo root, each expected BENCH_*.json must exist
-#      there, and all must pass tools/check_bench_json.py (the
+#      a CI-sized sequence length (micro_streaming asserts that the
+#      online-softmax kernel moves fewer bytes than the recomposed
+#      path); SOFTREC_BENCH_DIR routes every report to the repo root,
+#      each expected BENCH_*.json must exist there, and all must pass
+#      tools/check_bench_json.py (the
 #      serve_throughput smoke includes the int8-vs-f16 KV capacity A/B
 #      arm and asserts its >= 1.8x ratio; the serve_load smoke includes
 #      the head-of-line arm — 4k-token prompts arriving mid-decode —

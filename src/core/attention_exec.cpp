@@ -15,7 +15,6 @@
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "kernels/softmax_kernels.hpp"
-#include "kernels/streaming_attention.hpp"
 
 namespace softrec {
 
@@ -318,25 +317,6 @@ runAttention(const ExecContext &ctx, const SdaConfig &config,
         fatal("a causal mask does not combine with a block-sparse "
               "layout; encode the mask in the layout "
               "(causalWindowPattern)");
-    }
-    if (config.backend == AttentionBackend::Streaming) {
-        if (config.sparse()) {
-            fatal("the streaming attention backend supports dense "
-                  "attention only; block-sparse layouts run the "
-                  "recomposed backend");
-        }
-        // Time-only summary scope, like the strategies below; the
-        // kernel records its own traffic under "sda.stream".
-        prof::Scope scope(ctx, "attention.streaming");
-        StreamingAttentionDesc desc;
-        desc.seqLen = config.seqLen;
-        desc.kvLen = config.keyLen();
-        desc.dHead = config.dHead;
-        desc.causalMask = config.causalMask;
-        desc.scale = config.scale();
-        streamingAttentionRun(ctx, desc, inputs.q, inputs.k, inputs.v,
-                              out);
-        return;
     }
     // Time-only summary scope; the kernels inside record their own
     // time and traffic under their individual names.

@@ -111,12 +111,11 @@ struct AttentionWorkspace
  * full computation's whenever V is finite; a non-finite V row past i
  * no longer reaches row i, as in decode. A layout encodes its own
  * mask (causalWindowPattern), so a causal mask with a layout is a
- * fatal error, as is a layout under the streaming backend. Profiler
- * rows keep their names for dense and sparse heads (sda.qk,
- * softmax.*, sda.av, one call per head) and report the full,
- * causal-oblivious operands: K and V once per head, and per strip the
- * A rows it reads and the C rows it writes; their time is summed over
- * the strips (prof::Scope::Kind::Segmented).
+ * fatal error. Profiler rows keep their names for dense and sparse
+ * heads (sda.qk, softmax.*, sda.av, one call per head) and report the
+ * full, causal-oblivious operands: K and V once per head, and per
+ * strip the A rows it reads and the C rows it writes; their time is
+ * summed over the strips (prof::Scope::Kind::Segmented).
  */
 void runAttention(const ExecContext &ctx, const SdaConfig &config,
                   const AttentionInputs &inputs, Strategy strategy,

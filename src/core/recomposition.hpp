@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "kernels/gemm.hpp"
-#include "kernels/streaming_attention.hpp"
 #include "sim/kernel_profile.hpp"
 #include "sparse/bsr.hpp"
 
@@ -67,12 +66,6 @@ struct SdaConfig
     int64_t subVector = 64;
     /** Tiling of the dense attention GEMMs. */
     GemmTiling attnTiling;
-    /**
-     * Execution backend: Recomposed runs the strategy pipeline;
-     * Streaming runs the single-pass online-softmax kernel (dense
-     * only) and ignores the strategy.
-     */
-    AttentionBackend backend = AttentionBackend::Recomposed;
 
     /** Effective key/value length (kvLen, or seqLen when unset). */
     int64_t keyLen() const { return kvLen > 0 ? kvLen : seqLen; }

@@ -58,42 +58,45 @@ namespace {
 
 /**
  * Calls fn(r0, rows, ld, n) over consecutive batches of the cached
- * rows [pos0, pos0 + count): `rows` points at the batch's first head slice
+ * rows [0, count): `rows` points at the batch's first head slice
  * (fp16 in place, or int8 dequantized into staging), ld is its row
- * stride and r0 the batch's offset from pos0. An fp16 batch is one
+ * stride and r0 the batch's first position. An fp16 batch is one
  * block's run of rows, an int8 batch up to kDecodeRowChunk rows.
  */
 template <typename Fn>
 void
 forEachRowBatch(const KvRowsView &view, int64_t col, int64_t width,
-                int64_t pos0, int64_t count, float *staging, Fn &&fn)
+                int64_t count, float *staging, Fn &&fn)
 {
     for (int64_t r0 = 0; r0 < count;) {
-        const int64_t pos = pos0 + r0;
         if (view.dtype == KvDtype::F16) {
             const int64_t n = std::min(count - r0,
                                        view.blockTokens -
-                                           pos % view.blockTokens);
-            fn(r0, view.row(pos) + col, view.rowWidth, n);
+                                           r0 % view.blockTokens);
+            fn(r0, view.row(r0) + col, view.rowWidth, n);
             r0 += n;
         } else {
             const int64_t n = std::min(kDecodeRowChunk, count - r0);
             for (int64_t r = 0; r < n; ++r)
-                view.loadRow(pos + r, col, width, staging + r * width);
+                view.loadRow(r0 + r, col, width, staging + r * width);
             fn(r0, static_cast<const float *>(staging), width, n);
             r0 += n;
         }
     }
 }
 
-} // namespace
-
+/**
+ * Scores of the fp32 query slice q (`width` wide) against the head
+ * slice at column `col` of cached rows [0, count): out[r] is one
+ * d-ascending fma chain from +0 (fmaDotRows). `staging` holds
+ * kDecodeRowChunk * width floats for int8 rows.
+ */
 void
 kvDotRows(SimdBackend backend, const float *q, const KvRowsView &view,
-          int64_t col, int64_t width, int64_t pos0, int64_t count,
-          float *staging, float *out)
+          int64_t col, int64_t width, int64_t count, float *staging,
+          float *out)
 {
-    forEachRowBatch(view, col, width, pos0, count, staging,
+    forEachRowBatch(view, col, width, count, staging,
                     [&](int64_t r0, const auto *rows, int64_t ld,
                         int64_t n) {
                         fmaDotRows(backend, q, rows, ld, n, width,
@@ -101,18 +104,24 @@ kvDotRows(SimdBackend backend, const float *q, const KvRowsView &view,
                     });
 }
 
+/**
+ * P.V over the same rows: acc[d] = fma(p[r], row[d], acc[d]) for r
+ * ascending over [0, count) (fmaAccumRows).
+ */
 void
 kvAccumRows(SimdBackend backend, const float *p, const KvRowsView &view,
-            int64_t col, int64_t width, int64_t pos0, int64_t count,
-            float *staging, float *acc)
+            int64_t col, int64_t width, int64_t count, float *staging,
+            float *acc)
 {
-    forEachRowBatch(view, col, width, pos0, count, staging,
+    forEachRowBatch(view, col, width, count, staging,
                     [&](int64_t r0, const auto *rows, int64_t ld,
                         int64_t n) {
                         fmaAccumRows(backend, p + r0, rows, ld, n, width,
                                      acc);
                     });
 }
+
+} // namespace
 
 void
 decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
@@ -163,7 +172,7 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
     const SimdBackend backend = simdBackend();
 
     // Scores: q . K^T with the scale epilogue, stored through fp16.
-    kvDotRows(backend, qf.data(), k, desc.headOffset, dh, 0, context,
+    kvDotRows(backend, qf.data(), k, desc.headOffset, dh, context,
               staging.data(), row.data());
     if (desc.scale != 1.0) {
         for (int64_t pos = 0; pos < context; ++pos)
@@ -188,7 +197,7 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
     halfToFloat(row_h.data(), row.data(), context);
     std::vector<float> &acc = w.acc;
     std::fill(acc.begin(), acc.end(), 0.0f);
-    kvAccumRows(backend, row.data(), v, desc.headOffset, dh, 0, context,
+    kvAccumRows(backend, row.data(), v, desc.headOffset, dh, context,
                 staging.data(), acc.data());
     floatToHalf(acc.data(), out, dh);
 }

@@ -66,8 +66,10 @@ constexpr int64_t kKvBlockQuantBytes = 16;
  * `pos / blockTokens` at row offset `pos % blockTokens`; every row is
  * `rowWidth` elements (the model width, all heads concatenated) of
  * the view's storage format. Kernels read rows through loadRow(),
- * which dequantizes into caller-owned fp32 lane buffers — the decode
- * hot path stays allocation-free in every format.
+ * which dequantizes into caller-owned fp32 lane buffers, so reading
+ * the cache allocates nothing in either format. (The decode step
+ * reuses its activation and attention buffers, but not the GEMM
+ * panels and scratch; a runtime allocation gate is ROADMAP item 2.)
  */
 struct KvRowsView
 {
@@ -163,31 +165,11 @@ struct DecodeAttendDesc
 };
 
 /**
- * Int8 cached rows the decode kernels dequantize to fp32 per batch:
+ * Int8 cached rows decodeAttendRun dequantizes to fp32 per batch:
  * the scores and the P.V run over up to this many of them per
  * fmaDotRows or fmaAccumRows call (fp16 rows are read in place).
  */
 inline constexpr int64_t kDecodeRowChunk = 64;
-
-/**
- * Scores of the fp32 query slice q (`width` wide) against the head
- * slice at column `col` of cached rows [pos0, pos0 + count):
- * out[r] is one d-ascending fma chain from +0 (fmaDotRows). fp16 rows
- * are read in place, one block's run of rows per call; int8 rows are
- * dequantized kDecodeRowChunk at a time into `staging`
- * (kDecodeRowChunk * width floats).
- */
-void kvDotRows(SimdBackend backend, const float *q, const KvRowsView &view,
-               int64_t col, int64_t width, int64_t pos0, int64_t count,
-               float *staging, float *out);
-
-/**
- * P.V over the same rows: acc[d] = fma(p[r], row[d], acc[d]) for r
- * ascending over [0, count) (fmaAccumRows), continuing acc's chains.
- */
-void kvAccumRows(SimdBackend backend, const float *p,
-                 const KvRowsView &view, int64_t col, int64_t width,
-                 int64_t pos0, int64_t count, float *staging, float *acc);
 
 /**
  * Reusable staging buffers for decodeAttendRun. The kernel runs once

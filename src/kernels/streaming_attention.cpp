@@ -2,13 +2,13 @@
  * @file
  * Streaming-attention implementation.
  *
- * Bit-identity contract between the two entry points: both fold key
- * tiles of kStreamKeyTile positions in ascending order, and for each
- * tile run the *same* update sequence (onlineTileUpdate below):
+ * Each row folds key tiles of kStreamKeyTile positions in ascending
+ * order, and for each tile runs the update sequence of
+ * onlineTileUpdate below:
  *
  *  - scores: one d-ascending fma chain from +0 per element, then the
  *    conditional scale multiply - the per-element chain of the packed
- *    GEMM tile and of decodeAttendRun's scores (kernels/fma_dot.hpp);
+ *    GEMM tile (kernels/fma_dot.hpp);
  *  - tile max (maxSpan), m_new = max(m, tile_max); a tile whose
  *    running max is still -inf is skipped;
  *  - rescale = exp(m - m_new) applied to d and (when != 1) to the
@@ -19,16 +19,14 @@
  *  - epilogue: one reciprocal inv = 1/d multiplied into the fp32
  *    accumulator (division-free inner loop), then the fp16 store.
  *
- * A causally masked prefill row stops its tile sweep at the diagonal,
- * which is exactly the ragged final tile a decode step of the same
- * context sees — so streaming prefill row i and streaming decode at
- * context i+1 produce identical bits, and incremental decode through
- * decodeAttendStreamRun is bit-identical to full-prefix streaming
- * recompute (tests/test_streaming_attention.cpp).
+ * A causally masked row stops its tile sweep at the diagonal, so its
+ * final tile is ragged. Every step is row-local, so the bits do not
+ * depend on the strip split, the thread count or the SIMD backend
+ * (tests/test_streaming_attention.cpp).
  *
  * q and K are fp16, so the score chains have the bits of a mul+add
  * loop; e_j is fp32, so the p.V chains round once per step where a
- * mul+add would round twice (both entry points alike).
+ * mul+add would round twice.
  */
 
 #include "kernels/streaming_attention.hpp"
@@ -46,34 +44,23 @@
 
 namespace softrec {
 
-const char *
-attentionBackendName(AttentionBackend backend)
-{
-    switch (backend) {
-      case AttentionBackend::Recomposed:
-        return "recomposed";
-      case AttentionBackend::Streaming:
-        return "streaming";
-    }
-    return "?";
-}
-
 namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
+/** Key/value tile width: the width of one online-softmax update. */
+constexpr int64_t kStreamKeyTile = 64;
+
 /**
  * Fold one w-wide tile of scaled scores into a row's running
- * (m, d, acc) state. `accumulate(e)` adds e_j times the tile's V row
- * j into acc, one j-ascending fma chain per element (fmaAccumRows).
- * Both kernels call exactly this, which is what makes their outputs
- * bit-identical for the same (q, K, V, context).
+ * (m, d, acc) state: e_j times the tile's fp32 V row j (`vrows`, dh
+ * wide) is added into acc, one j-ascending fma chain per element
+ * (fmaAccumRows).
  */
-template <typename AccumFn>
 inline void
 onlineTileUpdate(SimdBackend backend, float *SOFTREC_RESTRICT s,
                  int64_t w, int64_t dh, float &m, float &d,
-                 float *SOFTREC_RESTRICT acc, AccumFn &&accumulate)
+                 float *SOFTREC_RESTRICT acc, const float *vrows)
 {
     const float m_new = std::max(m, maxSpan(backend, s, w));
     if (m_new == kNegInf)
@@ -86,7 +73,7 @@ onlineTileUpdate(SimdBackend backend, float *SOFTREC_RESTRICT s,
         for (int64_t dd = 0; dd < dh; ++dd)
             acc[dd] *= rescale;
     }
-    accumulate(static_cast<const float *>(s));
+    fmaAccumRows(backend, s, vrows, dh, w, dh, acc);
     m = m_new;
 }
 
@@ -194,8 +181,7 @@ streamingAttentionRun(const ExecContext &ctx,
 
             // The strip's tile sweep stops at its last row's context;
             // each row additionally clamps its own consumption to the
-            // diagonal, which is exactly the ragged-tile shape a
-            // decode step of the same context sees.
+            // diagonal.
             const int64_t strip_kv =
                 desc.causalMask ? std::min(kv, r0 + rh) : kv;
             for (int64_t t0 = 0; t0 < strip_kv; t0 += kStreamKeyTile) {
@@ -224,15 +210,10 @@ streamingAttentionRun(const ExecContext &ctx,
                         continue;
                     const int64_t w =
                         std::min(w_full, valid - t0);
-                    float *acc = &accbuf[size_t(i * dh)];
                     onlineTileUpdate(
                         backend, &sbuf[size_t(i * kStreamKeyTile)], w, dh,
-                        mbuf[size_t(i)], dbuf[size_t(i)], acc,
-                        [&](const float *p) {
-                            fmaAccumRows(backend, p,
-                                         &vpack[size_t(t0 * dh)], dh, w,
-                                         dh, acc);
-                        });
+                        mbuf[size_t(i)], dbuf[size_t(i)],
+                        &accbuf[size_t(i * dh)], &vpack[size_t(t0 * dh)]);
                 }
             }
             for (int64_t i = 0; i < rh; ++i)
@@ -240,69 +221,6 @@ streamingAttentionRun(const ExecContext &ctx,
                          dbuf[size_t(i)], out.rowPtr(r0 + i));
         }
     });
-}
-
-void
-decodeAttendStreamRun(const ExecContext &ctx,
-                      const DecodeAttendDesc &desc, const Half *q_row,
-                      const KvRowsView &k, const KvRowsView &v,
-                      Half *out, DecodeAttendWorkspace *ws)
-{
-    const int64_t dh = desc.dHead;
-    const int64_t context = k.rows;
-    SOFTREC_ASSERT(dh > 0 && context > 0 && v.rows == context,
-                   "decode attention needs matching K/V contexts "
-                   "(k=%lld, v=%lld)", (long long)context,
-                   (long long)v.rows);
-    SOFTREC_ASSERT(desc.headOffset >= 0 &&
-                   desc.headOffset + dh <= k.rowWidth &&
-                   k.rowWidth == v.rowWidth,
-                   "head slice outside the cached row");
-
-    // q/K/V/out only: the streaming kernel has no score-row staging
-    // traffic, which is exactly its advantage over decodeAttendRun's
-    // softmax.row.decode crossings.
-    prof::Scope scope(ctx, "decode.attend.stream");
-    if (scope.active()) {
-        scope.addRead(uint64_t(dh) * kFp16Bytes +               // q
-                      uint64_t(2 * context * dh) *
-                          uint64_t(k.elemBytes()));             // K, V
-        scope.addWrite(uint64_t(dh) * kFp16Bytes);
-    }
-
-    DecodeAttendWorkspace local;
-    DecodeAttendWorkspace &w = ws != nullptr ? *ws : local;
-    // The score "row" is one kStreamKeyTile-wide tile, never the full
-    // context; rowH stays untouched (no fp16 staging round-trip).
-    w.prepare(dh, kStreamKeyTile);
-    std::vector<float> &qf = w.qf;
-    std::vector<float> &staging = w.rows;
-    std::vector<float> &tile = w.row;
-    std::vector<float> &acc = w.acc;
-    halfToFloat(q_row, qf.data(), dh);
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    float m = kNegInf;
-    float d = 0.0f;
-    const SimdBackend backend = simdBackend();
-
-    for (int64_t t0 = 0; t0 < context; t0 += kStreamKeyTile) {
-        const int64_t tw = std::min(kStreamKeyTile, context - t0);
-        // Scores for this tile: the same d-ascending fma chains and
-        // conditional scale as decodeAttendRun.
-        kvDotRows(backend, qf.data(), k, desc.headOffset, dh, t0, tw,
-                  staging.data(), tile.data());
-        if (desc.scale != 1.0) {
-            for (int64_t j = 0; j < tw; ++j)
-                tile[size_t(j)] *= float(desc.scale);
-        }
-        onlineTileUpdate(backend, tile.data(), tw, dh, m, d, acc.data(),
-                         [&](const float *p) {
-                             kvAccumRows(backend, p, v, desc.headOffset,
-                                         dh, t0, tw, staging.data(),
-                                         acc.data());
-                         });
-    }
-    storeRow(acc.data(), dh, m, d, out);
 }
 
 } // namespace softrec

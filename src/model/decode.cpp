@@ -16,7 +16,6 @@
 #include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
 #include "kernels/softmax_kernels.hpp"
-#include "kernels/streaming_attention.hpp"
 
 namespace softrec {
 
@@ -148,8 +147,8 @@ sliceHeadInto(const Tensor<Half> &x, int64_t head, int64_t d_head,
 /**
  * Attention for rows that start at position 0: the rows are the whole
  * sequence so far, so each head runs the batch kernel of the
- * configured strategy and backend over the rows' own Q/K/V, causal or
- * not as configured. Heads are independent problems writing disjoint
+ * configured strategy over the rows' own Q/K/V, causal or not as
+ * configured. Heads are independent problems writing disjoint
  * column bands of ws.attention, so they parallelize at grain 1; the
  * kernels inside each head then run inline (nested regions degrade
  * to serial), keeping the math order head-local and the result
@@ -171,7 +170,6 @@ attendOwnRows(const ExecContext &ctx,
     sda.layout = config.layout;
     sda.subVector = config.subVector;
     sda.attnTiling = config.attnTiling;
-    sda.backend = config.attention;
 
     parallelFor(ctx, 0, config.numHeads, 1,
                 [&](int64_t head0, int64_t head1) {
@@ -196,14 +194,14 @@ attendOwnRows(const ExecContext &ctx,
  *
  * `start` is the sequence position of row 0 and picks the attention
  * path. At 0 the rows are the whole sequence so far and attend over
- * themselves (attendOwnRows). Past 0 each (row, head) runs the decode
- * kernel of the configured backend over `prefix_kv(r, k, v)`, the K/V
- * rows row r attends to, which must already hold row r itself.
+ * themselves (attendOwnRows). Past 0 each (row, head) runs
+ * decodeAttendRun over `prefix_kv(r, k, v)`, the K/V rows row r
+ * attends to, which must already hold row r itself.
  * `store_kv(k, v)` sees the layer's fresh K/V projections before
  * attention runs, so callers stage or append them there.
  *
  * Bit-identity across callers rests on three facts: the packed GEMMs
- * compute each output row independently, the decode kernels replicate
+ * compute each output row independently, the decode kernel replicates
  * the batch row at the same position exactly, and residual, LayerNorm
  * and GELU are row-local.
  */
@@ -224,8 +222,6 @@ runLayer(const ExecContext &ctx, const FunctionalLayerConfig &config,
     } else {
         const int64_t heads = config.numHeads;
         const int64_t dh = config.dHead();
-        const bool streaming =
-            config.attention == AttentionBackend::Streaming;
         DecodeAttendDesc attend;
         attend.dHead = dh;
         attend.scale = 1.0 / std::sqrt(double(dh));
@@ -245,14 +241,10 @@ runLayer(const ExecContext &ctx, const FunctionalLayerConfig &config,
                 head.headOffset = h * dh;
                 KvRowsView k_view, v_view;
                 prefix_kv(r, k_view, v_view);
-                const Half *q_row = ws.q.rowPtr(r) + h * dh;
-                Half *out_row = ws.attention.rowPtr(r) + h * dh;
-                if (streaming)
-                    decodeAttendStreamRun(ctx, head, q_row, k_view,
-                                          v_view, out_row, &attend_ws);
-                else
-                    decodeAttendRun(ctx, head, q_row, k_view, v_view,
-                                    out_row, &attend_ws);
+                decodeAttendRun(ctx, head, ws.q.rowPtr(r) + h * dh,
+                                k_view, v_view,
+                                ws.attention.rowPtr(r) + h * dh,
+                                &attend_ws);
             }
         });
     }
@@ -319,8 +311,7 @@ checkFunctionalStack(const DecoderStack &stack)
     SOFTREC_ASSERT(stack.config.layout == nullptr &&
                    stack.config.strategy == Strategy::Baseline,
                    "the decode bit-identity contract covers dense "
-                   "Baseline-strategy attention only (recomposed or "
-                   "streaming backend)");
+                   "Baseline-strategy attention only");
     SOFTREC_ASSERT(!stack.layers.empty(),
                    "decoder stack has no layers");
     SOFTREC_ASSERT(stack.config.dModel % stack.config.numHeads == 0,

@@ -92,20 +92,16 @@ DecodeResult runGeneration(const GpuSpec &spec,
  * A functional decoder-only model: a causal FunctionalLayerConfig
  * plus one EncoderLayerWeights per layer, executed for real on the
  * CPU. The serving engine runs these; the bit-identity contract
- * (incremental decode == full-prefix recompute at every step) holds
- * per attention backend and requires dense Baseline-strategy
- * attention, which runPrefill/runDecodeStepInto assert.
+ * (incremental decode == full-prefix recompute at every step)
+ * requires dense Baseline-strategy attention, which
+ * runPrefill/runDecodeStepInto assert.
  */
 struct DecoderStack
 {
     FunctionalLayerConfig config;
     std::vector<EncoderLayerWeights> layers;
 
-    /**
-     * Randomly initialized stack with a causal dense config on the
-     * Recomposed attention backend. A caller that serves on the
-     * streaming backend sets config.attention afterwards.
-     */
+    /** Randomly initialized stack with a causal dense config. */
     static DecoderStack random(int64_t d_model, int64_t num_heads,
                                int64_t d_ff, int64_t num_layers,
                                Rng &rng);
@@ -113,11 +109,10 @@ struct DecoderStack
 
 /**
  * Reject a stack the functional KV path does not support: it must be
- * causal, dense, Baseline-strategy (either attention backend), have
- * layers, and have heads that divide dModel. Throws
- * std::logic_error. The model entry points call this, and so does
- * ServeEngine's constructor, so a bad stack fails when the engine is
- * built rather than on its serving thread.
+ * causal, dense, Baseline-strategy, have layers, and have heads that
+ * divide dModel. Throws std::logic_error. The model entry points call
+ * this, and so does ServeEngine's constructor, so a bad stack fails
+ * when the engine is built rather than on its serving thread.
  */
 void checkFunctionalStack(const DecoderStack &stack);
 
@@ -251,10 +246,10 @@ void runEncoderLayer(const ExecContext &ctx,
  * Bit-identity with the one-shot runPrefill, for every chunk split:
  * the projections are row-independent batched GEMMs; the first chunk
  * runs causal batch attention over its own rows, whose row i equals
- * the whole-prompt row i; every later row runs the decode kernel of
- * the configured backend over the exact staged prefix, which is
- * pinned bit-identical to the batch prefill row at the same
- * position; and the post-attention stages are row-local. Cache
+ * the whole-prompt row i; every later row runs decodeAttendRun over
+ * the exact staged prefix, which is pinned bit-identical to the batch
+ * prefill row at the same position; and the post-attention stages are
+ * row-local. Cache
  * appends happen row-ascending per layer, the same order as the
  * one-shot path, so the stored blocks (and their quantization
  * headers) match bit for bit as well.

@@ -44,6 +44,18 @@ struct EncoderLayerWeights
                                       Rng &rng);
 };
 
+/**
+ * The attention path of FunctionalLayerConfig. Recomposed, the
+ * strategy pipeline, is the only one. The type exists only because
+ * perfbench/runner.cpp assigns FunctionalLayerConfig::attention; a
+ * later benchmark change can drop that line, then the field and this
+ * type.
+ */
+enum class AttentionBackend
+{
+    Recomposed, //!< runs FunctionalLayerConfig::strategy
+};
+
 /** Shape and execution options of the functional layer. */
 struct FunctionalLayerConfig
 {
@@ -57,11 +69,7 @@ struct FunctionalLayerConfig
      */
     const BsrLayout *layout = nullptr;
     Strategy strategy = Strategy::Baseline;
-    /**
-     * Attention backend: Recomposed runs `strategy`; Streaming runs
-     * the single-pass online-softmax kernel (dense only). Set it
-     * explicitly; DecoderStack::random leaves it Recomposed.
-     */
+    /** Always Recomposed; see AttentionBackend. */
     AttentionBackend attention = AttentionBackend::Recomposed;
     int64_t subVector = 16;
     GemmTiling attnTiling{16, 16, 16, 256, 128};

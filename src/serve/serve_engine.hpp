@@ -238,9 +238,11 @@ class ServeEngine
     int64_t submitted_ = 0;  //!< accepted submits, under statsMutex_
     int64_t completed_ = 0;  //!< finished + cancelled, under statsMutex_
 
-    //! Serving-thread-only step state (reused across steps; after the
-    //! high-water batch shape the steady-state step allocates nothing
-    //! beyond stream cancel bookkeeping).
+    //! Serving-thread-only step state, reused across steps: the
+    //! activation and attention buffers stop growing at the
+    //! high-water batch shape. The step still allocates: every GEMM
+    //! packs its panels and scratch per call. A runtime allocation
+    //! gate is ROADMAP item 2.
     PressureSample lastSample_;
     int64_t requestsServed_ = 0;
     int64_t requestsCancelled_ = 0;

@@ -160,8 +160,10 @@ class Tensor
      * Element values are unspecified afterwards (kernels that take a
      * resized tensor as an output write every element); no
      * reallocation happens once capacity has reached the high-water
-     * mark, which is what lets step-lifetime workspaces keep the
-     * decode loop allocation-free.
+     * mark, which is what lets step-lifetime workspaces reuse the
+     * decode loop's activation and attention buffers. (The GEMM
+     * panels and scratch are still allocated per call; a runtime
+     * allocation gate is ROADMAP item 2.)
      */
     void
     resize(Shape shape)

@@ -3,21 +3,23 @@
  * Tests of the autoregressive generation study, plus the KV-cache
  * equivalence suite: incremental decode through the functional KV
  * path must be bit-identical to recomputing the full prefix at every
- * step, across thread counts, SIMD backends and both attention
- * backends (each pinned per test), at prompt lengths that leave every
- * remainder modulo the exp primitive's 8 sum lanes.
+ * step, across thread counts and SIMD backends (each pinned per
+ * test), at prompt lengths that leave every remainder modulo the exp
+ * primitive's 8 sum lanes; and the edge cases of decodeAttendRun.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
-#include "kernels/streaming_attention.hpp"
+#include "kernels/decode_attention.hpp"
 #include "model/decode.hpp"
 #include "model/functional_layer.hpp"
 #include "serve/kv_cache.hpp"
@@ -32,23 +34,19 @@ constexpr int64_t kDff = 48;
 constexpr int64_t kLayers = 2;
 constexpr int64_t kSteps = 5;
 
-/** Random stack on an explicit attention backend. */
 DecoderStack
-makeStack(Rng &rng, AttentionBackend backend)
+makeStack(Rng &rng)
 {
-    DecoderStack stack =
-        DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
-    stack.config.attention = backend;
-    return stack;
+    return DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
 }
 
 Tensor<Half>
-randomPrompt(Rng &rng, int64_t tokens)
+randomHalf(Rng &rng, int64_t rows, int64_t cols)
 {
-    Tensor<Half> prompt(Shape({tokens, kDm}));
-    for (int64_t i = 0; i < prompt.numel(); ++i)
-        prompt.data()[i] = Half(float(rng.normal(0.0, 0.5)));
-    return prompt;
+    Tensor<Half> t(Shape({rows, cols}));
+    for (int64_t i = 0; i < t.numel(); ++i)
+        t.data()[i] = Half(float(rng.normal(0.0, 0.5)));
+    return t;
 }
 
 /** One decode step with a call-lifetime workspace (test-only). */
@@ -106,12 +104,11 @@ expectRowBitsEqual(const Tensor<Half> &got, int64_t got_row,
  */
 void
 checkIncrementalMatchesRecompute(const ExecContext &ctx,
-                                 AttentionBackend backend,
                                  int64_t prompt_len)
 {
     Rng rng(17);
-    const DecoderStack stack = makeStack(rng, backend);
-    const Tensor<Half> prompt = randomPrompt(rng, prompt_len);
+    const DecoderStack stack = makeStack(rng);
+    const Tensor<Half> prompt = randomHalf(rng, prompt_len, kDm);
 
     KvSlab slab(/*block_tokens=*/4, kDm);
     KvCache cache(slab, kLayers);
@@ -144,7 +141,7 @@ checkIncrementalMatchesRecompute(const ExecContext &ctx,
 }
 
 /**
- * The suite runs once per (attention backend, prompt length). Every
+ * The suite runs once per prompt length. Every
  * full-prefix recompute row i carries a causally masked -inf tail of
  * a different length than the prefill row it must equal, so the
  * prompt lengths put every remainder of the context modulo 8 under
@@ -153,18 +150,15 @@ checkIncrementalMatchesRecompute(const ExecContext &ctx,
  * remainder modulo 8, so each count of trailing positions that the
  * eight-per-vector decode scores leave to the one-row chain is met.
  */
-class KvEquivalence
-    : public testing::TestWithParam<std::tuple<AttentionBackend, int64_t>>
+class KvEquivalence : public testing::TestWithParam<int64_t>
 {
   protected:
-    static AttentionBackend backend() { return std::get<0>(GetParam()); }
-    static int64_t promptLen() { return std::get<1>(GetParam()); }
+    static int64_t promptLen() { return GetParam(); }
 };
 
 TEST_P(KvEquivalence, SerialContext)
 {
-    checkIncrementalMatchesRecompute(ExecContext(), backend(),
-                                     promptLen());
+    checkIncrementalMatchesRecompute(ExecContext(), promptLen());
 }
 
 TEST_P(KvEquivalence, ThreadPool4)
@@ -172,14 +166,13 @@ TEST_P(KvEquivalence, ThreadPool4)
     ThreadPool pool(4);
     ExecContext ctx;
     ctx.pool = &pool;
-    checkIncrementalMatchesRecompute(ctx, backend(), promptLen());
+    checkIncrementalMatchesRecompute(ctx, promptLen());
 }
 
 TEST_P(KvEquivalence, ScalarSimdBackend)
 {
     const SimdBackend prev = setSimdBackend(SimdBackend::Scalar);
-    checkIncrementalMatchesRecompute(ExecContext(), backend(),
-                                     promptLen());
+    checkIncrementalMatchesRecompute(ExecContext(), promptLen());
     setSimdBackend(prev);
 }
 
@@ -190,7 +183,7 @@ TEST_P(KvEquivalence, DetectedSimdBackendThreaded)
     ThreadPool pool(4);
     ExecContext ctx;
     ctx.pool = &pool;
-    checkIncrementalMatchesRecompute(ctx, backend(), promptLen());
+    checkIncrementalMatchesRecompute(ctx, promptLen());
     setSimdBackend(prev);
 }
 
@@ -204,8 +197,8 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
     // leaves 3 rows), so this is also the layer-level check that the
     // scalar and SIMD kernels agree.
     Rng rng(23);
-    const DecoderStack stack = makeStack(rng, backend());
-    const Tensor<Half> prompt = randomPrompt(rng, promptLen());
+    const DecoderStack stack = makeStack(rng);
+    const Tensor<Half> prompt = randomHalf(rng, promptLen(), kDm);
 
     auto generate = [&](int threads, SimdBackend backend) {
         const SimdBackend prev = setSimdBackend(backend);
@@ -256,8 +249,8 @@ TEST_P(KvEquivalence, SameBitsAcrossThreadCountsAndBackends)
 TEST_P(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
 {
     Rng rng(29);
-    const DecoderStack stack = makeStack(rng, backend());
-    const Tensor<Half> prompt = randomPrompt(rng, promptLen());
+    const DecoderStack stack = makeStack(rng);
+    const Tensor<Half> prompt = randomHalf(rng, promptLen(), kDm);
 
     KvSlab slab(/*block_tokens=*/3, kDm);
     KvCache cache(slab, kLayers);
@@ -277,15 +270,11 @@ TEST_P(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, KvEquivalence,
-    testing::Combine(testing::Values(AttentionBackend::Recomposed,
-                                     AttentionBackend::Streaming),
-                     testing::Values(int64_t(1), int64_t(7), int64_t(9),
-                                     int64_t(10), int64_t(17),
-                                     int64_t(2055))),
-    [](const testing::TestParamInfo<KvEquivalence::ParamType> &info) {
-        return std::string(attentionBackendName(std::get<0>(info.param))) +
-               "_prompt" + std::to_string(std::get<1>(info.param));
+    Prompts, KvEquivalence,
+    testing::Values(int64_t(1), int64_t(7), int64_t(9), int64_t(10),
+                    int64_t(17), int64_t(2055)),
+    [](const testing::TestParamInfo<int64_t> &info) {
+        return "prompt" + std::to_string(info.param);
     });
 
 TEST(DecodeStep, StructureAndWeightBoundGemvs)
@@ -401,7 +390,6 @@ TEST(AttentionMemory, StripBuffersStayBelowOneScoreMatrix)
     Rng rng(91);
     DecoderStack stack =
         DecoderStack::random(kModel, kModelHeads, kModel, 1, rng);
-    stack.config.attention = AttentionBackend::Recomposed;
     Tensor<Half> prompt(Shape({kL, kModel}));
     for (int64_t i = 0; i < prompt.numel(); ++i)
         prompt.data()[i] = Half(float(rng.normal(0.0, 0.5)));
@@ -472,6 +460,101 @@ TEST(AttentionMemory, SparseHeadStaysBelowOneLayoutMatrix)
         runAttention(ctx, config, inputs, strategy, ws, out);
         EXPECT_EQ(ws.heldBytes(), held) << strategyName(strategy);
     }
+}
+
+// --- decodeAttendRun edge cases ---------------------------------------
+
+/** Single-block KV view over a [rows, width] tensor. */
+struct TensorKvView
+{
+    const std::byte *block;
+    KvRowsView view;
+
+    TensorKvView(const Tensor<Half> &t, int64_t rows)
+        : block(reinterpret_cast<const std::byte *>(t.data()))
+    {
+        view.blocks = &block;
+        view.blockTokens = t.shape().dim(0);
+        view.rowWidth = t.shape().dim(1);
+        view.rows = rows;
+    }
+};
+
+TEST(DecodeAttend, AllMaskedRowYieldsZeros)
+{
+    // Every score -inf (fully masked row): the kernel must emit a
+    // zero row, not NaNs — exp(-inf - -inf) is the trap.
+    const int64_t dh = 8;
+    const int64_t context = 70;
+    const float neg_inf = -std::numeric_limits<float>::infinity();
+    Tensor<Half> k(Shape({context, dh}));
+    Rng rng(59);
+    Tensor<Half> v = randomHalf(rng, context, dh);
+    std::vector<Half> q(size_t(dh), Half(1.0f));
+    for (int64_t i = 0; i < k.numel(); ++i)
+        k.data()[i] = Half(neg_inf);
+
+    DecodeAttendDesc desc;
+    desc.dHead = dh;
+    TensorKvView kv(k, context);
+    TensorKvView vv(v, context);
+    std::vector<Half> out(size_t(dh), Half(7.0f));
+    decodeAttendRun(ExecContext(), desc, q.data(), kv.view, vv.view,
+                    out.data());
+    for (int64_t j = 0; j < dh; ++j) {
+        EXPECT_FALSE(std::isnan(float(out[size_t(j)]))) << j;
+        EXPECT_EQ(float(out[size_t(j)]), 0.0f) << j;
+    }
+}
+
+TEST(DecodeAttend, OneHotRowSurvivesDenomUnderflow)
+{
+    // One dominant score, the rest ~exp(-90) below it: the exp terms
+    // underflow toward zero but the output must converge to the
+    // dominant V row, not 0/0.
+    const int64_t dh = 8;
+    const int64_t context = 65;
+    const int64_t hot = 37;
+    Rng rng(61);
+    Tensor<Half> k(Shape({context, dh}));
+    Tensor<Half> v = randomHalf(rng, context, dh);
+    for (int64_t pos = 0; pos < context; ++pos)
+        for (int64_t j = 0; j < dh; ++j)
+            k.at(pos, j) = Half(pos == hot ? 12.0f : -12.0f);
+    std::vector<Half> q(size_t(dh), Half(1.0f));
+
+    DecodeAttendDesc desc;
+    desc.dHead = dh;
+    TensorKvView kv(k, context);
+    TensorKvView vv(v, context);
+    std::vector<Half> out(size_t(dh), Half(0.0f));
+    decodeAttendRun(ExecContext(), desc, q.data(), kv.view, vv.view,
+                    out.data());
+    for (int64_t j = 0; j < dh; ++j)
+        EXPECT_NEAR(float(out[size_t(j)]), float(v.at(hot, j)), 1e-2)
+            << j;
+}
+
+TEST(DecodeAttend, SingleTokenContextReturnsTheVRow)
+{
+    // Context of one: softmax over one score is exactly 1, so the
+    // output is the V row bit for bit (fp32 round-trip is exact).
+    const int64_t dh = 8;
+    Rng rng(67);
+    Tensor<Half> k = randomHalf(rng, 1, dh);
+    Tensor<Half> v = randomHalf(rng, 1, dh);
+    std::vector<Half> q(size_t(dh), Half(0.25f));
+
+    DecodeAttendDesc desc;
+    desc.dHead = dh;
+    desc.scale = 0.125;
+    TensorKvView kv(k, 1);
+    TensorKvView vv(v, 1);
+    std::vector<Half> out(size_t(dh), Half(0.0f));
+    decodeAttendRun(ExecContext(), desc, q.data(), kv.view, vv.view,
+                    out.data());
+    for (int64_t j = 0; j < dh; ++j)
+        EXPECT_EQ(out[size_t(j)].bits(), v.at(0, j).bits()) << j;
 }
 
 } // namespace

@@ -5,9 +5,9 @@
  * both storage formats, the per-block int8 quantization contract
  * (round-trip error <= scale / 2, rescale-on-append never compounds),
  * checked-build poison-on-release, and the end-to-end quantized
- * decode error bound (<= 5e-2 vs the fp16 reference) for both decode
- * kernels. Before this file the cache was only covered indirectly
- * through the serve tests.
+ * decode error bound (<= 5e-2 vs the fp16 reference) of
+ * decodeAttendRun. Before this file the cache was only covered
+ * indirectly through the serve tests.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "kernels/decode_attention.hpp"
-#include "kernels/streaming_attention.hpp"
 #include "serve/kv_cache.hpp"
 #include "test_matrix.hpp"
 
@@ -332,14 +331,15 @@ TEST(KvSlab, ReleasePoisonsI8HeadersInCheckedBuilds)
 
 // --- quantized decode vs the fp16 reference ---------------------------
 
-/**
- * Append the same random rows into an F16 and an I8 cache, run one
- * decode kernel against both, and bound the divergence. Exercises a
- * nonzero headOffset so the dequantized head *slice* path is covered.
- */
-void
-checkQuantizedDecodeError(const ExecContext &ctx, bool streaming)
+// Once per ExecMatrix case: the int8 decode path has no bit-level
+// cross-backend test of its own.
+using QuantizedDecode = ExecMatrix;
+
+TEST_P(QuantizedDecode, ThreePassKernelStaysWithinContract)
 {
+    // Append the same random rows into an F16 and an I8 cache, run
+    // decodeAttendRun against both, and bound the divergence. A
+    // nonzero headOffset covers the dequantized head *slice* path.
     constexpr int64_t kWidth = 16; // two heads of 8
     constexpr int64_t kHead = 8;
     constexpr int64_t kContext = 21; // partial final slab block
@@ -364,19 +364,10 @@ checkQuantizedDecodeError(const ExecContext &ctx, bool streaming)
         desc.scale = 1.0 / std::sqrt(double(kHead));
         std::vector<Half> ref(static_cast<size_t>(kHead));
         std::vector<Half> quant(static_cast<size_t>(kHead));
-        if (streaming) {
-            decodeAttendStreamRun(ctx, desc, q.data(),
-                                  f16_cache.kView(0),
-                                  f16_cache.vView(0), ref.data());
-            decodeAttendStreamRun(ctx, desc, q.data(),
-                                  i8_cache.kView(0),
-                                  i8_cache.vView(0), quant.data());
-        } else {
-            decodeAttendRun(ctx, desc, q.data(), f16_cache.kView(0),
-                            f16_cache.vView(0), ref.data());
-            decodeAttendRun(ctx, desc, q.data(), i8_cache.kView(0),
-                            i8_cache.vView(0), quant.data());
-        }
+        decodeAttendRun(ctx(), desc, q.data(), f16_cache.kView(0),
+                        f16_cache.vView(0), ref.data());
+        decodeAttendRun(ctx(), desc, q.data(), i8_cache.kView(0),
+                        i8_cache.vView(0), quant.data());
         float max_err = 0.0f;
         for (int64_t j = 0; j < kHead; ++j)
             max_err = std::max(
@@ -388,20 +379,6 @@ checkQuantizedDecodeError(const ExecContext &ctx, bool streaming)
         EXPECT_LE(max_err, 5e-2f) << "head " << head;
         EXPECT_GT(max_err, 0.0f); // the formats genuinely differ
     }
-}
-
-// Once per ExecMatrix case: the int8 decode path has no bit-level
-// cross-backend test of its own.
-using QuantizedDecode = ExecMatrix;
-
-TEST_P(QuantizedDecode, ThreePassKernelStaysWithinContract)
-{
-    checkQuantizedDecodeError(ctx(), /*streaming=*/false);
-}
-
-TEST_P(QuantizedDecode, StreamingKernelStaysWithinContract)
-{
-    checkQuantizedDecodeError(ctx(), /*streaming=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Exec, QuantizedDecode,

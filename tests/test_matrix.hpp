@@ -7,11 +7,10 @@
  *  - ExecMatrix: thread count x SIMD backend, for entry points whose
  *    bits no named invariance test covers. Cases: serial on every
  *    available backend, and 4 threads on the detected one.
- *  - ServeMatrix: attention backend x KV dtype x prefill chunk, for
- *    the serving-contract tests.
+ *  - ServeMatrix: KV dtype x prefill chunk, for the serving-contract
+ *    tests.
  *
- * Case names read like "threads4_f16c_avx512" and
- * "streaming_int8_chunk3".
+ * Case names read like "threads4_f16c_avx512" and "int8_chunk3".
  */
 
 #ifndef SOFTREC_TESTS_TEST_MATRIX_HPP
@@ -27,8 +26,6 @@
 
 #include "common/exec_context.hpp"
 #include "fp16/half.hpp"
-#include "kernels/streaming_attention.hpp"
-#include "model/decode.hpp"
 #include "serve/kv_cache.hpp"
 #include "serve/serve_config.hpp"
 
@@ -87,44 +84,35 @@ class ExecMatrix : public testing::TestWithParam<ExecCase>
 /** One serving configuration. */
 struct ServeCase
 {
-    AttentionBackend attention = AttentionBackend::Recomposed;
     KvDtype kvDtype = KvDtype::F16;
     int64_t prefillChunkTokens = 0; //!< 0 = one-shot prefill
 };
 
-/** Both attention backends x both KV dtypes x each of `chunks`. */
+/** Both KV dtypes x each of `chunks`. */
 inline std::vector<ServeCase>
 serveCases(std::initializer_list<int64_t> chunks = {0, 3})
 {
     std::vector<ServeCase> cases;
-    for (const AttentionBackend attention :
-         {AttentionBackend::Recomposed, AttentionBackend::Streaming})
-        for (const KvDtype dtype : {KvDtype::F16, KvDtype::I8})
-            for (const int64_t chunk : chunks)
-                cases.push_back({attention, dtype, chunk});
+    for (const KvDtype dtype : {KvDtype::F16, KvDtype::I8})
+        for (const int64_t chunk : chunks)
+            cases.push_back({dtype, chunk});
     return cases;
 }
 
 inline std::string
 serveCaseName(const testing::TestParamInfo<ServeCase> &info)
 {
-    return std::string(attentionBackendName(info.param.attention)) + "_" +
-           kvDtypeName(info.param.kvDtype) + "_chunk" +
+    return std::string(kvDtypeName(info.param.kvDtype)) + "_chunk" +
            std::to_string(info.param.prefillChunkTokens);
 }
 
 /**
- * Fixture of a ServeMatrix suite: onCase() moves a stack to the
- * case's attention backend and a config to its KV dtype and chunk.
+ * Fixture of a ServeMatrix suite: onCase() moves a config to the
+ * case's KV dtype and chunk.
  */
 class ServeMatrix : public testing::TestWithParam<ServeCase>
 {
   protected:
-    static DecoderStack onCase(DecoderStack stack)
-    {
-        stack.config.attention = GetParam().attention;
-        return stack;
-    }
     static ServeConfig onCase(ServeConfig config)
     {
         config.kvDtype = GetParam().kvDtype;

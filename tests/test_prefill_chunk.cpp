@@ -4,8 +4,8 @@
  * prompt into fixed-row chunks must be bit-identical to the one-shot
  * prefill — same stack outputs, same cache contents (including the
  * quantized cache's per-block headers), same subsequent decode
- * steps — for every chunk size, both attention backends, and both
- * KV storage formats, on every ExecMatrix case (thread count x SIMD
+ * steps — for every chunk size and both KV storage formats, on
+ * every ExecMatrix case (thread count x SIMD
  * backend). This is what lets the serve engine interleave prefill
  * with decode without perturbing a single generated token.
  */
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "kernels/streaming_attention.hpp"
 #include "model/decode.hpp"
 #include "serve/kv_cache.hpp"
 #include "test_matrix.hpp"
@@ -44,13 +43,10 @@ randomPrompt(Rng &rng, int64_t tokens)
 }
 
 DecoderStack
-makeStack(AttentionBackend backend)
+makeStack()
 {
     Rng rng(11); // same weights in every combination
-    DecoderStack stack =
-        DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
-    stack.config.attention = backend;
-    return stack;
+    return DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
 }
 
 /** Drive a full chunked prefill; returns the final chunk's output. */
@@ -120,8 +116,8 @@ decodeStep(const ExecContext &ctx, const DecoderStack &stack,
 }
 
 /**
- * The acceptance matrix: chunk in {1, 7, 64, >= prompt} x attention
- * backend x KV dtype, per ExecMatrix case. For every cell, chunked
+ * The acceptance matrix: chunk in {1, 7, 64, >= prompt} x KV dtype,
+ * per ExecMatrix case. For every cell, chunked
  * and one-shot prefill must agree bit for bit on the stack output's
  * last row, on every cached row, and on kDecodeSteps subsequent
  * decode steps.
@@ -130,60 +126,48 @@ using PrefillChunk = ExecMatrix;
 
 TEST_P(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
 {
-    const AttentionBackend backends[] = {AttentionBackend::Recomposed,
-                                         AttentionBackend::Streaming};
+    const DecoderStack stack = makeStack();
     const KvDtype dtypes[] = {KvDtype::F16, KvDtype::I8};
     const int64_t chunks[] = {1, 7, 64, kPrompt, kPrompt + 9};
     Rng prompt_rng(29);
     const Tensor<Half> prompt = randomPrompt(prompt_rng, kPrompt);
 
-    for (AttentionBackend backend : backends) {
-        const DecoderStack stack = makeStack(backend);
-        for (KvDtype dtype : dtypes) {
-            // One-shot reference for this (backend, dtype) pair.
-            KvSlab ref_slab(kBlockTokens, kDm, 8, dtype);
-            KvCache ref_cache(ref_slab, kLayers);
-            const Tensor<Half> ref_out =
-                runPrefill(ctx(), stack, prompt, ref_cache);
+    for (KvDtype dtype : dtypes) {
+        // One-shot reference for this dtype.
+        KvSlab ref_slab(kBlockTokens, kDm, 8, dtype);
+        KvCache ref_cache(ref_slab, kLayers);
+        const Tensor<Half> ref_out =
+            runPrefill(ctx(), stack, prompt, ref_cache);
 
-            for (int64_t chunk : chunks) {
-                SCOPED_TRACE(testing::Message()
-                             << "backend "
-                             << attentionBackendName(
-                                    stack.config.attention)
-                             << " dtype "
-                             << (dtype == KvDtype::F16 ? "f16"
-                                                       : "int8")
-                             << " chunk " << chunk);
-                KvSlab slab(kBlockTokens, kDm, 8, dtype);
-                KvCache cache(slab, kLayers);
-                const Tensor<Half> out = chunkedPrefill(
-                    ctx(), stack, prompt, chunk, cache);
-                expectRowBitsEqual(out, out.shape().dim(0) - 1,
-                                   ref_out, kPrompt - 1,
-                                   "final prefill row");
-                expectCachesEqual(cache, ref_cache);
+        for (int64_t chunk : chunks) {
+            SCOPED_TRACE(testing::Message()
+                         << "dtype " << kvDtypeName(dtype)
+                         << " chunk " << chunk);
+            KvSlab slab(kBlockTokens, kDm, 8, dtype);
+            KvCache cache(slab, kLayers);
+            const Tensor<Half> out =
+                chunkedPrefill(ctx(), stack, prompt, chunk, cache);
+            expectRowBitsEqual(out, out.shape().dim(0) - 1, ref_out,
+                               kPrompt - 1, "final prefill row");
+            expectCachesEqual(cache, ref_cache);
 
-                // The caches must be interchangeable downstream:
-                // decode from both, bit-identical at every step.
-                KvSlab ref_decode_slab(kBlockTokens, kDm, 8, dtype);
-                KvCache ref_decode(ref_decode_slab, kLayers);
-                runPrefill(ctx(), stack, prompt, ref_decode);
-                Tensor<Half> ref_in(Shape({1, kDm}));
-                Tensor<Half> in(Shape({1, kDm}));
-                std::copy(ref_out.rowPtr(kPrompt - 1),
-                          ref_out.rowPtr(kPrompt - 1) + kDm,
-                          ref_in.rowPtr(0));
-                std::copy(out.rowPtr(out.shape().dim(0) - 1),
-                          out.rowPtr(out.shape().dim(0) - 1) + kDm,
-                          in.rowPtr(0));
-                for (int64_t step = 0; step < kDecodeSteps; ++step) {
-                    ref_in = decodeStep(ctx(), stack, ref_in,
-                                        {&ref_decode});
-                    in = decodeStep(ctx(), stack, in, {&cache});
-                    expectRowBitsEqual(in, 0, ref_in, 0,
-                                       "decode step");
-                }
+            // The caches must be interchangeable downstream: decode
+            // from both, bit-identical at every step.
+            KvSlab ref_decode_slab(kBlockTokens, kDm, 8, dtype);
+            KvCache ref_decode(ref_decode_slab, kLayers);
+            runPrefill(ctx(), stack, prompt, ref_decode);
+            Tensor<Half> ref_in(Shape({1, kDm}));
+            Tensor<Half> in(Shape({1, kDm}));
+            std::copy(ref_out.rowPtr(kPrompt - 1),
+                      ref_out.rowPtr(kPrompt - 1) + kDm,
+                      ref_in.rowPtr(0));
+            std::copy(out.rowPtr(out.shape().dim(0) - 1),
+                      out.rowPtr(out.shape().dim(0) - 1) + kDm,
+                      in.rowPtr(0));
+            for (int64_t step = 0; step < kDecodeSteps; ++step) {
+                ref_in = decodeStep(ctx(), stack, ref_in, {&ref_decode});
+                in = decodeStep(ctx(), stack, in, {&cache});
+                expectRowBitsEqual(in, 0, ref_in, 0, "decode step");
             }
         }
     }
@@ -196,8 +180,7 @@ INSTANTIATE_TEST_SUITE_P(Exec, PrefillChunk,
 TEST(PrefillState, GuardsMisuse)
 {
     const ExecContext ctx;
-    const DecoderStack stack =
-        makeStack(AttentionBackend::Recomposed);
+    const DecoderStack stack = makeStack();
     Rng prompt_rng(31);
     const Tensor<Half> prompt = randomPrompt(prompt_rng, 8);
     KvSlab slab(kBlockTokens, kDm, 8, KvDtype::F16);

@@ -7,8 +7,8 @@
  * trace through ServeEngine. (KvSlab/KvCache have their own suite in
  * test_kv_cache.cpp.)
  *
- * The drain traces run once per ServeMatrix case (attention backend x
- * KV dtype x prefill chunk): the bit-identity claims hold in every
+ * The drain traces run once per ServeMatrix case (KV dtype x prefill
+ * chunk): the bit-identity claims hold in every
  * case because a request's KV content never depends on batch
  * composition.
  */
@@ -676,7 +676,7 @@ using ServeEngineDrain = ServeMatrix;
 
 TEST_P(ServeEngineDrain, DrainsEveryRequestAndReportsThroughput)
 {
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     const DrainSummary summary =
         drainTrace(stack, onCase(ServeConfig()), 4);
     EXPECT_EQ(summary.requestsServed, 5);
@@ -697,7 +697,7 @@ TEST_P(ServeEngineDrain, BatchedServingIsBitIdenticalToSerial)
     // The same trace served one-at-a-time and continuously batched
     // must generate identical final rows: batching is a scheduling
     // decision, never a numerics decision.
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     auto rows_by_id = [](const DrainSummary &summary) {
         std::map<int64_t, std::vector<uint16_t>> rows;
         for (const DrainedRequest &stats : summary.requests) {
@@ -742,7 +742,7 @@ TEST(ServeEngineSetup, SubmitRejectsImpossibleRequests)
 
 TEST_P(ServeEngineDrain, SlabDrainsBackToZeroAfterRun)
 {
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     ServeConfig config = onCase(ServeConfig());
     config.maxBatchRows = 3;
     config.tokenBudget = 1024;

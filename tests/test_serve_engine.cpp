@@ -8,7 +8,7 @@
  * a reasoned rejection). Runs under tsan in CI.
  *
  * Every engine test that serves tokens runs once per ServeMatrix case
- * (attention backend x KV dtype x prefill chunk); the admission tests
+ * (KV dtype x prefill chunk); the admission tests
  * that never run the model stay plain TESTs.
  */
 
@@ -198,7 +198,7 @@ TEST(ServeSession, DroppingTheHandleClosesTheStream)
 
 TEST_P(ServeEngineMatrix, StreamsEveryRequestToCompletion)
 {
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     ServeEngine engine(ExecContext(), stack, onCase(testConfig()));
     engine.start();
 
@@ -245,7 +245,7 @@ TEST_P(ServeEngineMatrix, BatchCompositionNeverChangesTheTokens)
     // bit-identical final rows: batching is a scheduling decision,
     // never a numerics decision — the engine inherits the decode
     // path's row-local math.
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     auto serve = [&stack](int64_t batch_rows) {
         ServeEngine engine(ExecContext(), stack,
                            onCase(testConfig(batch_rows)));
@@ -285,7 +285,7 @@ TEST_P(ServeEngineChunking, ChunkedPrefillNeverChangesTheTokens)
     // smaller than every prompt must stream bit-identical final rows
     // and the same completion accounting. Prompts are long enough
     // that each one spans several chunks.
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     auto serve = [&stack](int64_t chunk_tokens) {
         ServeConfig config = onCase(testConfig());
         config.prefillChunkTokens = chunk_tokens;
@@ -347,7 +347,7 @@ TEST(Percentile, EmptySamplesAndBadQuantilesAreHardErrors)
 
 TEST_P(ServeEngineMatrix, TenantBudgetIsEnforcedAcrossInFlightRequests)
 {
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     ServeConfig config = onCase(testConfig());
     config.admission.tenantTokenBudget = 24;
     ServeEngine engine(ExecContext(), stack, config);
@@ -389,7 +389,7 @@ TEST_P(ServeEngineMatrix, TenantBudgetIsEnforcedAcrossInFlightRequests)
 
 TEST_P(ServeEngineMatrix, AbandonedSessionIsCancelledAndReclaimed)
 {
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     ServeConfig config = onCase(testConfig());
     config.streamCapacity = 2; // engine outruns the consumer quickly
     ServeEngine engine(ExecContext(), stack, config);
@@ -424,7 +424,7 @@ TEST_P(ServeEngineMatrix, AbandonedSessionIsCancelledAndReclaimed)
 
 TEST_P(ServeEngineMatrix, ShutdownDoesNotHangOnAStalledConsumer)
 {
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     ServeConfig config = onCase(testConfig());
     config.streamCapacity = 2; // engine outruns the consumer quickly
     ServeEngine engine(ExecContext(), stack, config);
@@ -516,7 +516,7 @@ TEST_P(ServeEngineMatrix, MultiProducerStressCompletesOrRejectsEverything)
     // tight thresholds: every submit must return a decision, every
     // accepted request must stream to a terminal state, and the
     // accounting must balance. Run under tsan in CI.
-    const DecoderStack stack = onCase(testStack());
+    const DecoderStack stack = testStack();
     ServeConfig config = onCase(testConfig());
     config.queueCapacity = 8;
     config.tokenBudget = 256;
