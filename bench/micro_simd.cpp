@@ -5,8 +5,9 @@
  * GEMM at an attention shape (plain; as QK^T, plain and as SDF's
  * fused-LS QK^T with 16 x 16 tiles and with 64-column tiles of four
  * T = 16 segments; as P.V with and without SDF's GS prologue) and at
- * the serving projection shape, the exp primitive on its own and row
- * softmax. Every arm runs the same code paths on every backend in
+ * the serving projection shape with and without its GeLU epilogue,
+ * the exp primitive on its own, row softmax and the residual Add &
+ * LayerNorm. Every arm runs the same code paths on every backend in
  * availableSimdBackends() — the backend is switched in-process via
  * setSimdBackend(), which selects the conversion paths, the GEMM tile
  * body and the exp path — so the report isolates exactly what each
@@ -14,10 +15,10 @@
  * gemm.proj.f16c-avx2 and gemm.proj.f16c-avx512 on an AVX-512 host,
  * where the GEMM and exp arms run different bodies). The QK^T, P.V,
  * exp and softmax arms also report ns per element (of the scores, or
- * of P.V's A operand); the plain GEMM and projection arms report each
- * backend's GFLOP/s and, for the AVX2 and AVX-512 tiles, its share of
- * an in-process FMA-peak loop of the same vector width (derived
- * fma_peak.<backend>_gflops).
+ * of P.V's A operand), the LayerNorm arm ns per row; the plain GEMM
+ * and projection arms report each backend's GFLOP/s and, for the AVX2
+ * and AVX-512 tiles, its share of an in-process FMA-peak loop of the
+ * same vector width (derived fma_peak.<backend>_gflops).
  * Writes BENCH_micro_simd.json (schema softrec-bench-v1).
  */
 
@@ -37,6 +38,7 @@
 #include "fp16/half.hpp"
 #include "fp16/simd_math.hpp"
 #include "fp16/simd_platform.hpp"
+#include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
 #include "model/functional_layer.hpp"
@@ -378,7 +380,9 @@ main()
 
     // --- Serving projection GEMM: [L, 256] x [256, 1024] with bias,
     // through projectRowsInto (tileM = tileN = 16), the shape of the
-    // ff.1 projection in the serving model.
+    // ff.1 projection in the serving model: gemm.proj without its GeLU
+    // epilogue, gemm.proj_gelu with it, so their difference is GeLU's
+    // cost (ff.1 against an ff.2-like projection).
     {
         const int64_t dm = 256, dff = 1024;
         Tensor<Half> x = randomHalf(rng, Shape({L, dm}));
@@ -391,11 +395,30 @@ main()
         const uint64_t in_bytes =
             uint64_t((L + dff) * dm) * kFp16Bytes +
             uint64_t(dff) * kFp32Bytes;
-        addArm(report, "gemm.proj", peaks, in_bytes,
-               uint64_t(L * dff) * kFp16Bytes, ctx.threads(),
-               2.0 * double(L) * double(dm) * double(dff), 0, [&] {
-                   projectRowsInto(ctx, "bench.proj", x, w, bias,
-                                   /*gelu=*/false, out);
+        for (const bool gelu : {false, true}) {
+            addArm(report, gelu ? "gemm.proj_gelu" : "gemm.proj", peaks,
+                   in_bytes, uint64_t(L * dff) * kFp16Bytes, ctx.threads(),
+                   2.0 * double(L) * double(dm) * double(dff), 0, [&] {
+                       projectRowsInto(ctx, "bench.proj", x, w, bias, gelu,
+                                       out);
+                   });
+        }
+    }
+
+    // --- The layer's residual Add & LayerNorm over [L, 256]
+    // (residualLayerNormRun); ns per element counts rows.
+    {
+        const int64_t dm = 256;
+        Tensor<Half> a = randomHalf(rng, Shape({L, dm}));
+        Tensor<Half> b = randomHalf(rng, Shape({L, dm}));
+        Tensor<float> gamma(Shape({dm}), 1.0f);
+        Tensor<float> beta(Shape({dm}), 0.0f);
+        Tensor<Half> out(Shape({L, dm}));
+        const uint64_t bytes = uint64_t(L * dm) * kFp16Bytes;
+        addArm(report, "layernorm", peaks,
+               2 * bytes + uint64_t(2 * dm) * kFp32Bytes, bytes,
+               ctx.threads(), 0.0, L, [&] {
+                   residualLayerNormRun(ctx, a, b, gamma, beta, out);
                });
     }
 

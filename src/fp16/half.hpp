@@ -107,8 +107,10 @@ enum class SimdBackend
               ///< register-blocked GEMM tile among them) and the
               ///< 8-wide AVX2 exp. Needs AVX2, F16C and FMA.
     Avx512,   ///< F16cAvx2 with 16-lane AVX-512 bodies of the GEMM
-              ///< tile (fmaGemmTile) and of the exp primitive
-              ///< (localSoftmaxTile, expSpan, maxSpan); the
+              ///< tile (fmaGemmTile), of the exp primitive
+              ///< (localSoftmaxTile, expSpan, maxSpan) and of the
+              ///< layer's element-wise passes (geluSpan, softmaxRow,
+              ///< epilogueTile, residualLayerNormRows); the
               ///< conversions and the decode dot products run their
               ///< AVX2 bodies. Needs AVX-512F on top of F16cAvx2's
               ///< ISA.

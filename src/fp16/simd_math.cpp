@@ -9,12 +9,16 @@
  * constant and run the same IEEE operations in the same order; the
  * scalar path keeps eight lane accumulators, and the 16-lane AVX-512
  * bodies keep the same eight-lane order, so sums and maxima combine
- * exactly like the AVX2 registers. NEON uses the scalar path.
+ * exactly like the AVX2 registers. NEON uses the scalar path. The
+ * serving layer's element-wise passes (GeLU, row softmax, the GEMM
+ * epilogue, residual Add & LayerNorm) follow: row loops for Scalar and
+ * F16cAvx2, one 16-lane body each for Avx512.
  */
 
 #include "fp16/simd_math.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -189,6 +193,124 @@ sweepScalar(const LsTile &t, float given_shift, float *out)
                 t.localSum[r * t.mdLd + sv] = (a0 + a2) + (a1 + a3);
             }
         }
+    }
+}
+
+constexpr float kSqrt2OverPi = 0.7978845608028654f;
+constexpr float kGeluCubic = 0.044715f;
+
+// The row bodies of the Scalar and F16cAvx2 paths (and of NEON): the
+// span primitives and batch conversions in turn, one loop per step.
+// The AVX-512 bodies below give their bits, and fall back on them for
+// the rows whose NaNs they do not reproduce.
+
+void
+geluChunks(SimdBackend backend, const float *x, float *out, int64_t n)
+{
+    // tanh's argument is staged per chunk, so x and out may alias.
+    constexpr int64_t kChunk = 64;
+    float inner[kChunk];
+    for (int64_t i0 = 0; i0 < n; i0 += kChunk) {
+        const int64_t w = std::min(kChunk, n - i0);
+        for (int64_t i = 0; i < w; ++i) {
+            const float v = x[i0 + i];
+            inner[i] = kSqrt2OverPi * (v + kGeluCubic * v * v * v);
+        }
+        tanhSpan(backend, inner, inner, w);
+        for (int64_t i = 0; i < w; ++i)
+            out[i0 + i] = 0.5f * x[i0 + i] * (1.0f + inner[i]);
+    }
+}
+
+RowSoftmaxStats
+softmaxRowSpans(SimdBackend backend, const Half *in, float *row,
+                Half *out, int64_t n)
+{
+    halfToFloat(in, row, n);
+    RowSoftmaxStats stats;
+    stats.max = maxSpan(backend, row, n);
+    stats.sum = expSpan(backend, row, stats.max, row, n);
+    for (int64_t j = 0; j < n; ++j)
+        row[j] = stats.sum > 0.0f ? row[j] / stats.sum : 0.0f;
+    floatToHalf(row, out, n);
+    return stats;
+}
+
+/** Columns [0, live) of row i of t are not masked. */
+int64_t
+liveColumns(const EpilogueTile &t, int64_t i)
+{
+    return t.causal ? std::clamp<int64_t>(t.diagonal + i + 1, 0, t.width)
+                    : t.width;
+}
+
+void
+epilogueRows(SimdBackend backend, const EpilogueTile &t)
+{
+    for (int64_t i = 0; i < t.rows; ++i) {
+        float *row = t.acc + i * t.ld;
+        const int64_t live = liveColumns(t, i);
+        if (t.scale != 1.0f) {
+            for (int64_t j = 0; j < live; ++j)
+                row[j] *= t.scale;
+        }
+        for (int64_t j = live; j < t.width; ++j)
+            row[j] = -kInf;
+        if (t.bias != nullptr) {
+            for (int64_t j = 0; j < t.width; ++j)
+                row[j] += t.bias[j];
+        }
+        if (t.gelu)
+            geluChunks(backend, row, row, t.width);
+        if (t.out != nullptr)
+            floatToHalf(row, t.out + i * t.outLd, t.width);
+    }
+}
+
+/**
+ * Row i of t: the residual sum, stored rounded to fp16 in out, then
+ * its LayerNorm over those stored sums, in 64-column chunks (the
+ * chains run across them unchanged).
+ */
+void
+addNormRow(const AddNormRows &t, int64_t i)
+{
+    constexpr int64_t kChunk = 64;
+    float s[kChunk], addend[kChunk];
+    const int64_t w = t.width;
+    Half *out = t.out + i * w;
+    float mean = 0.0f;
+    for (int64_t j0 = 0; j0 < w; j0 += kChunk) {
+        const int64_t n = std::min(kChunk, w - j0);
+        halfToFloat(t.a + i * w + j0, s, n);
+        halfToFloat(t.b + i * w + j0, addend, n);
+        for (int64_t j = 0; j < n; ++j)
+            s[j] += addend[j];
+        floatToHalf(s, out + j0, n);
+        halfToFloat(out + j0, s, n);
+        for (int64_t j = 0; j < n; ++j)
+            mean += s[j];
+    }
+    mean /= float(w);
+    float var = 0.0f;
+    for (int64_t j0 = 0; j0 < w; j0 += kChunk) {
+        const int64_t n = std::min(kChunk, w - j0);
+        halfToFloat(out + j0, s, n);
+        for (int64_t j = 0; j < n; ++j) {
+            const float d = s[j] - mean;
+            var += d * d;
+        }
+    }
+    var /= float(w);
+    const float inv_std = 1.0f / std::sqrt(var + t.epsilon);
+    for (int64_t j0 = 0; j0 < w; j0 += kChunk) {
+        const int64_t n = std::min(kChunk, w - j0);
+        halfToFloat(out + j0, s, n);
+        for (int64_t j = 0; j < n; ++j) {
+            const float norm = (s[j] - mean) * inv_std;
+            s[j] = norm * t.gamma[j0 + j] + t.beta[j0 + j];
+        }
+        floatToHalf(s, out + j0, n);
     }
 }
 
@@ -400,9 +522,10 @@ maxSpanAvx2(const float *x, int64_t n)
 
 // GCC 12's unmasked AVX-512 intrinsics pass _mm512_undefined_ps() as
 // the merge source of an all-ones mask, which -Wmaybe-uninitialized
-// reports once they are inlined here.
+// and -Wuninitialized report once they are inlined here.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 
 // The AVX-512 path runs the same exp 16 lanes wide and keeps the
 // eight-lane order of every max and sum. It has two bodies: the
@@ -726,6 +849,349 @@ maxSpanAvx512(const float *x, int64_t n)
     return max;
 }
 
+/** 16 halves at src, widened. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) __m512
+widen16(const Half *src)
+{
+    __m256i h;
+    std::memcpy(&h, static_cast<const void *>(src), sizeof(h));
+    return _mm512_cvtph_ps(h);
+}
+
+/** The first n (1..16) halves at src widened, the other lanes +0. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) __m512
+widenFirst(const Half *src, int64_t n)
+{
+    if (n == 16)
+        return widen16(src);
+    __m256i h = _mm256_setzero_si256();
+    std::memcpy(&h, static_cast<const void *>(src), size_t(n) * sizeof(Half));
+    return _mm512_cvtph_ps(h);
+}
+
+/** Stores the first n (1..16) halves of h at dst. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+storeFirst(Half *dst, __m256i h, int64_t n)
+{
+    // Half is a trivially-copyable wire format; the void cast mutes
+    // -Wclass-memaccess. A whole vector is one fixed-size store.
+    if (n == 16)
+        std::memcpy(static_cast<void *>(dst), &h, sizeof(h));
+    else
+        std::memcpy(static_cast<void *>(dst), &h, size_t(n) * sizeof(Half));
+}
+
+/**
+ * Narrows v and stores its first n (1..16) lanes at dst. VCVTPS2PH
+ * keeps NaN payloads that Half::fromFloat canonicalizes, so lanes
+ * holding a NaN are narrowed again on the scalar path, as floatToHalf
+ * does; every other value narrows to the same bits either way.
+ */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+narrowFirst(Half *dst, __m512 v, int64_t n)
+{
+    storeFirst(
+        dst, _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC),
+        n);
+    if ((_mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q) & laneMask(n)) != 0) {
+        alignas(64) float lanes[16];
+        _mm512_store_ps(lanes, v);
+        floatToHalfScalar(lanes, dst, n);
+    }
+}
+
+/** geluChunks of 16 lanes: the same operations, lane by lane. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) __m512
+geluZmm(__m512 x)
+{
+    const __m512 cubic = _mm512_mul_ps(
+        _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(kGeluCubic), x), x), x);
+    const __m512 inner =
+        _mm512_mul_ps(_mm512_set1_ps(kSqrt2OverPi), _mm512_add_ps(x, cubic));
+    // tanhSpan: exp(2y - 0), as expSpan with a zero shift, then
+    // 1 - 2 / (e + 1).
+    const __m512 e = expZmm(
+        _mm512_sub_ps(_mm512_add_ps(inner, inner), _mm512_setzero_ps()));
+    const __m512 one = _mm512_set1_ps(1.0f);
+    const __m512 tanh = _mm512_sub_ps(
+        one, _mm512_div_ps(_mm512_set1_ps(2.0f), _mm512_add_ps(e, one)));
+    return _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5f), x),
+                         _mm512_add_ps(one, tanh));
+}
+
+__attribute__((target("avx512f,avx2,f16c"))) void
+geluSpanAvx512(const float *x, float *out, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 16 <= n; i += 16)
+        _mm512_storeu_ps(out + i, geluZmm(_mm512_loadu_ps(x + i)));
+    if (i < n) {
+        const __mmask16 mask = laneMask(n - i);
+        _mm512_mask_storeu_ps(out + i, mask,
+                              geluZmm(_mm512_maskz_loadu_ps(mask, x + i)));
+    }
+    _mm256_zeroupper();
+}
+
+/**
+ * softmaxRowSpans in three passes: widen and take the max (two 16-lane
+ * chains, as sweepAvx512 takes it, a zero max again in the eight-lane
+ * order), the exp sweep, then divide and narrow. Every output is a
+ * finite value in [0, 1], so the narrowing needs no NaN redo.
+ */
+__attribute__((target("avx512f,avx2,f16c"))) RowSoftmaxStats
+softmaxRowAvx512(const Half *in, float *row, Half *out, int64_t n)
+{
+    const __m512 neg_inf = _mm512_set1_ps(-kInf);
+    __m512 m0 = neg_inf, m1 = neg_inf;
+    int64_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        const __m512 x0 = widen16(in + i);
+        const __m512 x1 = widen16(in + i + 16);
+        _mm512_storeu_ps(row + i, x0);
+        _mm512_storeu_ps(row + i + 16, x1);
+        m0 = _mm512_max_ps(x0, m0);
+        m1 = _mm512_max_ps(x1, m1);
+    }
+    for (; i < n; i += 16) {
+        const int64_t live = std::min<int64_t>(16, n - i);
+        const __mmask16 mask = laneMask(live);
+        const __m512 x = widenFirst(in + i, live);
+        _mm512_mask_storeu_ps(row + i, mask, x);
+        m0 = _mm512_max_ps(_mm512_mask_mov_ps(neg_inf, mask, x), m0);
+    }
+    m0 = _mm512_max_ps(m1, m0);
+    RowSoftmaxStats stats;
+    stats.max =
+        maxLanes8(_mm256_max_ps(upperHalf(m0), _mm512_castps512_ps256(m0)));
+    if (stats.max == 0.0f)
+        stats.max = segmentMaxScalar(row, n);
+    LsTile t;
+    setSpan(t, row, n);
+    t.localSum = &stats.sum;
+    sweepAvx512<Sweep::Exp>(t, stats.max, row);
+    if (stats.sum > 0.0f) {
+        const __m512 d = _mm512_set1_ps(stats.sum);
+        for (i = 0; i < n; i += 16) {
+            // The exp sweep has just stored the row; a whole vector
+            // loads unmasked, which can take its data from that store.
+            const int64_t live = std::min<int64_t>(16, n - i);
+            const __m512 e =
+                live == 16 ? _mm512_loadu_ps(row + i)
+                           : _mm512_maskz_loadu_ps(laneMask(live), row + i);
+            storeFirst(out + i,
+                       _mm512_cvtps_ph(_mm512_div_ps(e, d),
+                                       _MM_FROUND_TO_NEAREST_INT |
+                                           _MM_FROUND_NO_EXC),
+                       live);
+        }
+    } else {
+        std::fill(out, out + n, Half());
+    }
+    _mm256_zeroupper();
+    return stats;
+}
+
+/**
+ * The epilogue of columns [j, j + n) of one tile row: kWhole is a
+ * whole vector left of the causal mask (n = 16, every lane kept);
+ * otherwise only the `kept` lanes escape the mask.
+ */
+template <bool kGelu, bool kWhole>
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+epilogueVector(const EpilogueTile &t, float *row, Half *out, int64_t j,
+               int64_t n, __mmask16 kept)
+{
+    const __mmask16 mask = laneMask(n);
+    // A masked load cannot take its data from a store still in flight
+    // (the GEMM tile has just written acc), so whole vectors load
+    // unmasked.
+    __m512 v = kWhole ? _mm512_loadu_ps(row + j)
+                      : _mm512_maskz_loadu_ps(mask, row + j);
+    if (t.scale != 1.0f) {
+        const __m512 scale = _mm512_set1_ps(t.scale);
+        v = kWhole ? _mm512_mul_ps(v, scale)
+                   : _mm512_mask_mul_ps(v, kept, v, scale);
+    }
+    if (!kWhole && t.causal)
+        v = _mm512_mask_mov_ps(_mm512_set1_ps(-kInf), kept, v);
+    if (t.bias != nullptr) {
+        v = _mm512_add_ps(v, kWhole ? _mm512_loadu_ps(t.bias + j)
+                                    : _mm512_maskz_loadu_ps(mask, t.bias + j));
+    }
+    if (kGelu)
+        v = geluZmm(v);
+    if (out != nullptr)
+        narrowFirst(out + j, v, kWhole ? 16 : n);
+    else if (kWhole)
+        _mm512_storeu_ps(row + j, v);
+    else
+        _mm512_mask_storeu_ps(row + j, mask, v);
+}
+
+/**
+ * epilogueRows in one pass per row: each 16-column vector is loaded
+ * once, runs every configured step and is stored as fp16 (or back to
+ * acc). A row's vectors left of the causal mask take the unmasked
+ * body; only the one the mask cuts and those past it pay for masks.
+ * GeLU is a template flag, so the other epilogues keep their loop
+ * free of its registers and constants.
+ */
+template <bool kGelu>
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+epilogueRowsAvx512(const EpilogueTile &t)
+{
+    for (int64_t i = 0; i < t.rows; ++i) {
+        float *row = t.acc + i * t.ld;
+        Half *out = t.out != nullptr ? t.out + i * t.outLd : nullptr;
+        const int64_t live = liveColumns(t, i);
+        int64_t j = 0;
+        for (; j + 16 <= live; j += 16)
+            epilogueVector<kGelu, true>(t, row, out, j, 16, 0xffff);
+        for (; j < t.width; j += 16) {
+            const int64_t n = std::min<int64_t>(16, t.width - j);
+            epilogueVector<kGelu, false>(
+                t, row, out, j, n,
+                laneMask(std::clamp<int64_t>(live - j, 0, n)));
+        }
+    }
+}
+
+__attribute__((target("avx512f,avx2,f16c"))) void
+epilogueAvx512(const EpilogueTile &tile)
+{
+    // A local copy: the stores cannot alias it, so its fields stay in
+    // registers.
+    const EpilogueTile t = tile;
+    if (t.gelu)
+        epilogueRowsAvx512<true>(t);
+    else
+        epilogueRowsAvx512<false>(t);
+    _mm256_zeroupper();
+}
+
+/** The 16 lanes of v[0, n) added one after another onto acc. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) __m512
+addColumns(__m512 acc, const __m512 *v, int64_t n)
+{
+    if (n == 16) {
+#pragma GCC unroll 16
+        for (int c = 0; c < 16; ++c)
+            acc = _mm512_add_ps(acc, v[c]);
+        return acc;
+    }
+    for (int64_t c = 0; c < n; ++c)
+        acc = _mm512_add_ps(acc, v[c]);
+    return acc;
+}
+
+/** acc + (v[c] - mean)^2 for c in [0, n), one after another. */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) __m512
+addSquares(__m512 acc, const __m512 *v, __m512 mean, int64_t n)
+{
+    if (n == 16) {
+#pragma GCC unroll 16
+        for (int c = 0; c < 16; ++c) {
+            const __m512 d = _mm512_sub_ps(v[c], mean);
+            acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
+        }
+        return acc;
+    }
+    for (int64_t c = 0; c < n; ++c) {
+        const __m512 d = _mm512_sub_ps(v[c], mean);
+        acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
+    }
+    return acc;
+}
+
+/**
+ * addNormRow for rows [r0, r0 + nr), nr <= 16, one row per lane. The
+ * first pass stores each fp16-rounded sum to out, which holds them
+ * until the last pass overwrites them; the first two passes transpose
+ * each 16 x 16 block so that lane i runs row i's mean and variance
+ * chains column by column, in the row loop's order.
+ */
+inline __attribute__((always_inline, target("avx512f,avx2,f16c"))) void
+addNormBlock16(const AddNormRows &t, int64_t r0, int64_t nr)
+{
+    const int64_t w = t.width;
+    const __m512 zero = _mm512_setzero_ps();
+    __m512 v[16];
+    __m512 mean = zero;
+    for (int64_t c0 = 0; c0 < w; c0 += 16) {
+        const int64_t n = std::min<int64_t>(16, w - c0);
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i) {
+            if (i >= nr) {
+                v[i] = zero;
+                continue;
+            }
+            const int64_t at = (r0 + i) * w + c0;
+            const __m256i h = _mm512_cvtps_ph(
+                _mm512_add_ps(widenFirst(t.a + at, n),
+                              widenFirst(t.b + at, n)),
+                _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+            storeFirst(t.out + at, h, n);
+            v[i] = _mm512_cvtph_ps(h);
+        }
+        transpose16(v);
+        mean = addColumns(mean, v, n);
+    }
+    const __m512 width = _mm512_set1_ps(float(w));
+    mean = _mm512_div_ps(mean, width);
+    __m512 var = zero;
+    for (int64_t c0 = 0; c0 < w; c0 += 16) {
+        const int64_t n = std::min<int64_t>(16, w - c0);
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            v[i] = i < nr ? widenFirst(t.out + (r0 + i) * w + c0, n) : zero;
+        transpose16(v);
+        var = addSquares(var, v, mean, n);
+    }
+    var = _mm512_div_ps(var, width);
+    alignas(64) float means[16], vars[16], invs[16];
+    _mm512_store_ps(means, mean);
+    _mm512_store_ps(vars, var);
+    _mm512_store_ps(
+        invs, _mm512_div_ps(_mm512_set1_ps(1.0f),
+                            _mm512_sqrt_ps(_mm512_add_ps(
+                                var, _mm512_set1_ps(t.epsilon)))));
+    for (int64_t i = 0; i < nr; ++i) {
+        const int64_t r = r0 + i;
+        // A non-finite sum makes the mean or the variance non-finite;
+        // such rows, and rows whose output holds a NaN, run the row
+        // loop, whose NaNs and fp16 sums are the reference.
+        bool redo = !std::isfinite(means[i]) || !std::isfinite(vars[i]);
+        const __m512 m = _mm512_set1_ps(means[i]);
+        const __m512 inv = _mm512_set1_ps(invs[i]);
+        for (int64_t c0 = 0; c0 < w && !redo; c0 += 16) {
+            const int64_t n = std::min<int64_t>(16, w - c0);
+            const __mmask16 mask = laneMask(n);
+            Half *out = t.out + r * w + c0;
+            const __m512 norm =
+                _mm512_mul_ps(_mm512_sub_ps(widenFirst(out, n), m), inv);
+            const __m512 y = _mm512_add_ps(
+                _mm512_mul_ps(norm, _mm512_maskz_loadu_ps(mask, t.gamma + c0)),
+                _mm512_maskz_loadu_ps(mask, t.beta + c0));
+            redo = (_mm512_cmp_ps_mask(y, y, _CMP_UNORD_Q) & mask) != 0;
+            storeFirst(out,
+                       _mm512_cvtps_ph(y, _MM_FROUND_TO_NEAREST_INT |
+                                              _MM_FROUND_NO_EXC),
+                       n);
+        }
+        if (redo)
+            addNormRow(t, r);
+    }
+}
+
+__attribute__((target("avx512f,avx2,f16c"))) void
+residualLayerNormAvx512(const AddNormRows &t)
+{
+    for (int64_t r0 = 0; r0 < t.rows; r0 += 16)
+        addNormBlock16(t, r0, std::min<int64_t>(16, t.rows - r0));
+    _mm256_zeroupper();
+}
+
 #pragma GCC diagnostic pop
 
 #endif // SOFTREC_SIMD_X86
@@ -798,6 +1264,55 @@ tanhSpan(SimdBackend backend, const float *x, float *out, int64_t n)
     expSpan(backend, out, 0.0f, out, n);
     for (int64_t i = 0; i < n; ++i)
         out[i] = 1.0f - 2.0f / (out[i] + 1.0f);
+}
+
+void
+geluSpan(SimdBackend backend, const float *x, float *out, int64_t n)
+{
+#if defined(SOFTREC_SIMD_X86)
+    if (backend == SimdBackend::Avx512) {
+        geluSpanAvx512(x, out, n);
+        return;
+    }
+#endif
+    geluChunks(backend, x, out, n);
+}
+
+RowSoftmaxStats
+softmaxRow(SimdBackend backend, const Half *in, float *staging, Half *out,
+           int64_t n)
+{
+#if defined(SOFTREC_SIMD_X86)
+    if (backend == SimdBackend::Avx512)
+        return softmaxRowAvx512(in, staging, out, n);
+#endif
+    return softmaxRowSpans(backend, in, staging, out, n);
+}
+
+void
+epilogueTile(SimdBackend backend, const EpilogueTile &tile)
+{
+#if defined(SOFTREC_SIMD_X86)
+    if (backend == SimdBackend::Avx512) {
+        epilogueAvx512(tile);
+        return;
+    }
+#endif
+    epilogueRows(backend, tile);
+}
+
+void
+residualLayerNormRows(SimdBackend backend, const AddNormRows &rows)
+{
+#if defined(SOFTREC_SIMD_X86)
+    if (backend == SimdBackend::Avx512) {
+        residualLayerNormAvx512(rows);
+        return;
+    }
+#endif
+    (void)backend;
+    for (int64_t i = 0; i < rows.rows; ++i)
+        addNormRow(rows, i);
 }
 
 } // namespace softrec

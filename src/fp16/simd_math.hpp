@@ -11,6 +11,15 @@
  * plus, for T = 16 tiles, a 16-row body that transposes each 16 x 16
  * block in registers and reduces its rows vertically.
  *
+ * The per-element passes of the serving layer live here too, built
+ * on the same exp: GeLU (geluSpan), Baseline's row softmax
+ * (softmaxRow), the GEMM epilogue (epilogueTile) and the fused
+ * residual Add & LayerNorm (residualLayerNormRows). Scalar and
+ * F16cAvx2 run them as loops over the span calls and batch
+ * conversions; Avx512 runs each as one 16-lane body with the same
+ * IEEE operations per element in the same order, so every backend
+ * gives the same bits.
+ *
  * exp(z) is evaluated the same way on every backend:
  *
  *  - n = round(z * log2e), rounded to nearest-even by adding and
@@ -128,6 +137,108 @@ float maxSpan(SimdBackend backend, const float *x, int64_t n);
  */
 void tanhSpan(SimdBackend backend, const float *x, float *out,
               int64_t n);
+
+/**
+ * GeLU (tanh approximation) over a span:
+ * out[i] = 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), with the
+ * tanh of tanhSpan. Every element runs the same IEEE operations in the
+ * same order on every backend (Avx512 16 lanes at a time, the others
+ * through tanhSpan in chunks), so the bits do not depend on it; x and
+ * out may alias. The fused GEMM epilogue (epilogueTile) and
+ * biasActRun both run it, so fused and unfused GeLU agree bit for bit.
+ */
+void geluSpan(SimdBackend backend, const float *x, float *out,
+              int64_t n);
+
+/** The max and the normalizer of one softmaxRow call. */
+struct RowSoftmaxStats
+{
+    float max = 0.0f; //!< maxSpan of the widened row
+    float sum = 0.0f; //!< expSpan's sum, the normalizer d
+};
+
+/**
+ * Safe softmax of one fp16 row: with x the widened row, m =
+ * maxSpan(x) and d = expSpan(x, m), out[j] = fp16(exp(x[j] - m) / d),
+ * or +0 everywhere when d is not > 0 (a fully masked row, or one
+ * holding a NaN or +inf, whose d is NaN). The bits are those of
+ * halfToFloat, maxSpan, expSpan, the division and floatToHalf in turn,
+ * on every backend; Avx512 widens and takes the max in one pass and
+ * divides and narrows in another, around the exp sweep. `staging`
+ * holds n floats; in and out may alias.
+ */
+RowSoftmaxStats softmaxRow(SimdBackend backend, const Half *in,
+                           float *staging, Half *out, int64_t n);
+
+/**
+ * The element-wise epilogue of one fp32 GEMM output tile, or of one
+ * decode score row: rows x width values at acc (row stride ld). Per
+ * element, in this order: multiply by scale (when it is not 1) on the
+ * live columns; store -inf past them (causal only); add the bias; GeLU;
+ * narrow to fp16 into out. Without out the fp32 results stay in acc,
+ * for a fused LS to read.
+ */
+struct EpilogueTile
+{
+    float *acc = nullptr;
+    int64_t rows = 0;
+    int64_t width = 0;
+    int64_t ld = 0;
+    float scale = 1.0f;
+    /**
+     * Causal mask: row i keeps columns [0, diagonal + i + 1) and the
+     * rest become -inf; diagonal is the tile's first row minus its
+     * first column.
+     */
+    bool causal = false;
+    int64_t diagonal = 0;
+    const float *bias = nullptr; //!< width floats, or none
+    bool gelu = false;
+    Half *out = nullptr; //!< fp16 out, row stride outLd; null keeps fp32
+    int64_t outLd = 0;
+};
+
+/**
+ * Runs the epilogue of `tile`: per row scale, mask and bias loops,
+ * geluSpan and floatToHalf under Scalar and F16cAvx2; one 16-lane pass
+ * per row under Avx512, which narrows with VCVTPS2PH and narrows a
+ * vector holding a NaN again on the scalar path, as floatToHalf does.
+ * The bits are the same on every backend.
+ */
+void epilogueTile(SimdBackend backend, const EpilogueTile &tile);
+
+/**
+ * Rows of the fused residual Add & LayerNorm: out = LayerNorm(a + b)
+ * with fp32 statistics, where the sum is rounded to fp16 first, as a
+ * residual add that stores its result would. All three are rows x
+ * width halves with row stride width; out overlaps neither input.
+ */
+struct AddNormRows
+{
+    const Half *a = nullptr;
+    const Half *b = nullptr;
+    Half *out = nullptr;
+    int64_t rows = 0;
+    int64_t width = 0;
+    const float *gamma = nullptr; //!< width floats
+    const float *beta = nullptr;  //!< width floats
+    float epsilon = 1e-5f;
+};
+
+/**
+ * The fused residual Add & LayerNorm of `rows`. Per row, with s the
+ * fp16-rounded sums widened: mean = (((+0 + s0) + s1) + ...) / width,
+ * var likewise over (s - mean)^2, and out = fp16(((s - mean) *
+ * (1 / sqrt(var + epsilon))) * gamma + beta), each a separate IEEE
+ * operation in that order, the sums one sequential chain. Scalar and
+ * F16cAvx2 run the row loops; Avx512 holds 16 rows in the lanes of
+ * transposed 16 x 16 blocks, so each row keeps its sequential chain,
+ * and redoes on the row loop any row whose statistics are not finite
+ * or whose output holds a NaN. The bits are the same on every
+ * backend. The rounded sums are held in out until the normalized row
+ * overwrites them, so no staging is needed.
+ */
+void residualLayerNormRows(SimdBackend backend, const AddNormRows &rows);
 
 } // namespace softrec
 

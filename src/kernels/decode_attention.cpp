@@ -6,12 +6,13 @@
  * + gemmRun on the full prefix):
  *
  *  - scores: one d-ascending fma chain from +0 per element
- *    (fmaDotRows, eight cached positions per vector), then the scale
- *    epilogue, then an fp16 store - exactly the per-element chain of
- *    the packed GEMM tile (which accumulates k-ascending whatever the
- *    tiling) and its epilogue/store.
- *  - softmax: the same staged three-pass safe softmax as
- *    rowSoftmaxRun, through the same maxSpan/expSpan calls. A causal
+ *    (fmaDotRows, eight cached positions per vector), then the GEMM
+ *    tile's epilogue primitive (epilogueTile: the scale, then the
+ *    fp16 store) - exactly the per-element chain of the packed GEMM
+ *    tile (which accumulates k-ascending whatever the tiling) and its
+ *    epilogue/store.
+ *  - softmax: rowSoftmaxRows' row body, softmaxRow, on the stored
+ *    score row, so the two run one primitive over one row. A causal
  *    prefill row stops at the diagonal, so it covers exactly the
  *    decode context. That stop is itself bit-exact against the
  *    full-row kernel on the -inf tail: maxSpan never lets -inf
@@ -171,27 +172,27 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
     halfToFloat(q_row, qf.data(), dh);
     const SimdBackend backend = simdBackend();
 
-    // Scores: q . K^T with the scale epilogue, stored through fp16.
+    // Scores: q . K^T through the GEMM tile's epilogue (the scale,
+    // then the fp16 store), as one row of width context.
     kvDotRows(backend, qf.data(), k, desc.headOffset, dh, context,
               staging.data(), row.data());
-    if (desc.scale != 1.0) {
-        for (int64_t pos = 0; pos < context; ++pos)
-            row[size_t(pos)] *= float(desc.scale);
-    }
-    floatToHalf(row.data(), row_h.data(), context);
+    EpilogueTile scores;
+    scores.acc = row.data();
+    scores.rows = 1;
+    scores.width = context;
+    scores.ld = context;
+    scores.scale = float(desc.scale);
+    scores.out = row_h.data();
+    scores.outLd = context;
+    epilogueTile(backend, scores);
 
-    // Safe softmax over the score row (rowSoftmaxRun's three passes).
-    halfToFloat(row_h.data(), row.data(), context);
-    const float max_val = maxSpan(backend, row.data(), context);
-    const float denom =
-        expSpan(backend, row.data(), max_val, row.data(), context);
-    for (int64_t j = 0; j < context; ++j)
-        row[size_t(j)] = denom > 0.0f ? row[size_t(j)] / denom : 0.0f;
-    floatToHalf(row.data(), row_h.data(), context);
-    SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
+    // Safe softmax over the score row: rowSoftmaxRows' row body.
+    const RowSoftmaxStats stats =
+        softmaxRow(backend, row_h.data(), row.data(), row_h.data(), context);
+    SOFTREC_CHECK(stats.sum > 0.0f || stats.max == kNegInf,
                   "decode attention normalizer d = %f must be positive "
                   "(the current token always attends to itself)",
-                  double(denom));
+                  double(stats.sum));
 
     // Output: P . V in ascending key order per output element.
     halfToFloat(row_h.data(), row.data(), context);

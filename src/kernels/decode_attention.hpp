@@ -9,11 +9,12 @@
  * K/V rows in place (no per-step repacking or reconversion of the
  * whole prefix) while reproducing the prefill path's arithmetic
  * bit for bit: the same k-ascending fma chains as the packed GEMM
- * tile (kernels/fma_dot.hpp), the same three-pass safe softmax as
- * rowSoftmaxRun, and the same fp16 storage round-trips between
- * stages. tests/test_decode.cpp proves incremental decode through
- * this kernel is bit-identical to full-prefix recompute at every
- * step, for any thread count and SIMD backend.
+ * tile (kernels/fma_dot.hpp), the GEMM epilogue and row softmax
+ * primitives of the prefill strips (epilogueTile, softmaxRow), and the
+ * same fp16 storage round-trips between stages. tests/test_decode.cpp
+ * proves incremental decode through this kernel is bit-identical to
+ * full-prefix recompute at every step, for any thread count and SIMD
+ * backend.
  */
 
 #ifndef SOFTREC_KERNELS_DECODE_ATTENTION_HPP

@@ -6,12 +6,11 @@
 #include "kernels/elementwise.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
-#include "kernels/gemm.hpp"
+#include "fp16/simd_math.hpp"
 #include "kernels/kernel_common.hpp"
 
 namespace softrec {
@@ -55,53 +54,6 @@ layerNormProfile(const GpuSpec &spec, const std::string &name,
     return prof;
 }
 
-void
-layerNormRun(const ExecContext &ctx, const Tensor<Half> &in,
-             const Tensor<float> &gamma, const Tensor<float> &beta,
-             Tensor<Half> &out, float epsilon)
-{
-    SOFTREC_ASSERT(in.shape().rank() == 2, "layernorm input must be 2-D");
-    const int64_t rows = in.shape().dim(0);
-    const int64_t width = in.shape().dim(1);
-    SOFTREC_ASSERT(out.shape() == in.shape() &&
-                   gamma.shape() == Shape({width}) &&
-                   beta.shape() == Shape({width}),
-                   "layernorm shapes inconsistent");
-    prof::Scope scope(ctx, "ew.layernorm");
-    if (scope.active())
-        scope.addRead(uint64_t(2 * width) * kFp32Bytes); // gamma, beta
-    parallelFor(ctx, 0, rows, 8, [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t bytes =
-                uint64_t(row1 - row0) * uint64_t(width) * kFp16Bytes;
-            scope.addRead(bytes);
-            scope.addWrite(bytes);
-        }
-        std::vector<float> row(size_t(width), 0.0f);
-        const float *g = gamma.data();
-        const float *b = beta.data();
-        for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(in.rowPtr(i), row.data(), width);
-            float mean = 0.0f;
-            for (int64_t j = 0; j < width; ++j)
-                mean += row[size_t(j)];
-            mean /= float(width);
-            float var = 0.0f;
-            for (int64_t j = 0; j < width; ++j) {
-                const float d = row[size_t(j)] - mean;
-                var += d * d;
-            }
-            var /= float(width);
-            const float inv_std = 1.0f / std::sqrt(var + epsilon);
-            for (int64_t j = 0; j < width; ++j) {
-                const float norm = (row[size_t(j)] - mean) * inv_std;
-                row[size_t(j)] = norm * g[j] + b[j];
-            }
-            floatToHalf(row.data(), out.rowPtr(i), width);
-        }
-    });
-}
-
 KernelProfile
 residualAddProfile(const GpuSpec &spec, const std::string &name,
                    int64_t elems)
@@ -119,28 +71,42 @@ residualAddProfile(const GpuSpec &spec, const std::string &name,
 }
 
 void
-residualAddRun(const ExecContext &ctx, const Tensor<Half> &a,
-               const Tensor<Half> &b, Tensor<Half> &out)
+residualLayerNormRun(const ExecContext &ctx, const Tensor<Half> &a,
+                     const Tensor<Half> &b, const Tensor<float> &gamma,
+                     const Tensor<float> &beta, Tensor<Half> &out,
+                     float epsilon)
 {
-    SOFTREC_ASSERT(a.shape() == b.shape() && a.shape() == out.shape(),
-                   "residual shapes inconsistent");
-    prof::Scope scope(ctx, "ew.residual");
-    parallelFor(ctx, 0, a.numel(), 4096, [&](int64_t i0, int64_t i1) {
+    SOFTREC_ASSERT(a.shape().rank() == 2 && b.shape() == a.shape() &&
+                   out.shape() == a.shape(),
+                   "residual layernorm shapes inconsistent");
+    const int64_t rows = a.shape().dim(0);
+    const int64_t width = a.shape().dim(1);
+    SOFTREC_ASSERT(gamma.shape() == Shape({width}) &&
+                   beta.shape() == Shape({width}),
+                   "residual layernorm gamma/beta must be [width]");
+    SOFTREC_ASSERT(out.data() != a.data() && out.data() != b.data(),
+                   "residual layernorm output must not alias an input");
+    prof::Scope scope(ctx, "ew.add_layernorm");
+    if (scope.active())
+        scope.addRead(uint64_t(2 * width) * kFp32Bytes); // gamma, beta
+    const SimdBackend backend = simdBackend();
+    parallelFor(ctx, 0, rows, 16, [&](int64_t row0, int64_t row1) {
         if (scope.active()) {
-            const uint64_t elems = uint64_t(i1 - i0);
-            scope.addRead(2 * elems * kFp16Bytes);
-            scope.addWrite(elems * kFp16Bytes);
+            const uint64_t bytes =
+                uint64_t(row1 - row0) * uint64_t(width) * kFp16Bytes;
+            scope.addRead(2 * bytes);
+            scope.addWrite(bytes);
         }
-        // The chunk is a contiguous linear span: widen both inputs
-        // once, add in fp32, narrow once.
-        const int64_t len = i1 - i0;
-        std::vector<float> fa(size_t(len), 0.0f);
-        std::vector<float> fb(size_t(len), 0.0f);
-        halfToFloat(a.data() + i0, fa.data(), len);
-        halfToFloat(b.data() + i0, fb.data(), len);
-        for (int64_t i = 0; i < len; ++i)
-            fa[size_t(i)] += fb[size_t(i)];
-        floatToHalf(fa.data(), out.data() + i0, len);
+        AddNormRows block;
+        block.a = a.rowPtr(row0);
+        block.b = b.rowPtr(row0);
+        block.out = out.rowPtr(row0);
+        block.rows = row1 - row0;
+        block.width = width;
+        block.gamma = gamma.data();
+        block.beta = beta.data();
+        block.epsilon = epsilon;
+        residualLayerNormRows(backend, block);
     });
 }
 

@@ -3,7 +3,8 @@
  * Memory-bound element-wise and normalization kernels that fill out
  * the transformer layer schedule: LayerNorm, residual add, standalone
  * bias/GeLU and scale/mask (for the unfused library baselines of
- * Fig. 7), head reshapes, and embedding lookup.
+ * Fig. 7), head reshapes, and embedding lookup. The functional layer
+ * runs residual add and LayerNorm as one fused kernel.
  */
 
 #ifndef SOFTREC_KERNELS_ELEMENTWISE_HPP
@@ -23,18 +24,23 @@ KernelProfile layerNormProfile(const GpuSpec &spec,
                                const std::string &name, int64_t rows,
                                int64_t width);
 
-/** Functional LayerNorm with fp32 statistics (row-parallel). */
-void layerNormRun(const ExecContext &ctx, const Tensor<Half> &in,
-                  const Tensor<float> &gamma, const Tensor<float> &beta,
-                  Tensor<Half> &out, float epsilon = 1e-5f);
-
 /** Residual addition out = a + b over `elems` fp16 elements. */
 KernelProfile residualAddProfile(const GpuSpec &spec,
                                  const std::string &name, int64_t elems);
 
-/** Functional residual addition (element-chunk parallel). */
-void residualAddRun(const ExecContext &ctx, const Tensor<Half> &a,
-                    const Tensor<Half> &b, Tensor<Half> &out);
+/**
+ * Functional residual Add & LayerNorm: out = LayerNorm(a + b) per row,
+ * with fp32 statistics over the sum rounded to fp16, the bits of a
+ * residual add that stores its sum followed by a LayerNorm, without
+ * the sum tensor (residualLayerNormRows, fp16/simd_math.hpp). All
+ * three are [rows, width]; out aliases neither input. Row-parallel in
+ * 16-row chunks, bit-identical for any thread count and backend.
+ */
+void residualLayerNormRun(const ExecContext &ctx, const Tensor<Half> &a,
+                          const Tensor<Half> &b,
+                          const Tensor<float> &gamma,
+                          const Tensor<float> &beta, Tensor<Half> &out,
+                          float epsilon = 1e-5f);
 
 /** Standalone bias + optional GeLU over [rows, width]. */
 KernelProfile biasActProfile(const GpuSpec &spec, const std::string &name,

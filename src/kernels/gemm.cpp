@@ -134,25 +134,6 @@ gemmProfile(const GpuSpec &spec, const GemmDesc &desc)
     return prof;
 }
 
-void
-geluSpan(SimdBackend backend, const float *x, float *out, int64_t n)
-{
-    constexpr float kSqrt2OverPi = 0.7978845608028654f;
-    // tanh's argument is staged per chunk, so x and out may alias.
-    constexpr int64_t kChunk = 64;
-    float inner[kChunk];
-    for (int64_t i0 = 0; i0 < n; i0 += kChunk) {
-        const int64_t w = std::min(kChunk, n - i0);
-        for (int64_t i = 0; i < w; ++i) {
-            const float v = x[i0 + i];
-            inner[i] = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-        }
-        tanhSpan(backend, inner, inner, w);
-        for (int64_t i = 0; i < w; ++i)
-            out[i0 + i] = 0.5f * x[i0 + i] * (1.0f + inner[i]);
-    }
-}
-
 float
 geluApprox(float x)
 {
@@ -367,39 +348,24 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
                         t.tileN);
         }
 
-        // Epilogue on the fp32 tile, one plain loop per stage so each
-        // can vectorize; every element still goes through scale, mask,
-        // bias and GeLU in that order. GeLU is element-wise, so it runs
-        // once over the whole tile (the zero-padded columns past nw are
-        // never stored). Plain C stores go through the batch converter
-        // per row; LS narrows the whole tile in its one pass.
-        for (int64_t i = 0; i < mh; ++i) {
-            float *row = acc + i * t.tileN;
-            // Columns [live, nw) lie past row m0 + i: the causal mask
-            // overwrites them, so scaling them is wasted.
-            const int64_t live = desc.epilogue.causalMask
-                ? std::clamp<int64_t>(m0 + i + 1 - n0, 0, nw)
-                : nw;
-            if (desc.epilogue.scale != 1.0) {
-                const float scale = float(desc.epilogue.scale);
-                for (int64_t j = 0; j < live; ++j)
-                    row[j] *= scale;
-            }
-            for (int64_t j = live; j < nw; ++j)
-                row[j] = neg_inf;
-            if (desc.epilogue.bias) {
-                for (int64_t j = 0; j < nw; ++j)
-                    row[j] += bias[n0 + j];
-            }
-        }
-        if (desc.epilogue.gelu)
-            geluSpan(backend, acc, acc, mh * t.tileN);
-        if (!ls) {
-            for (int64_t i = 0; i < mh; ++i)
-                floatToHalf(acc + i * t.tileN, strip.c + i * strip.ldc + c0,
-                            nw);
+        // Epilogue on the fp32 tile: every element goes through scale,
+        // mask, bias and GeLU in that order, then a plain C tile is
+        // narrowed into C and a fused-LS tile stays fp32 for the LS.
+        EpilogueTile epilogue;
+        epilogue.acc = acc;
+        epilogue.rows = mh;
+        epilogue.width = nw;
+        epilogue.ld = t.tileN;
+        epilogue.scale = float(desc.epilogue.scale);
+        epilogue.causal = desc.epilogue.causalMask;
+        epilogue.diagonal = m0 - n0;
+        epilogue.bias = desc.epilogue.bias ? bias + n0 : nullptr;
+        epilogue.gelu = desc.epilogue.gelu;
+        epilogue.out = ls ? nullptr : strip.c + c0;
+        epilogue.outLd = strip.ldc;
+        epilogueTile(backend, epilogue);
+        if (!ls)
             continue;
-        }
         // Each tile row holds segs segments, the last one ragged when
         // seg does not divide nw.
         LsTile tile;

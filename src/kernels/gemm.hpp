@@ -3,9 +3,10 @@
  * Dense GEMM kernel with the outer-product dataflow of Fig. 3(b), plus
  * the fused epilogues/prologues that softmax recomposition needs:
  *
- *  - epilogue: scale, causal mask, bias, GeLU, and Local Softmax (LS) —
- *    the paper's fusion of the first decomposed softmax sub-layer into
- *    the preceding MatMul (Section 3.3);
+ *  - epilogue: scale, causal mask, bias, GeLU (one epilogueTile pass,
+ *    fp16/simd_math.hpp), and Local Softmax (LS) — the paper's fusion
+ *    of the first decomposed softmax sub-layer into the preceding
+ *    MatMul (Section 3.3);
  *  - prologue: Global Scaling (GS) applied while loading the LHS
  *    operand — the fusion of the last sub-layer into the following
  *    MatMul.
@@ -258,8 +259,11 @@ struct GemmScratch
  * same desc. This is the only GEMM body; gemmRun is gemmPackB plus
  * this over parallel strips, and attention runs it strip by strip
  * between its softmax stages. `bias` is the [n] fp32 bias when
- * epilogue.bias is set. Credits the strip to `traffic` and times
- * itself as a segment of its scope.
+ * epilogue.bias is set. Each tile's scale, mask, bias and GeLU run in
+ * one epilogueTile call (fp16/simd_math.hpp), which also narrows a
+ * plain tile into C; a fused-LS tile then goes to localSoftmaxTile.
+ * Credits the strip to `traffic` and times itself as a segment of
+ * its scope.
  */
 void gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
                   const float *panels, const float *bias,
@@ -305,17 +309,7 @@ void gemmRun(const ExecContext &ctx, const GemmDesc &desc,
              const GemmOperands &ops, Tensor<Half> &c,
              const LsOutputs *ls = nullptr);
 
-/**
- * GeLU (tanh approximation) over a span:
- * out[i] = 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), with tanh
- * from tanhSpan (fp16/simd_math.hpp). Same bits on every backend; x
- * and out may alias. The fused GEMM epilogue and biasActRun both call
- * it, so fused and unfused GeLU agree bit for bit.
- */
-void geluSpan(SimdBackend backend, const float *x, float *out,
-              int64_t n);
-
-/** One-element geluSpan, exposed for reuse and tests. */
+/** One-element geluSpan (fp16/simd_math.hpp), exposed for tests. */
 float geluApprox(float x);
 
 } // namespace softrec

@@ -79,10 +79,8 @@ rowSoftmaxRows(SimdBackend backend, const SoftmaxShape &desc,
         rows.scope->addRead(matrix);
         rows.scope->addWrite(matrix);
     }
-    // Row staged once in fp32; exp(x - m) is stored back into the
-    // staging row during the normalizer pass and reused by the scale
-    // pass, so each element pays for one exp, not two.
-    float *row = rows.staging;
+    // Each row is one softmaxRow call over its live columns: the row
+    // is staged once in fp32 and each element pays for one exp.
     for (int64_t i = rows.begin; i < rows.end; ++i) {
         if constexpr (kCheckedBuild)
             checkFinite(SpanView<Half>{in.rowPtr(i), desc.cols},
@@ -90,18 +88,14 @@ rowSoftmaxRows(SimdBackend backend, const SoftmaxShape &desc,
         const int64_t live = desc.causal
             ? std::clamp<int64_t>(desc.firstRow + i + 1, 0, desc.cols)
             : desc.cols;
-        halfToFloat(in.rowPtr(i), row, live);
-        const float max_val = maxSpan(backend, row, live);
-        const float denom = expSpan(backend, row, max_val, row, live);
-        for (int64_t j = 0; j < live; ++j)
-            row[j] = denom > 0.0f ? row[j] / denom : 0.0f;
-        floatToHalf(row, out.rowPtr(i), live);
+        const RowSoftmaxStats stats = softmaxRow(
+            backend, in.rowPtr(i), rows.staging, out.rowPtr(i), live);
         std::fill(out.rowPtr(i) + live, out.rowPtr(i) + desc.cols,
                   Half());
-        SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
+        SOFTREC_CHECK(stats.sum > 0.0f || stats.max == kNegInf,
                       "row %lld normalizer d = %f must be positive "
                       "for an unmasked row",
-                      (long long)i, double(denom));
+                      (long long)i, double(stats.sum));
         if constexpr (kCheckedBuild)
             checkRowSumNearOne(out.rowPtr(i), desc.cols,
                                "rowSoftmax output", i);

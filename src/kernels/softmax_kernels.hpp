@@ -88,7 +88,11 @@ KernelProfile rowSoftmaxProfile(const GpuSpec &spec,
 void rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
                    const Tensor<Half> &in, Tensor<Half> &out);
 
-/** rowSoftmaxRun's body over one row range (scope "softmax.row"). */
+/**
+ * rowSoftmaxRun's body over one row range (scope "softmax.row"): one
+ * softmaxRow call (fp16/simd_math.hpp) per row over its live columns,
+ * the row primitive decode attention runs too.
+ */
 void rowSoftmaxRows(SimdBackend backend, const SoftmaxShape &desc,
                     const Tensor<Half> &in, Tensor<Half> &out,
                     const SoftmaxRows &rows);

@@ -202,8 +202,10 @@ attendOwnRows(const ExecContext &ctx,
  *
  * Bit-identity across callers rests on three facts: the packed GEMMs
  * compute each output row independently, the decode kernel replicates
- * the batch row at the same position exactly, and residual, LayerNorm
- * and GELU are row-local.
+ * the batch row at the same position exactly (its GEMM epilogue and
+ * row softmax are the strip path's own primitives), and the fused
+ * residual Add & LayerNorm and GELU are row-local: a row's bits do not
+ * depend on which rows share its 16-row block or call.
  */
 template <typename StoreKv, typename PrefixKv>
 void
@@ -251,20 +253,17 @@ runLayer(const ExecContext &ctx, const FunctionalLayerConfig &config,
 
     // Each output below lands in a buffer nothing reads any more.
     Tensor<Half> &projected = ws.q;
-    Tensor<Half> &sum = ws.k;
     Tensor<Half> &hidden = ws.v;
     projectRowsInto(ctx, "fc.out", ws.attention, w.wo, w.bo, false,
                     projected);
-    residualAddRun(ctx, ws.x, projected, sum);
-    layerNormRun(ctx, sum, w.gamma1, w.beta1, hidden);
+    residualLayerNormRun(ctx, ws.x, projected, w.gamma1, w.beta1, hidden);
 
     Tensor<Half> &ff2 = ws.attention;
     Tensor<Half> &out = ws.q;
     projectRowsInto(ctx, "ff.1", hidden, w.w1, w.b1, /*gelu=*/true,
                     ws.ff1);
     projectRowsInto(ctx, "ff.2", ws.ff1, w.w2, w.b2, false, ff2);
-    residualAddRun(ctx, hidden, ff2, sum);
-    layerNormRun(ctx, sum, w.gamma2, w.beta2, out);
+    residualLayerNormRun(ctx, hidden, ff2, w.gamma2, w.beta2, out);
     std::swap(ws.x, out);
 }
 

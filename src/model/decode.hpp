@@ -206,8 +206,8 @@ struct DecodeStepWorkspace
 {
     Tensor<Half> x; //!< layer input/output, [R, dModel]
     //! Projections, [R, dModel]. Once attention has read them, q
-    //! takes the fc.out result and then the layer output, k the
-    //! residual sums, v the post-attention LayerNorm.
+    //! takes the fc.out result and then the layer output, v the
+    //! post-attention Add & LayerNorm.
     Tensor<Half> q, k, v;
     //! Concatenated head outputs, [R, dModel]; then the ff.2 result.
     Tensor<Half> attention;

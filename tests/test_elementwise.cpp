@@ -4,6 +4,8 @@
  */
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,11 +21,10 @@ namespace {
 
 // The kernels' suites run once per ExecMatrix case: no other test
 // pins their bits across thread counts and SIMD backends.
-using LayerNorm = ExecMatrix;
-using ResidualAdd = ExecMatrix;
+using ResidualLayerNorm = ExecMatrix;
 using BiasAct = ExecMatrix;
 
-TEST_P(LayerNorm, NormalizesRowsToAffineTarget)
+TEST_P(ResidualLayerNorm, NormalizesRowsToAffineTarget)
 {
     const int64_t rows = 8, width = 64;
     Rng rng(1);
@@ -32,7 +33,8 @@ TEST_P(LayerNorm, NormalizesRowsToAffineTarget)
     Tensor<float> gamma(Shape({width}), 2.0f);
     Tensor<float> beta(Shape({width}), 0.5f);
     Tensor<Half> out(in.shape());
-    layerNormRun(ctx(), in, gamma, beta, out);
+    residualLayerNormRun(ctx(), in, Tensor<Half>(in.shape()), gamma, beta,
+                         out);
 
     for (int64_t i = 0; i < rows; ++i) {
         double mean = 0.0, var = 0.0;
@@ -50,7 +52,7 @@ TEST_P(LayerNorm, NormalizesRowsToAffineTarget)
     }
 }
 
-TEST_P(LayerNorm, PerColumnAffineApplied)
+TEST_P(ResidualLayerNorm, PerColumnAffineApplied)
 {
     Tensor<Half> in(Shape({1, 4}));
     in.at(0, 0) = Half(1.0f);
@@ -64,27 +66,119 @@ TEST_P(LayerNorm, PerColumnAffineApplied)
         beta.at(j) = float(10 * j);
     }
     Tensor<Half> out(in.shape());
-    layerNormRun(ctx(), in, gamma, beta, out);
+    residualLayerNormRun(ctx(), in, Tensor<Half>(in.shape()), gamma, beta,
+                         out);
     // x normalized = {-1.3416, -0.4472, 0.4472, 1.3416}.
     EXPECT_NEAR(float(out.at(0, 0)), -1.3416f * 1 + 0, 0.01);
     EXPECT_NEAR(float(out.at(0, 3)), 1.3416f * 4 + 30, 0.05);
 }
 
-TEST_P(LayerNorm, ShapeMismatchPanics)
+TEST_P(ResidualLayerNorm, ShapeMismatchPanics)
 {
-    Tensor<Half> in(Shape({2, 4})), out(Shape({2, 4}));
+    Tensor<Half> in(Shape({2, 4})), zero(Shape({2, 4})), out(Shape({2, 4}));
     Tensor<float> gamma(Shape({3})), beta(Shape({4}));
-    EXPECT_THROW(layerNormRun(ctx(), in, gamma, beta, out), std::logic_error);
+    EXPECT_THROW(residualLayerNormRun(ctx(), in, zero, gamma, beta, out),
+                 std::logic_error);
 }
 
-TEST_P(ResidualAdd, ElementwiseSum)
+TEST_P(ResidualLayerNorm, NormalizesTheSum)
 {
-    Tensor<Half> a(Shape({6}), Half(1.5f));
-    Tensor<Half> b(Shape({6}), Half(2.0f));
-    Tensor<Half> out(Shape({6}));
-    residualAddRun(ctx(), a, b, out);
-    for (int64_t i = 0; i < 6; ++i)
-        EXPECT_EQ(float(out.at(i)), 3.5f);
+    // Sums {3.5, 3.5, 3.5, 7.5}: mean 4.5, variance 3.
+    Tensor<Half> a(Shape({1, 4}), Half(1.5f));
+    Tensor<Half> b(Shape({1, 4}), Half(2.0f));
+    b.at(0, 3) = Half(6.0f);
+    Tensor<float> gamma(Shape({4}), 1.0f);
+    Tensor<float> beta(Shape({4}), 0.0f);
+    Tensor<Half> out(a.shape());
+    residualLayerNormRun(ctx(), a, b, gamma, beta, out);
+    for (int64_t j = 0; j < 3; ++j)
+        EXPECT_NEAR(float(out.at(0, j)), -1.0f / std::sqrt(3.0f), 1e-3);
+    EXPECT_NEAR(float(out.at(0, 3)), std::sqrt(3.0f), 2e-3);
+}
+
+/**
+ * The two-step composition the fused kernel replaces, one element at
+ * a time: the residual sum rounded to fp16, then LayerNorm with fp32
+ * statistics (sequential sums, then (s - mean) * inv_std * gamma +
+ * beta) rounded to fp16.
+ */
+Tensor<Half>
+addThenLayerNorm(const Tensor<Half> &a, const Tensor<Half> &b,
+                 const Tensor<float> &gamma, const Tensor<float> &beta)
+{
+    const int64_t rows = a.shape().dim(0), width = a.shape().dim(1);
+    Tensor<Half> out(a.shape());
+    std::vector<float> s(static_cast<size_t>(width));
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < width; ++j)
+            s[size_t(j)] = float(Half(float(a.at(i, j)) + float(b.at(i, j))));
+        float mean = 0.0f;
+        for (int64_t j = 0; j < width; ++j)
+            mean += s[size_t(j)];
+        mean /= float(width);
+        float var = 0.0f;
+        for (int64_t j = 0; j < width; ++j) {
+            const float d = s[size_t(j)] - mean;
+            var += d * d;
+        }
+        var /= float(width);
+        const float inv_std = 1.0f / std::sqrt(var + 1e-5f);
+        for (int64_t j = 0; j < width; ++j) {
+            const float norm = (s[size_t(j)] - mean) * inv_std;
+            out.at(i, j) = Half(norm * gamma.at(j) + beta.at(j));
+        }
+    }
+    return out;
+}
+
+TEST_P(ResidualLayerNorm, MatchesAddThenLayerNormBitForBit)
+{
+    // 37 rows are two whole 16-row blocks and a ragged one; width 33
+    // leaves a one-column block. Rows 3-6 hold a NaN, +inf, -inf and a
+    // sum that overflows fp16; row 8 has a constant sum (variance 0);
+    // the second pass puts a NaN into gamma, so every row's output
+    // holds one.
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const int64_t width : {256, 33}) {
+        for (const bool nan_gamma : {false, true}) {
+            const int64_t rows = 37;
+            Rng rng(uint64_t(width) + (nan_gamma ? 1 : 0));
+            Tensor<Half> a(Shape({rows, width}));
+            Tensor<Half> b(Shape({rows, width}));
+            fillNormal(a, rng, 0.5, 2.0);
+            fillNormal(b, rng, -0.25, 1.0);
+            a.at(3, 7) = Half(std::numeric_limits<float>::quiet_NaN());
+            b.at(4, 0) = Half(inf);
+            a.at(5, width - 1) = Half(-inf);
+            a.at(6, 2) = Half(60000.0f);
+            b.at(6, 2) = Half(60000.0f);
+            for (int64_t j = 0; j < width; ++j) {
+                a.at(8, j) = Half(1.0f);
+                b.at(8, j) = Half(0.5f);
+            }
+            Tensor<float> gamma(Shape({width}));
+            Tensor<float> beta(Shape({width}));
+            fillNormal(gamma, rng, 1.0, 0.2);
+            fillNormal(beta, rng, 0.0, 0.2);
+            if (nan_gamma)
+                gamma.at(width / 2) = std::numeric_limits<float>::quiet_NaN();
+            const Tensor<Half> want = addThenLayerNorm(a, b, gamma, beta);
+            Tensor<Half> got(a.shape());
+            residualLayerNormRun(ctx(), a, b, gamma, beta, got);
+            for (int64_t i = 0; i < got.numel(); ++i)
+                ASSERT_EQ(got.data()[i].bits(), want.data()[i].bits())
+                    << "width=" << width << " nan_gamma=" << nan_gamma
+                    << " row=" << i / width << " column=" << i % width;
+        }
+    }
+}
+
+TEST_P(ResidualLayerNorm, OutputAliasingAnInputPanics)
+{
+    Tensor<Half> a(Shape({2, 4})), b(Shape({2, 4}));
+    Tensor<float> gamma(Shape({4})), beta(Shape({4}));
+    EXPECT_THROW(residualLayerNormRun(ctx(), a, b, gamma, beta, a),
+                 std::logic_error);
 }
 
 TEST_P(BiasAct, BiasOnly)
@@ -113,9 +207,7 @@ TEST_P(BiasAct, BiasPlusGelu)
     EXPECT_NEAR(float(out.at(0, 1)), geluApprox(-1.0f), 1e-3);
 }
 
-INSTANTIATE_TEST_SUITE_P(Exec, LayerNorm, testing::ValuesIn(execCases()),
-                         execCaseName);
-INSTANTIATE_TEST_SUITE_P(Exec, ResidualAdd,
+INSTANTIATE_TEST_SUITE_P(Exec, ResidualLayerNorm,
                          testing::ValuesIn(execCases()), execCaseName);
 INSTANTIATE_TEST_SUITE_P(Exec, BiasAct, testing::ValuesIn(execCases()),
                          execCaseName);

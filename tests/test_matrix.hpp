@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -99,11 +100,29 @@ serveCases(std::initializer_list<int64_t> chunks = {0, 3})
     return cases;
 }
 
+/** The case's name, e.g. "int8_chunk3". */
+inline std::string
+serveCaseString(const ServeCase &c)
+{
+    return std::string(kvDtypeName(c.kvDtype)) + "_chunk" +
+           std::to_string(c.prefillChunkTokens);
+}
+
 inline std::string
 serveCaseName(const testing::TestParamInfo<ServeCase> &info)
 {
-    return std::string(kvDtypeName(info.param.kvDtype)) + "_chunk" +
-           std::to_string(info.param.prefillChunkTokens);
+    return serveCaseString(info.param);
+}
+
+/**
+ * gtest's printer for a ServeCase, found by argument-dependent lookup:
+ * the case name, where the default would dump the struct's bytes,
+ * padding included.
+ */
+inline void
+PrintTo(const ServeCase &c, std::ostream *os)
+{
+    *os << serveCaseString(c);
 }
 
 /**

@@ -16,6 +16,8 @@
  * the same bits under every backend while keeping their documented
  * accuracy, special values and lane-order sum, the LS tile primitive
  * must give the bits of maxSpan, expSpan and floatToHalf per segment,
+ * the row softmax and GeLU must give the scalar bits on every backend
+ * (masked, zero-maximum and non-finite rows, special values),
  * and kernels built on the substrate must stay deterministic across
  * thread counts.
  */
@@ -476,16 +478,16 @@ TEST(PackedGemm, ScalarAndSimdKernelsBitIdentical)
     // widths cover whole and ragged 8-, 16- and 64-column blocks, and
     // n spans at least two tiles of the widest, so every leftover path
     // of every backend meets the scalar reference.
-    enum Epilogue { kPlain, kScale, kCausal, kBias, kGelu, kLs, kGs,
-                    kCausalA };
+    enum Epilogue { kPlain, kScale, kCausal, kScaleCausal, kBias, kGelu,
+                    kLs, kGs, kCausalA };
     int seed = 300;
     for (const int64_t m : {4, 21, 38, 55, 18, 35, 49}) {
         for (const int64_t tile_n :
              {8, 16, 24, 32, 48, 64, 80, 100, 128}) {
             for (const bool transpose_b : {false, true}) {
                 for (const Epilogue epi :
-                     {kPlain, kScale, kCausal, kBias, kGelu, kLs, kGs,
-                      kCausalA}) {
+                     {kPlain, kScale, kCausal, kScaleCausal, kBias, kGelu,
+                      kLs, kGs, kCausalA}) {
                     Rng rng(uint64_t(seed++));
                     GemmDesc desc;
                     desc.m = m;
@@ -494,9 +496,11 @@ TEST(PackedGemm, ScalarAndSimdKernelsBitIdentical)
                     desc.tiling.tileM = 16;
                     desc.tiling.tileN = tile_n;
                     desc.epilogue.scale =
-                        epi == kScale || epi == kLs ? 0.125 : 1.0;
+                        epi == kScale || epi == kScaleCausal || epi == kLs
+                            ? 0.125
+                            : 1.0;
                     desc.epilogue.causalMask =
-                        epi == kCausal || epi == kLs;
+                        epi == kCausal || epi == kScaleCausal || epi == kLs;
                     desc.epilogue.bias = epi == kBias || epi == kGelu;
                     desc.epilogue.gelu = epi == kGelu;
                     desc.epilogue.localSoftmax = epi == kLs;
@@ -1087,6 +1091,66 @@ TEST(RowSoftmax, CausalRowsStopAtDiagonalBitIdentical)
     }
 }
 
+TEST(RowSoftmax, EveryBackendGivesTheScalarBits)
+{
+    // Widths around the 8- and 16-lane blocks and a long row. Rows 1-6
+    // are fully masked, zero-maximum (+0 alone, then -0 and +0 mixed),
+    // and hold a -inf, a NaN or a +inf among finite scores. Every row
+    // runs through softmaxRow; the finite ones (NaN and +inf inputs
+    // trip the checked build's input check) also run rowSoftmaxRun,
+    // whole and as causal strips whose first row sits past 0.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    for (const int64_t cols : {1, 15, 16, 17, 129, 2048}) {
+        const int64_t rows = 9;
+        Rng rng(static_cast<uint64_t>(cols));
+        Tensor<Half> in(Shape({rows, cols}));
+        fillNormal(in, rng, 0.0, 3.0);
+        for (int64_t j = 0; j < cols; ++j) {
+            in.at(1, j) = Half(-kInf);
+            in.at(2, j) = Half(j % 3 == 0 ? 0.0f : -float(j % 3));
+            in.at(3, j) =
+                Half(j % 2 == 0 ? -0.0f : (j % 4 == 1 ? 0.0f : -2.0f));
+        }
+        in.at(4, 0) = Half(-kInf);
+        Tensor<Half> finite = in;
+        in.at(5, cols / 2) = Half(std::numeric_limits<float>::quiet_NaN());
+        in.at(6, cols - 1) = Half(kInf);
+        std::vector<float> staging(static_cast<size_t>(cols));
+        const auto rowBits = [&](SimdBackend backend) {
+            Tensor<Half> out(in.shape());
+            for (int64_t r = 0; r < rows; ++r)
+                softmaxRow(backend, in.rowPtr(r), staging.data(),
+                           out.rowPtr(r), cols);
+            return halfBits(out);
+        };
+        const std::vector<uint16_t> want_rows = rowBits(SimdBackend::Scalar);
+        for (const SimdBackend backend : availableSimdBackends())
+            EXPECT_EQ(rowBits(backend), want_rows)
+                << "cols=" << cols << " " << simdBackendName(backend);
+        for (const int64_t first_row : {int64_t(-1), int64_t(0), int64_t(5),
+                                        cols / 2}) {
+            SoftmaxShape desc;
+            desc.rows = rows;
+            desc.cols = cols;
+            desc.causal = first_row >= 0;
+            desc.firstRow = std::max<int64_t>(first_row, 0);
+            Tensor<Half> want(in.shape());
+            withBackend(SimdBackend::Scalar, [&] {
+                rowSoftmaxRun(ExecContext(), desc, finite, want);
+            });
+            for (const SimdBackend backend : availableSimdBackends()) {
+                Tensor<Half> got(in.shape());
+                withBackend(backend, [&] {
+                    rowSoftmaxRun(ExecContext(), desc, finite, got);
+                });
+                EXPECT_EQ(halfBits(got), halfBits(want))
+                    << "cols=" << cols << " firstRow=" << first_row << " "
+                    << simdBackendName(backend);
+            }
+        }
+    }
+}
+
 TEST(CausalAttention, RowsIgnoreNonFiniteValueRowsPastThem)
 {
     // Causal prefill row i reads V rows [0, i] only, as decode does:
@@ -1353,6 +1417,72 @@ TEST(ExpPrimitive, TanhAndGeluAccuracy)
         ASSERT_EQ(bitsOf(g[i]), bitsOf(geluApprox(x[i])))
             << "x=" << x[i];
     }
+}
+
+TEST(ExpPrimitive, GeluSpecialValuesScalarAndSimdBitIdentical)
+{
+    // Zeros, infinities, NaNs (a payload and a signalling one), the
+    // largest and the subnormal floats, arguments whose tanh saturates
+    // or whose cube overflows. Every offset and length 0-40 puts each
+    // value in every lane and in the ragged tail. The fused epilogue
+    // (bias, GeLU, fp16 store) over the same values must store the
+    // same halves too, NaN lanes included.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const std::vector<float> specials = {
+        0.0f, -0.0f, kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(), floatOf(0xffc12345u),
+        floatOf(0x7f800001u), std::numeric_limits<float>::max(),
+        -std::numeric_limits<float>::max(), floatOf(0x00000001u),
+        floatOf(0x80400000u), 1e-30f, -1e-30f, 1.0f, -1.0f, 5.0f, -5.0f,
+        9.0f, -9.0f, 10.5f, -10.5f, 50.0f, -50.0f, 1e6f, -1e6f, 2e12f,
+        -2e12f, 65504.0f, -65504.0f, 3.0e-3f, -0.7978845f};
+    std::vector<float> x;
+    for (int rep = 0; rep < 3; ++rep)
+        x.insert(x.end(), specials.begin(), specials.end());
+    const auto bits = [](const std::vector<float> &v) {
+        std::vector<uint32_t> out;
+        for (const float f : v)
+            out.push_back(bitsOf(f));
+        return out;
+    };
+    for (int64_t offset = 0; offset < 16; ++offset) {
+        for (int64_t n = 0; n <= 40; ++n) {
+            std::vector<float> want(static_cast<size_t>(n));
+            std::vector<float> got(static_cast<size_t>(n));
+            const float *xs = &x[size_t(offset)];
+            geluSpan(SimdBackend::Scalar, xs, want.data(), n);
+            for (const SimdBackend backend : availableSimdBackends()) {
+                geluSpan(backend, xs, got.data(), n);
+                ASSERT_EQ(bits(got), bits(want))
+                    << "offset=" << offset << " n=" << n << " "
+                    << simdBackendName(backend);
+            }
+        }
+    }
+    const int64_t rows = 3, width = int64_t(specials.size()) - 1;
+    std::vector<float> bias(size_t(width), 0.0f);
+    bias[4] = 1.0f;
+    const auto run = [&](SimdBackend backend) {
+        std::vector<float> acc(x.begin(), x.begin() + rows * (width + 1));
+        std::vector<Half> out(size_t(rows * width));
+        EpilogueTile tile;
+        tile.acc = acc.data();
+        tile.rows = rows;
+        tile.width = width;
+        tile.ld = width + 1;
+        tile.bias = bias.data();
+        tile.gelu = true;
+        tile.out = out.data();
+        tile.outLd = width;
+        epilogueTile(backend, tile);
+        std::vector<uint16_t> halves;
+        for (const Half h : out)
+            halves.push_back(h.bits());
+        return halves;
+    };
+    const std::vector<uint16_t> want = run(SimdBackend::Scalar);
+    for (const SimdBackend backend : availableSimdBackends())
+        EXPECT_EQ(run(backend), want) << simdBackendName(backend);
 }
 
 // --- The LS tile primitive: one pass per segment, bit for bit --------
