@@ -50,13 +50,27 @@ execCases()
     return cases;
 }
 
+/** The case's name, e.g. "threads4_f16c_avx512". */
+inline std::string
+execCaseString(const ExecCase &c)
+{
+    std::string name = "threads" + std::to_string(c.threads) + "_" +
+                       simdBackendName(c.simd);
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+}
+
 inline std::string
 execCaseName(const testing::TestParamInfo<ExecCase> &info)
 {
-    std::string name = "threads" + std::to_string(info.param.threads) +
-                       "_" + simdBackendName(info.param.simd);
-    std::replace(name.begin(), name.end(), '-', '_');
-    return name;
+    return execCaseString(info.param);
+}
+
+/** gtest's printer for an ExecCase: the case name, not its bytes. */
+inline void
+PrintTo(const ExecCase &c, std::ostream *os)
+{
+    *os << execCaseString(c);
 }
 
 /**
