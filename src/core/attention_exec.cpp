@@ -223,7 +223,7 @@ runStrips(const ExecContext &ctx, const SdaConfig &config,
                    {0, mh, nullptr, &*ir_scope});
             // The scores are dead once LS has read them, so GS
             // writes the probabilities over them.
-            gsRows(shape, buf.xPrime, buf.recon, buf.scores,
+            gsRows(backend, shape, buf.xPrime, buf.recon, buf.scores,
                    {0, mh, buf.staging.data(), &*gs_scope});
             break;
           case Strategy::Fused:

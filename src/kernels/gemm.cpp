@@ -290,16 +290,11 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
     for (int64_t i = 0; i < mh; ++i) {
         const int64_t depth = std::min(kd, diag + i + 1);
         float *arow = abuf + i * kd;
-        halfToFloat(strip.a + i * strip.lda, arow, depth);
-        if (desc.prologue.globalScale) {
-            const float *gs = strip.gsFactors + i * strip.gsLd;
-            for (int64_t k0 = 0; k0 < depth; k0 += gs_sub) {
-                const float r = gs[k0 / gs_sub];
-                const int64_t k1 = std::min(depth, k0 + gs_sub);
-                for (int64_t kk = k0; kk < k1; ++kk)
-                    arow[kk] *= r;
-            }
-        }
+        if (desc.prologue.globalScale)
+            halfToFloatScaled(backend, strip.a + i * strip.lda, arow, depth,
+                              strip.gsFactors + i * strip.gsLd, gs_sub);
+        else
+            halfToFloat(strip.a + i * strip.lda, arow, depth);
     }
     for (int64_t j = 0; j < tiles_n; ++j) {
         // n-tile tn covers columns [n0, n0 + nw) of the GEMM; C stores
@@ -349,30 +344,35 @@ gemmRunStrip(SimdBackend backend, const GemmDesc &desc,
         }
 
         // Epilogue on the fp32 tile: every element goes through scale,
-        // mask, bias and GeLU in that order, then a plain C tile is
-        // narrowed into C and a fused-LS tile stays fp32 for the LS.
-        EpilogueTile epilogue;
-        epilogue.acc = acc;
-        epilogue.rows = mh;
-        epilogue.width = nw;
-        epilogue.ld = t.tileN;
-        epilogue.scale = float(desc.epilogue.scale);
-        epilogue.causal = desc.epilogue.causalMask;
-        epilogue.diagonal = m0 - n0;
-        epilogue.bias = desc.epilogue.bias ? bias + n0 : nullptr;
-        epilogue.gelu = desc.epilogue.gelu;
-        epilogue.out = ls ? nullptr : strip.c + c0;
-        epilogue.outLd = strip.ldc;
-        epilogueTile(backend, epilogue);
-        if (!ls)
+        // mask, bias and GeLU in that order and is narrowed into C. A
+        // fused-LS tile instead hands its scale and mask to the LS,
+        // which applies them as it reads the tile. Each tile row holds
+        // segs segments, the last one ragged when seg does not divide
+        // nw.
+        if (!ls) {
+            EpilogueTile epilogue;
+            epilogue.acc = acc;
+            epilogue.rows = mh;
+            epilogue.width = nw;
+            epilogue.ld = t.tileN;
+            epilogue.scale = float(desc.epilogue.scale);
+            epilogue.causal = desc.epilogue.causalMask;
+            epilogue.diagonal = m0 - n0;
+            epilogue.bias = desc.epilogue.bias ? bias + n0 : nullptr;
+            epilogue.gelu = desc.epilogue.gelu;
+            epilogue.out = strip.c + c0;
+            epilogue.outLd = strip.ldc;
+            epilogueTile(backend, epilogue);
             continue;
-        // Each tile row holds segs segments, the last one ragged when
-        // seg does not divide nw.
+        }
         LsTile tile;
         tile.x = acc;
         tile.rows = mh;
         tile.width = nw;
         tile.ld = t.tileN;
+        tile.scale = float(desc.epilogue.scale);
+        tile.causal = desc.epilogue.causalMask;
+        tile.diagonal = m0 - n0;
         tile.subVector = seg;
         tile.xPrime = strip.c + c0;
         tile.xPrimeLd = strip.ldc;
@@ -422,10 +422,11 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         SOFTREC_ASSERT(ops.bias && ops.bias->shape() == Shape({n}),
                        "bias missing or misshaped");
     }
-    SOFTREC_ASSERT(!desc.epilogue.causalMask ||
+    SOFTREC_ASSERT(!(desc.epilogue.causalMask ||
+                     desc.epilogue.localSoftmax) ||
                        (!desc.epilogue.bias && !desc.epilogue.gelu),
-                   "causal mask is a QK^T epilogue; it takes no bias "
-                   "or GeLU (%s)", desc.name.c_str());
+                   "causal mask and LS are QK^T epilogues; they take no "
+                   "bias or GeLU (%s)", desc.name.c_str());
     const int64_t gs_sub = desc.prologue.gsSubVector;
     if (desc.prologue.globalScale) {
         SOFTREC_ASSERT(ops.gsFactors &&

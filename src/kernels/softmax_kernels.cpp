@@ -280,26 +280,35 @@ irRows(SimdBackend backend, const SoftmaxShape &desc,
         rows.scope->addRead(md_count * 2 * kFp32Bytes); // m', d'
         rows.scope->addWrite(md_count * kFp32Bytes);    // r'
     }
-    for (int64_t i = rows.begin; i < rows.end; ++i) {
-        const float *md_max = local_max.rowPtr(i);
-        const float *md_sum = local_sum.rowPtr(i);
-        float *r = recon.rowPtr(i);
-        // r' starts as exp(m' - m); a fully masked sub-vector
-        // (m' = -inf, d' = 0) gets exp = +0 and contributes nothing
-        // to d.
-        const float m_global = maxSpan(backend, md_max, nsv);
-        expSpan(backend, md_max, m_global, r, nsv);
-        float d_global = 0.0f;
-        for (int64_t sv = 0; sv < nsv; ++sv)
-            d_global += r[sv] * md_sum[sv];
-        SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
-                      "IR row %lld: global normalizer d = %f must "
-                      "be positive for an unmasked row",
-                      (long long)i, double(d_global));
-        for (int64_t sv = 0; sv < nsv; ++sv)
-            r[sv] = d_global > 0.0f ? r[sv] / d_global : 0.0f;
-        if constexpr (kCheckedBuild)
-            checkReconFactors(SpanView<float>{r, nsv}, "IR r' output");
+    // reconstructionFactors runs up to 16 rows at a time, one per lane
+    // under Avx512, so the rows go to it in blocks of 16. The three
+    // matrices share one row stride, which may exceed nsv (a strip's
+    // buffers are as wide as its widest row).
+    SOFTREC_ASSERT(local_sum.shape() == local_max.shape() &&
+                       recon.shape() == local_max.shape() &&
+                       local_max.shape().dim(1) >= nsv,
+                   "IR m'/d'/r' shapes must match and hold N_sv columns");
+    constexpr int64_t kBlock = 16;
+    RowSoftmaxStats stats[kBlock];
+    for (int64_t i0 = rows.begin; i0 < rows.end; i0 += kBlock) {
+        IrRows block;
+        block.localMax = local_max.rowPtr(i0);
+        block.localSum = local_sum.rowPtr(i0);
+        block.recon = recon.rowPtr(i0);
+        block.rows = std::min(kBlock, rows.end - i0);
+        block.segments = nsv;
+        block.ld = local_max.shape().dim(1);
+        reconstructionFactors(backend, block, stats);
+        for (int64_t i = i0; i < i0 + block.rows; ++i) {
+            const RowSoftmaxStats &row = stats[i - i0];
+            SOFTREC_CHECK(row.sum > 0.0f || row.max == kNegInf,
+                          "IR row %lld: global normalizer d = %f must "
+                          "be positive for an unmasked row",
+                          (long long)i, double(row.sum));
+            if constexpr (kCheckedBuild)
+                checkReconFactors(SpanView<float>{recon.rowPtr(i), nsv},
+                                  "IR r' output");
+        }
     }
 }
 
@@ -349,7 +358,8 @@ gsProfile(const GpuSpec &spec, const SoftmaxShape &desc)
 }
 
 void
-gsRows(const SoftmaxShape &desc, const Tensor<Half> &x_prime,
+gsRows(SimdBackend backend, const SoftmaxShape &desc,
+       const Tensor<Half> &x_prime,
        const Tensor<float> &recon, Tensor<Half> &y,
        const SoftmaxRows &rows)
 {
@@ -363,18 +373,12 @@ gsRows(const SoftmaxShape &desc, const Tensor<Half> &x_prime,
         rows.scope->addRead(matrix + r_bytes); // X' plus r'
         rows.scope->addWrite(matrix);
     }
-    // Widen the row once, apply each sub-vector's r' to its contiguous
-    // segment, narrow once.
+    // Each row is widened and scaled by its segments' r' in one pass,
+    // then narrowed.
     float *row = rows.staging;
     for (int64_t i = rows.begin; i < rows.end; ++i) {
-        halfToFloat(x_prime.rowPtr(i), row, desc.cols);
-        const float *r = recon.rowPtr(i);
-        for (int64_t j0 = 0; j0 < desc.cols; j0 += desc.subVector) {
-            const float scale = r[j0 / desc.subVector];
-            const int64_t j1 = std::min(desc.cols, j0 + desc.subVector);
-            for (int64_t j = j0; j < j1; ++j)
-                row[j] *= scale;
-        }
+        halfToFloatScaled(backend, x_prime.rowPtr(i), row, desc.cols,
+                          recon.rowPtr(i), desc.subVector);
         floatToHalf(row, y.rowPtr(i), desc.cols);
         // The recomposition identity (Eq. (2)): after GS the
         // decomposed pipeline must reproduce safe-softmax rows exactly,
@@ -398,10 +402,11 @@ gsRun(const ExecContext &ctx, const SoftmaxShape &desc,
                        Shape({desc.rows, desc.numSubVectors()}),
                    "GS r' shape must be [rows, N_sv]");
     prof::Scope scope(ctx, "softmax.gs");
+    const SimdBackend backend = simdBackend();
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
         std::vector<float> row(size_t(desc.cols));
-        gsRows(desc, x_prime, recon, y,
+        gsRows(backend, desc, x_prime, recon, y,
                SoftmaxRows{row0, row1, row.data(), &scope});
     });
 }

@@ -143,7 +143,11 @@ void irRun(const ExecContext &ctx, const SoftmaxShape &desc,
            const Tensor<float> &local_max,
            const Tensor<float> &local_sum, Tensor<float> &recon);
 
-/** irRun's body over one row range (scope "softmax.ir"). */
+/**
+ * irRun's body over one row range (scope "softmax.ir"): the
+ * reconstructionFactors primitive (fp16/simd_math.hpp) over blocks of
+ * up to 16 rows.
+ */
 void irRows(SimdBackend backend, const SoftmaxShape &desc,
             const Tensor<float> &local_max,
             const Tensor<float> &local_sum, Tensor<float> &recon,
@@ -157,8 +161,13 @@ void gsRun(const ExecContext &ctx, const SoftmaxShape &desc,
            const Tensor<Half> &x_prime, const Tensor<float> &recon,
            Tensor<Half> &y);
 
-/** gsRun's body over one row range (scope "softmax.gs"). */
-void gsRows(const SoftmaxShape &desc, const Tensor<Half> &x_prime,
+/**
+ * gsRun's body over one row range (scope "softmax.gs"): one
+ * halfToFloatScaled pass (fp16/simd_math.hpp) per row, then the
+ * narrowing.
+ */
+void gsRows(SimdBackend backend, const SoftmaxShape &desc,
+            const Tensor<Half> &x_prime,
             const Tensor<float> &recon, Tensor<Half> &y,
             const SoftmaxRows &rows);
 

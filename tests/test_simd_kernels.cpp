@@ -39,7 +39,9 @@
 #include "kernels/fma_dot.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/softmax_kernels.hpp"
+#include "sparse/patterns.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "test_matrix.hpp"
 
 namespace softrec {
 namespace {
@@ -1487,21 +1489,32 @@ TEST(ExpPrimitive, GeluSpecialValuesScalarAndSimdBitIdentical)
 
 // --- The LS tile primitive: one pass per segment, bit for bit --------
 
+/** The causal mask and scale an LS tile applies as it reads. */
+struct LsFold
+{
+    float scale = 1.0f;
+    bool causal = false;
+    int64_t diagonal = 0;
+};
+
 /**
  * Runs localSoftmaxTile on rows x width scores (row stride ld) cut
- * into sub-vectors of `sub`, and the per-segment sequence it
- * replaces: maxSpan, expSpan, then floatToHalf, on a copy of each
- * segment, on the scalar path, whose bits every backend must give.
- * X', m' and d' (and the untouched padding around them) must have the
- * same bits, except that a NaN d' need only be NaN on both sides: the
- * payload a NaN sum carries is not part of the contract.
+ * into sub-vectors of `sub`, under `fold`'s scale and mask, and the
+ * sequence it replaces: the scale (when it is not 1) on the columns
+ * left of the mask and -inf right of it, as epilogueTile writes them,
+ * then maxSpan, expSpan and floatToHalf on a copy of each segment, on
+ * the scalar path, whose bits every backend must give. X', m' and d'
+ * (and the untouched padding around them) must have the same bits,
+ * except that a NaN d' need only be NaN on both sides: the payload a
+ * NaN sum carries is not part of the contract.
  */
 void
 expectLsTileMatchesSegments(SimdBackend backend,
                             const std::vector<float> &scores,
                             int64_t rows, int64_t width, int64_t ld,
-                            int64_t sub)
+                            int64_t sub, const LsFold &fold = {})
 {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
     const int64_t nsv = (width + sub - 1) / sub;
     const int64_t x_ld = width + 5;
     const int64_t md_ld = nsv + 2;
@@ -1510,11 +1523,16 @@ expectLsTileMatchesSegments(SimdBackend backend,
     std::vector<Half> got_x(x_size, Half(7.0f)), want_x = got_x;
     std::vector<float> got_m(md_size, 3.0f), want_m = got_m;
     std::vector<float> got_d(md_size, 5.0f), want_d = got_d;
+    // The LS may overwrite its scores with the scaled, masked ones.
+    std::vector<float> tile_scores = scores;
     LsTile tile;
-    tile.x = scores.data();
+    tile.x = tile_scores.data();
     tile.rows = rows;
     tile.width = width;
     tile.ld = ld;
+    tile.scale = fold.scale;
+    tile.causal = fold.causal;
+    tile.diagonal = fold.diagonal;
     tile.subVector = sub;
     tile.xPrime = got_x.data();
     tile.xPrimeLd = x_ld;
@@ -1529,6 +1547,14 @@ expectLsTileMatchesSegments(SimdBackend backend,
                 const int64_t w = std::min(sub, width - j0);
                 const float *src = &scores[size_t(r * ld + j0)];
                 std::vector<float> seg(src, src + w);
+                const int64_t live =
+                    fold.causal ? fold.diagonal + r + 1 - j0 : w;
+                for (int64_t j = 0; j < w; ++j) {
+                    if (j >= live)
+                        seg[size_t(j)] = -kInf;
+                    else if (fold.scale != 1.0f)
+                        seg[size_t(j)] *= fold.scale;
+                }
                 const float m = maxSpan(SimdBackend::Scalar, seg.data(), w);
                 const float d = expSpan(SimdBackend::Scalar, seg.data(), m,
                                         seg.data(), w);
@@ -1631,6 +1657,51 @@ TEST(LsTilePrimitive, MatchesPerSegmentSequenceAtEveryShape)
             for (const SimdBackend backend : availableSimdBackends()) {
                 expectLsTileMatchesSegments(backend, scores, rows, width,
                                             ld, sub);
+            }
+        }
+    }
+}
+
+TEST(LsTilePrimitive, ScaleAndCausalMaskFoldIntoTheTile)
+{
+    // The QK^T tiles of a fused LS: 16-row blocks of T = 16 segments
+    // (which the AVX-512 body scales and masks as it loads them), a
+    // ragged last segment and ragged rows (which run the epilogue
+    // first), under a scale, a causal mask whose diagonal crosses the
+    // tile at every offset, and both. Specials ride in the scores: a
+    // NaN, +-inf and +-0, and a row that is all -inf.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    Rng rng(79);
+    const std::pair<int64_t, int64_t> shapes[] = {
+        {16, 64}, {32, 48}, {16, 70}, {21, 64}, {7, 16}};
+    for (const auto &[rows, width] : shapes) {
+        const int64_t ld = width + 4;
+        std::vector<float> scores(size_t(rows * ld));
+        for (float &v : scores)
+            v = float(rng.normal(0.0, 3.0));
+        scores[size_t(3 * ld + 5)] = std::nanf("");
+        scores[size_t(4 * ld + 17)] = kInf;
+        scores[size_t(5 * ld + 2)] = -kInf;
+        scores[size_t(6 * ld + 1)] = -0.0f;
+        std::fill(&scores[size_t(2 * ld)], &scores[size_t(2 * ld + width)],
+                  -kInf);
+        for (const float scale : {1.0f, 0.125f}) {
+            for (const int64_t diagonal :
+                 {int64_t(-rows), int64_t(-3), int64_t(0), int64_t(9),
+                  width - 1, width + 5}) {
+                for (const bool causal : {false, true}) {
+                    if (!causal && diagonal != 0)
+                        continue;
+                    const LsFold fold{scale, causal, diagonal};
+                    for (const SimdBackend backend :
+                         availableSimdBackends()) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "scale " << scale << " causal "
+                                     << causal << " diagonal " << diagonal);
+                        expectLsTileMatchesSegments(backend, scores, rows,
+                                                    width, ld, 16, fold);
+                    }
+                }
             }
         }
     }
@@ -1808,6 +1879,176 @@ TEST(RowSoftmax, BitIdenticalAcrossThreadCountsAndBackends)
         });
     }
 }
+
+// SDF's GS and IR primitives, once per ExecMatrix case: the case's
+// backend against Scalar, bit for bit, and the fused heads that run
+// them on the case's thread count against a serial Scalar run.
+using SdfPrimitives = ExecMatrix;
+
+TEST_P(SdfPrimitives, WidenAndScaleGivesTheScalarBits)
+{
+    // Every group width GS takes, depths that are not whole vectors,
+    // and the specials: NaNs (quiet, signalling, negative), +-inf, +-0
+    // and fp16 subnormals in X', with scales of +0 and a float
+    // subnormal among the ordinary ones.
+    const SimdBackend backend = GetParam().simd;
+    Rng rng(83);
+    const uint16_t specials[] = {0x7e00, 0x7d00, 0xfe01, 0x7c00, 0xfc00,
+                                 0x8000, 0x0000, 0x0001, 0x83ff};
+    for (const int64_t group : {8, 16, 64}) {
+        for (const int64_t n : {1, 7, 15, 17, 33, 64, 100, 129, 300}) {
+            std::vector<Half> src(static_cast<size_t>(n));
+            for (Half &h : src)
+                h = Half(float(rng.normal(0.0, 2.0)));
+            for (int64_t j = 3; j < n; j += 11)
+                src[size_t(j)] = Half::fromBits(specials[size_t(j / 11) % 9]);
+            std::vector<float> scales(size_t((n + group - 1) / group));
+            for (size_t g = 0; g < scales.size(); ++g)
+                scales[g] = float(rng.uniform(0.01, 1.0));
+            scales[0] = 0.0f;
+            if (scales.size() > 1)
+                scales[1] = 1e-40f;
+            std::vector<float> want(static_cast<size_t>(n));
+            std::vector<float> got(static_cast<size_t>(n) + 1, 7.0f);
+            halfToFloatScaled(SimdBackend::Scalar, src.data(), want.data(),
+                              n, scales.data(), group);
+            halfToFloatScaled(backend, src.data(), got.data(), n,
+                              scales.data(), group);
+            for (int64_t j = 0; j < n; ++j) {
+                ASSERT_EQ(bitsOf(got[size_t(j)]), bitsOf(want[size_t(j)]))
+                    << "group " << group << " n " << n << " j " << j;
+                const float plain =
+                    src[size_t(j)].toFloat() * scales[size_t(j / group)];
+                ASSERT_EQ(bitsOf(want[size_t(j)]), bitsOf(plain));
+            }
+            EXPECT_EQ(got[size_t(n)], 7.0f) << "wrote past n";
+        }
+    }
+}
+
+TEST_P(SdfPrimitives, ReconstructionFactorsGiveTheScalarBits)
+{
+    // Row and segment counts that are not multiples of 16; rows that
+    // are fully masked (m' = -inf, d' = +0), have one live segment, a
+    // zero maximum of either sign, or a NaN m' or d'.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const SimdBackend backend = GetParam().simd;
+    Rng rng(89);
+    for (const int64_t rows : {1, 5, 16, 17, 37}) {
+        for (const int64_t segments : {1, 7, 16, 33, 128, 130}) {
+            const int64_t ld = segments + 3;
+            std::vector<float> m(size_t(rows * ld)), d(size_t(rows * ld));
+            for (float &v : m)
+                v = float(rng.normal(0.0, 3.0));
+            for (float &v : d)
+                v = float(rng.uniform(1.0, 16.0));
+            for (int64_t r = 0; r < rows; ++r) {
+                float *mr = &m[size_t(r * ld)];
+                float *dr = &d[size_t(r * ld)];
+                switch (r % 7) {
+                  case 1: // fully masked
+                    std::fill(mr, mr + segments, -kInf);
+                    std::fill(dr, dr + segments, 0.0f);
+                    break;
+                  case 2: // one live segment
+                    std::fill(mr, mr + segments, -kInf);
+                    std::fill(dr, dr + segments, 0.0f);
+                    mr[(r * 5) % segments] = 1.5f;
+                    dr[(r * 5) % segments] = 3.0f;
+                    break;
+                  case 3: // zero maxima of both signs
+                    for (int64_t s = 0; s < segments; ++s)
+                        mr[s] = s % 2 == 0 ? -0.0f : -float(s);
+                    mr[segments / 2] = 0.0f;
+                    break;
+                  case 4:
+                    for (int64_t s = 0; s < segments; ++s)
+                        mr[s] = s % 3 == 0 ? -0.0f : -1.0f;
+                    break;
+                  case 5:
+                    mr[(r * 3) % segments] = nan;
+                    break;
+                  case 6:
+                    dr[(r * 3) % segments] = nan;
+                    dr[(r * 7) % segments] = -0.0f;
+                    break;
+                }
+            }
+            IrRows block;
+            block.localMax = m.data();
+            block.localSum = d.data();
+            block.rows = rows;
+            block.segments = segments;
+            block.ld = ld;
+            std::vector<float> want(size_t(rows * ld), 7.0f), got = want;
+            std::vector<RowSoftmaxStats> want_stats(static_cast<size_t>(rows));
+            std::vector<RowSoftmaxStats> got_stats(static_cast<size_t>(rows));
+            block.recon = want.data();
+            reconstructionFactors(SimdBackend::Scalar, block,
+                                  want_stats.data());
+            block.recon = got.data();
+            reconstructionFactors(backend, block, got_stats.data());
+            for (int64_t r = 0; r < rows; ++r) {
+                SCOPED_TRACE(testing::Message() << "rows " << rows
+                                                << " segments " << segments
+                                                << " row " << r);
+                for (int64_t s = 0; s < ld; ++s)
+                    ASSERT_EQ(bitsOf(got[size_t(r * ld + s)]),
+                              bitsOf(want[size_t(r * ld + s)]))
+                        << "segment " << s;
+                const RowSoftmaxStats &g = got_stats[size_t(r)];
+                const RowSoftmaxStats &w = want_stats[size_t(r)];
+                EXPECT_EQ(bitsOf(g.max), bitsOf(w.max));
+                if (std::isnan(w.sum))
+                    EXPECT_TRUE(std::isnan(g.sum));
+                else
+                    EXPECT_EQ(bitsOf(g.sum), bitsOf(w.sum));
+            }
+        }
+    }
+}
+
+TEST_P(SdfPrimitives, FusedHeadsGiveTheSerialScalarBits)
+{
+    // Fused heads whose P.V runs the GS prologue on every kind of
+    // strip: dense rows, causal rows of ragged depth, and a
+    // block-sparse head's strips of packed k blocks.
+    BigBirdParams params;
+    params.blockSize = 16;
+    params.windowBlocks = 1;
+    params.globalBlocks = 1;
+    params.randomBlocks = 1;
+    const BsrLayout layout = bigBirdPattern(160, params);
+    for (int kind = 0; kind < 3; ++kind) {
+        SdaConfig config;
+        config.seqLen = kind == 2 ? 160 : 300;
+        config.dHead = 32;
+        config.subVector = 16;
+        config.causalMask = kind == 1;
+        config.layout = kind == 2 ? &layout : nullptr;
+        config.attnTiling = GemmTiling{16, 16, 16, 256, 128};
+        AttentionInputs inputs = makeAttentionInputs(config);
+        Rng rng(97 + uint64_t(kind));
+        fillNormal(inputs.q, rng, 0.0, 1.0);
+        fillNormal(inputs.k, rng, 0.0, 1.0);
+        fillNormal(inputs.v, rng, 0.0, 1.0);
+        Tensor<Half> want;
+        withBackend(SimdBackend::Scalar, [&] {
+            want = runAttention(ExecContext(), config, inputs,
+                                Strategy::Fused);
+        });
+        const Tensor<Half> got =
+            runAttention(ctx(), config, inputs, Strategy::Fused);
+        ASSERT_EQ(got.shape(), want.shape());
+        for (int64_t i = 0; i < got.numel(); ++i)
+            ASSERT_EQ(got.data()[i].bits(), want.data()[i].bits())
+                << "kind " << kind << " element " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Exec, SdfPrimitives,
+                         testing::ValuesIn(execCases()), execCaseName);
 
 } // namespace
 } // namespace softrec
