@@ -35,7 +35,9 @@
 #      online-softmax kernel moves fewer bytes than the recomposed
 #      path); SOFTREC_BENCH_DIR routes every report to the repo root,
 #      each expected BENCH_*.json must exist there, and all must pass
-#      tools/check_bench_json.py (the
+#      tools/check_bench_json.py (micro_simd's report must carry the
+#      in-process SDF overheads ls_overhead_ns_per_elem,
+#      gs_overhead_ns_per_elem and ir_ns_per_row; the
 #      serve_throughput smoke includes the int8-vs-f16 KV capacity A/B
 #      arm and asserts its >= 1.8x ratio; the serve_load smoke includes
 #      the head-of-line arm — 4k-token prompts arriving mid-decode —

@@ -29,6 +29,11 @@ Checked invariants:
                   counters keep reporting the modeled, causal-oblivious
                   operands.
   derived         object; values are finite floats.
+  required        a report named in REQUIRED_DERIVED must carry each
+  derived         of its keys: micro_simd's in-process SDF overheads
+                  (ls_overhead_ns_per_elem, gs_overhead_ns_per_elem,
+                  ir_ns_per_row), which a change to its arms must not
+                  drop silently.
   JSON text       must not contain NaN/Infinity tokens (the emitter
                   writes null for non-finite values; Python's json
                   module would otherwise accept them silently).
@@ -51,6 +56,11 @@ ROW_KEYS = {"name", "ms", "bytes_read", "bytes_written", "calls",
             "threads"}
 SPREAD_KEYS = {"ms_min", "ms_max"}
 CAUSAL_PREFIX = "causal_"
+# Derived keys a report of the given name must carry.
+REQUIRED_DERIVED = {
+    "micro_simd": ("ls_overhead_ns_per_elem", "gs_overhead_ns_per_elem",
+                   "ir_ns_per_row"),
+}
 
 
 def is_int(value):
@@ -175,6 +185,9 @@ def validate_text(path, text):
         for key, value in derived.items():
             if not is_finite_number(value):
                 bad("derived[%r] must be a finite number" % key)
+        for key in REQUIRED_DERIVED.get(name, ()):
+            if key not in derived:
+                bad("report %r needs derived[%r]" % (name, key))
 
     return findings
 
@@ -261,17 +274,35 @@ BAD_FIXTURES = [
     ('{"schema": "softrec-bench-v1", "name": "x", '
      '"config": {"bad": [1]}, "kernels": [], "derived": {}}',
      "config"),
+    ('{"schema": "softrec-bench-v1", "name": "micro_simd", '
+     '"config": {}, "kernels": [], "derived": '
+     '{"ls_overhead_ns_per_elem": 0.5, "ir_ns_per_row": 40}}',
+     "needs derived['gs_overhead_ns_per_elem']"),
 ]
+
+# A micro_simd report with its required keys passes; an overhead may be
+# negative, since the two arms of a pair can cross.
+GOOD_MICRO_SIMD = """{
+  "schema": "softrec-bench-v1",
+  "name": "micro_simd",
+  "config": {},
+  "kernels": [],
+  "derived": {"ls_overhead_ns_per_elem": 0.5,
+              "gs_overhead_ns_per_elem": -0.01, "ir_ns_per_row": 40}
+}"""
 
 
 def self_test():
     failures = 0
-    findings = validate_text("good", GOOD_FIXTURE)
-    if findings:
-        failures += 1
-        print("self-test: good fixture flagged:", file=sys.stderr)
-        for finding in findings:
-            print("  " + finding, file=sys.stderr)
+    for label, text in (("good", GOOD_FIXTURE),
+                        ("good micro_simd", GOOD_MICRO_SIMD)):
+        findings = validate_text(label, text)
+        if findings:
+            failures += 1
+            print("self-test: %s fixture flagged:" % label,
+                  file=sys.stderr)
+            for finding in findings:
+                print("  " + finding, file=sys.stderr)
     for index, (text, expect) in enumerate(BAD_FIXTURES):
         findings = validate_text("bad%d" % index, text)
         if not any(expect in finding for finding in findings):
@@ -282,7 +313,7 @@ def self_test():
     if failures:
         return 1
     print("check_bench_json self-test: %d fixtures OK" %
-          (1 + len(BAD_FIXTURES)))
+          (2 + len(BAD_FIXTURES)))
     return 0
 
 
